@@ -398,6 +398,11 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _maybe_write_json(args, command, "error", {"message": str(exc)}, [])
         return 2
+    except Exception as exc:  # a defect outside the package errors still exits 2
+        message = f"{type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        _maybe_write_json(args, command, "error", {"message": message}, [])
+        return 2
     _maybe_write_json(args, command, status, payload, provenance)
     if getattr(args, "csv", None):
         if "pl" in extras:

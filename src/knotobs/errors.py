@@ -59,3 +59,7 @@ class AmbiguousSignatureError(KnotObsError):
 
 class FactorizationComplexityError(KnotObsError):
     """Interpolation factoring exceeded its search budget."""
+
+
+class InternalCheckError(KnotObsError):
+    """A self-check of a computed result failed: a defect in this package."""

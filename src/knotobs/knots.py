@@ -13,7 +13,7 @@ computation only through Delta = 1 and g = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -31,7 +31,6 @@ SLICE_GENUS_SOURCE_L = "published slice-genus computation for the L-family"
 class TorusKnot:
     p: int
     q: int
-    slice_hint: tuple[int, str] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.p < 2 or self.q < 2:
@@ -45,7 +44,6 @@ class Cable:
     companion: "KnotExpression"
     p: int
     q: int
-    slice_hint: tuple[int, str] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -57,24 +55,21 @@ class Cable:
 @dataclass(frozen=True)
 class WhiteheadDouble:
     companion: "KnotExpression"
-    slice_hint: tuple[int, str] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Mirror:
     inner: "KnotExpression"
-    slice_hint: tuple[int, str] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Sum:
     summands: tuple["KnotExpression", ...]
-    slice_hint: tuple[int, str] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Unknot:
-    slice_hint: tuple[int, str] | None = field(default=None, compare=False)
+    pass
 
 
 KnotExpression = Union[TorusKnot, Cable, WhiteheadDouble, Mirror, Sum, Unknot]
@@ -114,16 +109,7 @@ def sum_of(*exprs: KnotExpression) -> KnotExpression:
 
 def normalize(e: KnotExpression) -> KnotExpression:
     """Canonical form: sums flattened, sorted and unknot-free; mirrors pushed
-    inside sums and cancelled pairwise; single-summand sums collapsed.  A
-    slice-genus annotation on the root survives normalization."""
-    out = _normalize(e)
-    hint = getattr(e, "slice_hint", None)
-    if hint is not None and getattr(out, "slice_hint", None) is None:
-        out = replace(out, slice_hint=hint)
-    return out
-
-
-def _normalize(e: KnotExpression) -> KnotExpression:
+    inside sums and cancelled pairwise; single-summand sums collapsed."""
     if isinstance(e, (TorusKnot, Unknot)):
         return e
     if isinstance(e, Cable):
@@ -192,10 +178,16 @@ def format_knot(e: KnotExpression) -> str:
     raise ValidationError(f"not a knot expression: {e!r}")
 
 
+# Deepest nesting of "(", "Wh(" and "Cable(" the parser accepts; it keeps
+# parsing and the recursive invariants well inside the interpreter's stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.s = text.replace(" ", "").replace("\t", "")
         self.i = 0
+        self.depth = 0
 
     def error(self, msg: str):
         raise ParseError(f"{msg} at position {self.i} in knot expression")
@@ -226,10 +218,22 @@ class _Parser:
         return Sum(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def term(self) -> KnotExpression:
-        if self.peek() == "-":
+        mirrored = False
+        while self.peek() == "-":
             self.i += 1
-            return Mirror(self.term())
-        return self.atom()
+            mirrored = not mirrored
+        inner = self.atom()
+        return Mirror(inner) if mirrored else inner
+
+    def nested(self, opening: str) -> KnotExpression:
+        """The expression after `opening`, one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.take(opening)
+        self.depth += 1
+        inner = self.expression()
+        self.depth -= 1
+        return inner
 
     def atom(self) -> KnotExpression:
         if self.s.startswith("T(", self.i):
@@ -240,13 +244,11 @@ class _Parser:
             self.take(")")
             return torus(p, q)
         if self.s.startswith("Wh(", self.i):
-            self.take("Wh(")
-            inner = self.expression()
+            inner = self.nested("Wh(")
             self.take(")")
             return WhiteheadDouble(inner)
         if self.s.startswith("Cable(", self.i):
-            self.take("Cable(")
-            inner = self.expression()
+            inner = self.nested("Cable(")
             self.take(";")
             p = self.integer()
             self.take(",")
@@ -257,8 +259,7 @@ class _Parser:
             self.i += 1
             return UNKNOT
         if self.peek() == "(":
-            self.i += 1
-            inner = self.expression()
+            inner = self.nested("(")
             self.take(")")
             return inner
         self.error("expected a knot atom")
@@ -358,16 +359,25 @@ def _seifert_genus(e: KnotExpression) -> int:
 def genus(e: KnotExpression) -> GenusReport:
     """Seifert genus from the standard constructions: g(T(p,q)) = (p-1)(q-1)/2,
     g(Wh K) = 1, g(K_{p,q}) = p g(K) + (p-1)(q-1)/2 for q >= 1, additive under
-    connected sum."""
+    connected sum.  Members of the L family carry the published slice genus
+    1 as a hint."""
     e = normalize(e)
     total = _seifert_genus(e)
     per_summand = max(_seifert_genus(s) for s in summands(e))
-    hint = getattr(e, "slice_hint", None)
+    l_member = _is_L_member(e)
     return GenusReport(
         seifert_genus=total,
         summand_max_genus=per_summand,
-        slice_genus_hint=hint[0] if hint else None,
-        slice_genus_source=hint[1] if hint else None,
+        slice_genus_hint=1 if l_member else None,
+        slice_genus_source=SLICE_GENUS_SOURCE_L if l_member else None,
+    )
+
+
+def _is_L_member(e: KnotExpression) -> bool:
+    """True when the normalized e is L_n, n being the p of its Cable
+    summand; such knots have published slice genus 1."""
+    return any(
+        isinstance(s, Cable) and e == family("L", s.p) for s in summands(e)
     )
 
 
@@ -383,7 +393,7 @@ def family(name: str, n: int) -> KnotExpression:
     Jprime (Wh T(2,3))_{n,2n-1} # -T(n,2n-1)
     L      (Wh T(2,3))_{n,1} # -(Wh T(2,3))_{n-1,1}
 
-    L members carry the published slice-genus-1 annotation.
+    genus() reports the published slice genus 1 of every L member.
     """
     if n < 2:
         raise ValidationError(f"family index must be >= 2, got {n}")
@@ -394,7 +404,6 @@ def family(name: str, n: int) -> KnotExpression:
         expr = sum_of(cable(core, n, 2 * n - 1), mirror(torus(n, 2 * n - 1)))
     elif name == "L":
         expr = sum_of(cable(core, n, 1), mirror(cable(core, n - 1, 1)))
-        expr = replace(expr, slice_hint=(1, SLICE_GENUS_SOURCE_L))
     else:
         raise ValidationError(f"unknown family {name!r}; expected J, Jprime or L")
     return expr

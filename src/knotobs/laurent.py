@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from .errors import (
     FactorizationComplexityError,
+    InternalCheckError,
     NormalizationError,
     ParseError,
     ValidationError,
@@ -240,25 +241,6 @@ def _coerce(x) -> LaurentPolynomial:
     raise ValidationError(f"cannot treat {x!r} as a Laurent polynomial")
 
 
-def arithmetic(f: LaurentPolynomial, g: LaurentPolynomial, op: str) -> LaurentPolynomial:
-    """Dispatch form of +, -, *; kept as the stable operation surface."""
-    if op == "add":
-        return f + g
-    if op == "subtract":
-        return f - g
-    if op == "multiply":
-        return f * g
-    raise ValidationError(f"unknown arithmetic op {op!r}")
-
-
-def breadth(f: LaurentPolynomial) -> int:
-    return f.breadth
-
-
-def reciprocal(f: LaurentPolynomial) -> LaurentPolynomial:
-    return f.reciprocal()
-
-
 # ---------------------------------------------------------------------------
 # text format: "c0*t^e0 + c1*t^e1 + ..." with strictly increasing exponents
 # ---------------------------------------------------------------------------
@@ -332,9 +314,21 @@ def parse_laurent(text: str) -> LaurentPolynomial:
 # dense helpers (ordinary polynomials, coefficient list indexed by degree)
 # ---------------------------------------------------------------------------
 
+# Largest breadth of a dense coefficient list; refusing larger ones keeps
+# inputs such as t^200000 - 1 from tying up memory and time.
+MAX_DENSE_BREADTH = 100_000
+
+
+def _check_breadth(breadth: int, what: str) -> None:
+    if breadth > MAX_DENSE_BREADTH:
+        raise ValidationError(
+            f"{what} {breadth} exceeds the dense polynomial limit {MAX_DENSE_BREADTH}"
+        )
+
 
 def _dense(f: LaurentPolynomial) -> list[int]:
     """Coefficient list of f shifted to minimal exponent 0."""
+    _check_breadth(f.breadth, "breadth")
     lo = f.min_exp
     out = [0] * (f.breadth + 1)
     for e, c in f.coeffs.items():
@@ -436,6 +430,13 @@ def _dgcd(a: list, b: list) -> list:
     return ints
 
 
+def _self_checked(value, claim: str):
+    """value, after checking it is not None: None means claim failed."""
+    if value is None:
+        raise InternalCheckError(f"self-check failed: {claim}")
+    return value
+
+
 def _deval(a: list, x: int) -> int:
     acc = 0
     for c in reversed(a):
@@ -505,12 +506,13 @@ def cyclotomic(n: int) -> LaurentPolynomial:
     """The n-th cyclotomic polynomial, by exact division of t^n - 1."""
     if n < 1:
         raise ValidationError("cyclotomic requires n >= 1")
+    _check_breadth(n, "cyclotomic index")
     poly = [-1] + [0] * (n - 1) + [1]  # t^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q = _dexact_div(poly, _dense(cyclotomic(d)))
-            assert q is not None
-            poly = q
+            poly = _self_checked(
+                _dexact_div(poly, _dense(cyclotomic(d))), "Phi_d divides t^n - 1"
+            )
     return _from_dense(poly)
 
 
@@ -526,14 +528,14 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
         raise ValidationError("torus knot parameters must be >= 2")
     if math.gcd(p, q) != 1:
         raise ValidationError(f"torus knot parameters must be coprime, got ({p},{q})")
+    _check_breadth(p * q, "torus knot product pq")
 
     def tn_minus_1(n):
         return [-1] + [0] * (n - 1) + [1]
 
     num = _dmul(tn_minus_1(p * q), tn_minus_1(1))
     den = _dmul(tn_minus_1(p), tn_minus_1(q))
-    quot = _dexact_div(num, den)
-    assert quot is not None
+    quot = _self_checked(_dexact_div(num, den), "(t^p - 1)(t^q - 1) divides (t^pq - 1)(t - 1)")
     return _from_dense(quot).centered()
 
 
@@ -630,7 +632,10 @@ def _kronecker_split(W: list) -> list | None:
     for d in range(2, n // 2 + 1):
         sel = pts[: d + 1]
         values = [_deval(W, x) for x in sel]
-        assert all(values), "square-free part with no rational roots cannot vanish"
+        if not all(values):
+            raise InternalCheckError(
+                "self-check failed: square-free part with no rational roots cannot vanish"
+            )
         divisor_lists = []
         for i, v in enumerate(values):
             ds = _divisors(v)
@@ -711,17 +716,16 @@ def _kronecker_irreducibles(W: list) -> list[list]:
     piece = _kronecker_split(W)
     if piece is None:
         return [W]
-    rest = _dexact_div(W, piece)
-    assert rest is not None
+    rest = _self_checked(_dexact_div(W, piece), "the Kronecker factor divides its input")
     return _kronecker_irreducibles(piece) + _kronecker_irreducibles(_dprimitive(rest))
 
 
-def factor(f: LaurentPolynomial, cyclotomic_bound: int | None = None) -> Factorization:
+def factor(f: LaurentPolynomial) -> Factorization:
     """Complete irreducible factorization over Z up to units +-t^k.
 
-    cyclotomic_bound caps the index of cyclotomic polynomials tried by trial
-    division (default 3 * breadth); factors beyond the bound are still found
-    by the general interpolation stage.
+    Cyclotomic polynomials of index up to 3 * breadth are tried by trial
+    division; factors beyond that bound are still found by the general
+    interpolation stage.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
@@ -744,7 +748,7 @@ def factor(f: LaurentPolynomial, cyclotomic_bound: int | None = None) -> Factori
             record(LaurentPolynomial.constant(p), e)
 
     if _deg(F) >= 1:
-        bound = cyclotomic_bound if cyclotomic_bound is not None else 3 * f.breadth
+        bound = 3 * f.breadth
         screens = [x for x in (2, 3) if _deval(F, x) != 0]
         screen_vals = {x: _deval(F, x) for x in screens}
         for d in range(1, bound + 1):
@@ -775,9 +779,7 @@ def factor(f: LaurentPolynomial, cyclotomic_bound: int | None = None) -> Factori
         # re-collect multiplicities of repeated linear factors
     if _deg(F) >= 1:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))
-        W = _dexact_div(F, sqfree_gcd)
-        assert W is not None
-        W = _dprimitive(W)
+        W = _dprimitive(_self_checked(_dexact_div(F, sqfree_gcd), "the square-free gcd divides F"))
         for irr in _kronecker_irreducibles(W):
             poly = _from_dense(irr).canonical()
             dense_irr = _dense(poly)
@@ -788,13 +790,16 @@ def factor(f: LaurentPolynomial, cyclotomic_bound: int | None = None) -> Factori
                     break
                 F = q
                 mult += 1
-            assert mult > 0
+            if mult == 0:
+                raise InternalCheckError(f"self-check failed: factor {poly} does not divide F")
             record(poly, mult)
-        assert _deg(F) < 1 and F and F[0] == 1, "factor residue must be the unit 1"
+        if not (_deg(F) < 1 and F and F[0] == 1):
+            raise InternalCheckError("self-check failed: factor residue must be the unit 1")
 
     ordered = tuple(sorted(found.items(), key=lambda kv: _factor_key(kv[0])))
     result = Factorization(sign=sign, exponent=exponent, factors=ordered)
-    assert result.expand() == f, "factorization must reproduce the input"
+    if result.expand() != f:
+        raise InternalCheckError("self-check failed: factorization must reproduce the input")
     return result
 
 
@@ -877,7 +882,8 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
     # confirm the witness reproduces f up to a unit
     prod = witness * witness.reciprocal()
     ratio = exact_div(f, prod)
-    assert ratio.breadth == 0 and abs(ratio.leading_coeff) == 1
+    if not (ratio.breadth == 0 and abs(ratio.leading_coeff) == 1):
+        raise InternalCheckError("self-check failed: the Fox-Milnor witness must reproduce f")
     return FoxMilnorResult(True, witness, (), fac)
 
 

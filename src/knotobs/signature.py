@@ -24,6 +24,7 @@ import numpy as np
 from . import knots
 from .errors import (
     AmbiguousSignatureError,
+    InternalCheckError,
     JumpEvaluationError,
     UnsupportedExpressionError,
     ValidationError,
@@ -134,7 +135,8 @@ def torus_jumps(p: int, q: int) -> JumpFunction:
             else:
                 jumps[s - 1] = jumps.get(s - 1, 0) - 2
     out = JumpFunction(jumps)
-    assert len(out.jumps) == (p - 1) * (q - 1)
+    if len(out.jumps) != (p - 1) * (q - 1):
+        raise InternalCheckError("self-check failed: T(p,q) has (p-1)(q-1) distinct jumps")
     return out
 
 

@@ -15,7 +15,7 @@ All arithmetic in this module is exact rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import knots, laurent
@@ -141,21 +141,6 @@ class PiecewiseLinearFunction:
         return tuple(zip(self.ts, self.vs))
 
 
-def pl_arithmetic(f: PiecewiseLinearFunction, g: PiecewiseLinearFunction | None, op: str, c: int | None = None) -> PiecewiseLinearFunction:
-    """Dispatch form of the PL vector-space structure."""
-    if op == "add":
-        return f + g
-    if op == "negate":
-        return -f
-    if op == "integer_scale":
-        return f.scale(c)
-    raise ValidationError(f"unknown PL op {op!r}")
-
-
-def delta_prime(f: PiecewiseLinearFunction, t0) -> Fraction:
-    return f.delta_prime(t0)
-
-
 # ---------------------------------------------------------------------------
 # staircases of L-space-form polynomials
 # ---------------------------------------------------------------------------
@@ -273,27 +258,31 @@ def upsilon_of_expression(e: knots.KnotExpression) -> PiecewiseLinearFunction:
 @dataclass(frozen=True)
 class JumpGerm:
     """Partial low-t record of a derivative-jump function: zero on
-    (0, first_singularity) when zero_before, with the stated jump there.
-    Nothing beyond first_singularity is certified."""
+    (0, first_singularity) when zero_before, with jump sign * jump_value
+    there (sign -1 for the mirror knot).  Nothing beyond first_singularity is
+    certified."""
 
     first_singularity: Fraction
     jump_value: Fraction
     zero_before: bool = True
     source: str = "user-supplied"
+    sign: int = 1
 
     def __post_init__(self):
         if not 0 < self.first_singularity < 2:
             raise ValidationError("first singularity must lie in (0,2)")
         if self.jump_value <= 0:
             raise ValidationError("germ jump value must be positive")
+        if self.sign not in (1, -1):
+            raise ValidationError("germ sign must be +1 or -1")
 
-    def negated(self) -> "MirroredJumpGerm":
-        return MirroredJumpGerm(self)
+    def negated(self) -> "JumpGerm":
+        return replace(self, sign=-self.sign)
 
     def delta_prime_at(self, t0: Fraction) -> Fraction:
         t0 = Fraction(t0)
         if t0 == self.first_singularity:
-            return self.jump_value
+            return self.sign * self.jump_value
         if t0 < self.first_singularity:
             if self.zero_before:
                 return Fraction(0)
@@ -303,16 +292,6 @@ class JumpGerm:
         raise InsufficientDataError(
             f"germ certifies nothing beyond t = {self.first_singularity}"
         )
-
-
-@dataclass(frozen=True)
-class MirroredJumpGerm:
-    """Germ of the mirror knot; jump negated at the same first singularity."""
-
-    germ: JumpGerm
-
-    def delta_prime_at(self, t0: Fraction) -> Fraction:
-        return -self.germ.delta_prime_at(t0)
 
 
 def jprime_germ(n: int) -> JumpGerm:
@@ -336,7 +315,7 @@ def jprime_germ(n: int) -> JumpGerm:
 def _delta_prime_of(source, t0: Fraction) -> Fraction:
     if isinstance(source, PiecewiseLinearFunction):
         return source.delta_prime(t0)
-    if isinstance(source, (JumpGerm, MirroredJumpGerm)):
+    if isinstance(source, JumpGerm):
         return source.delta_prime_at(t0)
     raise ValidationError(f"cannot read a derivative jump from {source!r}")
 
@@ -394,16 +373,15 @@ def obstruct_Gn(source, n: int) -> ObstructionVerdict:
         return ObstructionVerdict(
             "not_obstructed", detail=f"no derivative jump on (0, 1/{n})"
         )
-    if isinstance(source, (JumpGerm, MirroredJumpGerm)):
-        germ = source.germ if isinstance(source, MirroredJumpGerm) else source
-        t0 = germ.first_singularity
+    if isinstance(source, JumpGerm):
+        t0 = source.first_singularity
         if t0 < window:
             return ObstructionVerdict(
                 "obstructed",
                 witness=t0,
-                detail=f"certified jump {_delta_prime_of(source, t0)} at {t0} < 1/{n}",
+                detail=f"certified jump {source.delta_prime_at(t0)} at {t0} < 1/{n}",
             )
-        if germ.zero_before:
+        if source.zero_before:
             return ObstructionVerdict(
                 "not_obstructed",
                 detail=f"certified zero on (0, {t0}) covers (0, 1/{n})",

@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 
 import oracles
-from knotobs import knots
+from knotobs import cli, knots, laurent
 from knotobs.cli import run
 
 
@@ -51,6 +51,32 @@ class TestExitCodes:
     def test_jump_point_evaluation_is_1(self, capsys):
         assert run(["sig-jumps", "T(2,3)", "--at", "1/6"]) == 1
         assert "left limit" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_2(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_genus", broken)
+        doc = run_json(tmp_path, ["genus", "T(2,3)"], 2)
+        assert doc["status"] == "error"
+        assert doc["payload"]["message"] == "RuntimeError: boom"
+        assert "error: RuntimeError: boom" in capsys.readouterr().err
+
+    def test_failed_self_check_is_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(laurent.Factorization, "expand", lambda self: laurent.ZERO)
+        assert run(["factor", "t^2 - 1"]) == 2
+        assert "self-check failed" in capsys.readouterr().err
+
+    def test_deep_input_is_1(self, capsys):
+        assert run(["genus", "(" * 3000 + "T(2,3)" + ")" * 3000]) == 1
+        assert run(["genus", "Wh(" * 400 + "T(2,3)" + ")" * 400]) == 1
+        assert "nesting" in capsys.readouterr().err
+        assert run(["genus", "--", "-" * 3000 + "T(2,3)"]) == 0
+
+    def test_breadth_beyond_dense_limit_is_1(self, capsys):
+        assert run(["factor", "t^200000 - 1"]) == 1
+        assert run(["gsp-bound", "Cable(" * 100 + "T(2,3)" + ";2,1)" * 100]) == 1
+        assert "dense polynomial limit" in capsys.readouterr().err
 
 
 class TestArtifacts:

@@ -13,6 +13,7 @@ from knotobs.errors import (
     ValidationError,
 )
 from knotobs.knots import (
+    MAX_NESTING,
     UNKNOT,
     Cable,
     Mirror,
@@ -87,6 +88,26 @@ class TestGrammar:
             with pytest.raises(ParseError):
                 parse_knot(bad)
 
+    def test_deep_nesting_refused(self):
+        for text in ("(" * 3000 + "T(2,3)" + ")" * 3000, "Wh(" * 400 + "T(2,3)" + ")" * 400):
+            with pytest.raises(ParseError, match="nesting"):
+                parse_knot(text)
+
+    def test_nesting_limit_boundary(self):
+        n = MAX_NESTING
+        assert parse_knot("(" * n + "T(2,3)" + ")" * n) == torus(2, 3)
+        with pytest.raises(ParseError):
+            parse_knot("(" * (n + 1) + "T(2,3)" + ")" * (n + 1))
+        deep = "Cable(" * n + "T(2,3)" + ";2,1)" * n
+        assert genus(parse_knot(deep)).seifert_genus == 2**n
+
+    def test_long_minus_run_keeps_parity(self):
+        assert parse_knot("-" * 3000 + "T(2,3)") == torus(2, 3)
+        assert parse_knot("-" * 3001 + "T(2,3)") == mirror(torus(2, 3))
+
+    def test_long_sum_of_mirrors(self):
+        assert genus(parse_knot(" # ".join(["-T(2,3)"] * 3000))).seifert_genus == 3000
+
 
 class TestAlexander:
     def test_trefoil(self):
@@ -155,6 +176,22 @@ class TestGenus:
             assert report.summand_max_genus == n
             assert report.slice_genus_hint == 1
             assert report.slice_genus_source
+
+    def test_family_L_typed_as_text(self):
+        for n in range(2, 8):
+            typed = genus(parse_knot(format_knot(family("L", n))))
+            assert typed == genus(family("L", n))
+
+    def test_slice_genus_hint_only_for_L(self):
+        for e in (
+            family("J", 4),
+            family("Jprime", 3),
+            parse_knot("Cable(Wh(T(2,3));3,1)"),
+            parse_knot("Cable(Wh(T(2,3));4,1) # -Cable(Wh(T(2,3));2,1)"),
+            parse_knot("Cable(Wh(T(2,3));3,1) # -Cable(Wh(T(2,3));2,1) # T(2,3)"),
+        ):
+            report = genus(e)
+            assert report.slice_genus_hint is None and report.slice_genus_source is None
 
     def test_cable_needs_positive_q(self):
         with pytest.raises(UnsupportedOrientationError):

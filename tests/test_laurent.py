@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+from knotobs import laurent
 from knotobs.errors import (
     NormalizationError,
     ParseError,
@@ -13,8 +14,8 @@ from knotobs.errors import (
 )
 from knotobs.laurent import (
     ONE,
+    MAX_DENSE_BREADTH,
     LaurentPolynomial,
-    arithmetic,
     cyclotomic,
     exact_div,
     factor,
@@ -35,18 +36,15 @@ class TestArithmetic:
         # (t - 1 + 1/t)^2 = t^2 - 2t + 3 - 2/t + 1/t^2
         expected = LaurentPolynomial({-2: 1, -1: -2, 0: 3, 1: -2, 2: 1})
         assert TREFOIL * TREFOIL == expected
-        assert arithmetic(TREFOIL, TREFOIL, "multiply") == expected
 
     def test_additive_inverse(self):
         assert (TREFOIL + (-TREFOIL)).is_zero
-        assert arithmetic(TREFOIL, -TREFOIL, "add").is_zero
 
     def test_multiplicative_identity(self):
         assert TREFOIL * ONE == TREFOIL
-        assert arithmetic(TREFOIL, ONE, "multiply") == TREFOIL
 
     def test_subtract(self):
-        assert arithmetic(TREFOIL, TREFOIL, "subtract").is_zero
+        assert (TREFOIL - TREFOIL).is_zero
 
     def test_random_products_match_convolution_oracle(self):
         rng = random.Random(101)
@@ -59,10 +57,6 @@ class TestArithmetic:
         f = parse_laurent("1 + t") * parse_laurent("1 + -1t")  # 1 - t^2
         assert 1 not in f.coeffs
         assert f == LaurentPolynomial({0: 1, 2: -1})
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValidationError):
-            arithmetic(TREFOIL, TREFOIL, "divide")
 
 
 class TestBreadth:
@@ -85,6 +79,20 @@ class TestBreadth:
             f = oracles.random_laurent(rng)
             g = oracles.random_laurent(rng)
             assert (f * g).breadth == f.breadth + g.breadth
+
+
+class TestDenseLimit:
+    def test_breadth_at_limit_is_dense(self):
+        f = parse_laurent(f"t^{MAX_DENSE_BREADTH} - 1")
+        assert len(laurent._dense(f)) == MAX_DENSE_BREADTH + 1
+
+    def test_beyond_limit_refused(self):
+        with pytest.raises(ValidationError, match="dense polynomial limit"):
+            factor(parse_laurent(f"t^{2 * MAX_DENSE_BREADTH} - 1"))
+        with pytest.raises(ValidationError, match="dense polynomial limit"):
+            cyclotomic(MAX_DENSE_BREADTH + 1)
+        with pytest.raises(ValidationError, match="dense polynomial limit"):
+            torus_alexander(317, 331)  # pq = 104927
 
 
 class TestCyclotomicTotient:

@@ -18,12 +18,10 @@ from knotobs.upsilon import (
     JumpGerm,
     PiecewiseLinearFunction,
     Staircase,
-    delta_prime,
     jprime_germ,
     min_genus_from_singularity,
     obstruct_Gn,
     oss_hom,
-    pl_arithmetic,
     staircase_from_alexander,
     summand_certificate_upsilon,
     upsilon_of_expression,
@@ -60,7 +58,7 @@ class TestPiecewiseLinear:
 
     def test_add_negate_cancel(self):
         u = upsilon_torus(2, 3)
-        assert pl_arithmetic(u, pl_arithmetic(u, None, "negate"), "add") == PiecewiseLinearFunction.zero()
+        assert u + (-u) == PiecewiseLinearFunction.zero()
 
     def test_scale_example(self):
         doubled = upsilon_torus(2, 3).scale(2)
@@ -88,10 +86,10 @@ class TestPiecewiseLinear:
 
 class TestDeltaPrime:
     def test_trefoil_at_1(self):
-        assert delta_prime(upsilon_torus(2, 3), 1) == 2
+        assert upsilon_torus(2, 3).delta_prime(1) == 2
 
     def test_interior_of_linear_piece(self):
-        assert delta_prime(upsilon_torus(2, 3), F(1, 2)) == 0
+        assert upsilon_torus(2, 3).delta_prime(F(1, 2)) == 0
 
     def test_additive_random(self):
         rng = random.Random(12)
@@ -196,6 +194,19 @@ class TestGerms:
         g = jprime_germ(3)
         assert g.negated().delta_prime_at(g.first_singularity) == -5
 
+    def test_mirror_is_a_signed_germ(self):
+        g = jprime_germ(3)
+        m = g.negated()
+        assert isinstance(m, JumpGerm) and m.sign == -1
+        assert m.negated() == g
+        assert m.delta_prime_at(F(1, 10)) == 0
+        with pytest.raises(InsufficientDataError):
+            m.delta_prime_at(F(1, 1))
+
+    def test_sign_validated(self):
+        with pytest.raises(ValidationError):
+            JumpGerm(first_singularity=F(1, 2), jump_value=F(3), sign=0)
+
     def test_query_beyond_range_refused(self):
         with pytest.raises(InsufficientDataError):
             jprime_germ(4).delta_prime_at(F(1, 1))
@@ -245,6 +256,12 @@ class TestObstruction:
                 verdict = obstruct_Gn(jprime_germ(n), k - 1)
                 assert verdict.status == "obstructed"
                 assert verdict.witness == F(2, 2 * n - 1)
+
+    def test_mirrored_germ_obstructs_with_negative_jump(self):
+        verdict = obstruct_Gn(jprime_germ(4).negated(), 3)
+        assert verdict.status == "obstructed"
+        assert verdict.witness == F(2, 7)
+        assert "certified jump -7 at 2/7" in verdict.detail
 
     def test_trefoil_not_obstructed_at_level_1(self):
         assert obstruct_Gn(upsilon_torus(2, 3), 1).status == "not_obstructed"
