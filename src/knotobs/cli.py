@@ -382,28 +382,39 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    command = args.command
     try:
         status, payload, provenance, extras = args.handler(args)
-    except JumpEvaluationError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        _maybe_write_json(args, command, "invalid", {"message": str(exc),
-                          "left": exc.left, "right": exc.right}, [])
-        return 1
-    except (ValidationError, InsufficientDataError, RuleNotApplicableError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        _maybe_write_json(args, command, "invalid", {"message": str(exc)}, [])
-        return 1
-    except KnotObsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _maybe_write_json(args, command, "error", {"message": str(exc)}, [])
+    except Exception as exc:  # every failure, package error or defect, gets an exit code
+        status, payload = _failure(exc)
+        provenance, extras = [], {}
+    try:
+        _write_artifacts(args, status, payload, provenance, extras)
+    except Exception as exc:  # an unwritable artifact path is an internal failure
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # a defect outside the package errors still exits 2
-        message = f"{type(exc).__name__}: {exc}"
-        print(f"error: {message}", file=sys.stderr)
-        _maybe_write_json(args, command, "error", {"message": message}, [])
-        return 2
-    _maybe_write_json(args, command, status, payload, provenance)
+    return _EXIT[status]
+
+
+def _failure(exc: Exception) -> tuple[str, dict]:
+    """Report an exception raised by a handler on stderr; return the status
+    and payload of its result envelope."""
+    if isinstance(exc, (ValidationError, InsufficientDataError, RuleNotApplicableError,
+                        JumpEvaluationError)):
+        print(f"invalid: {exc}", file=sys.stderr)
+        payload = {"message": str(exc)}
+        if isinstance(exc, JumpEvaluationError):
+            payload.update(left=exc.left, right=exc.right)
+        return "invalid", payload
+    message = str(exc) if isinstance(exc, KnotObsError) else f"{type(exc).__name__}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return "error", {"message": message}
+
+
+def _write_artifacts(args, status, payload, provenance, extras) -> None:
+    if getattr(args, "json", None):
+        doc = artifacts.result_envelope(args.command, status, payload, provenance)
+        artifacts.write_json(args.json, doc)
+        print(f"wrote {args.json}")
     if getattr(args, "csv", None):
         if "pl" in extras:
             artifacts.write_breakpoint_csv(args.csv, extras["pl"].breakpoints())
@@ -414,14 +425,6 @@ def run(argv: list[str]) -> int:
     if getattr(args, "svg", None) and "pl" in extras:
         artifacts.write_polyline_svg(args.svg, extras["pl"].breakpoints(), extras["title"])
         print(f"wrote {args.svg}")
-    return _EXIT[status]
-
-
-def _maybe_write_json(args, command, status, payload, provenance):
-    if getattr(args, "json", None):
-        doc = artifacts.result_envelope(command, status, payload, provenance)
-        artifacts.write_json(args.json, doc)
-        print(f"wrote {args.json}")
 
 
 def main() -> None:

@@ -208,7 +208,10 @@ class _Parser:
             self.i += 1
         if self.i == start or self.s[start:self.i] == "-":
             self.error("expected an integer")
-        return int(self.s[start:self.i])
+        try:
+            return int(self.s[start:self.i])
+        except ValueError:  # beyond the interpreter's integer string limit
+            self.error(f"integer of {self.i - start} characters is too long")
 
     def expression(self) -> KnotExpression:
         parts = [self.term()]
@@ -284,6 +287,10 @@ def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
     Cables use Delta_{K_{p,q}}(t) = Delta_K(t^p) * Delta_{T(p,q)}(t); for
     q in {0, +-1} the pattern torus factor is trivial.  Untwisted Whitehead
     doubles have trivial Alexander polynomial.
+
+    The breadth of each product is checked against
+    laurent.MAX_DENSE_BREADTH before it is formed, so nested cables fail
+    fast instead of growing their sparse term count without bound.
     """
     e = normalize(e)
     if isinstance(e, Unknot):
@@ -295,19 +302,23 @@ def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
     if isinstance(e, Mirror):
         return alexander(e.inner)
     if isinstance(e, Sum):
+        factors = [alexander(s) for s in e.summands]
+        laurent.check_breadth(sum(f.breadth for f in factors), "Alexander polynomial breadth")
         out = laurent.ONE
-        for s in e.summands:
-            out = out * alexander(s)
+        for f in factors:
+            out = out * f
         return out
     if isinstance(e, Cable):
-        base = alexander(e.companion).substitute_power(e.p)
-        if e.q >= 2:
-            return base * laurent.torus_alexander(e.p, e.q)
-        if e.q in (0, 1, -1):
-            return base
-        raise UnsupportedOrientationError(
-            f"cable meridian winding {e.q} <= -2 has no verified convention"
+        if e.q <= -2:
+            raise UnsupportedOrientationError(
+                f"cable meridian winding {e.q} <= -2 has no verified convention"
+            )
+        companion = alexander(e.companion)
+        pattern = laurent.torus_alexander(e.p, e.q) if e.q >= 2 else laurent.ONE
+        laurent.check_breadth(
+            e.p * companion.breadth + pattern.breadth, "Alexander polynomial breadth"
         )
+        return companion.substitute_power(e.p) * pattern
     raise ValidationError(f"not a knot expression: {e!r}")
 
 

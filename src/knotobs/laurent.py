@@ -12,6 +12,11 @@ constants, strip cyclotomic factors by trial division (screened by integer
 divisibility of evaluations), strip linear factors by the rational root test,
 then split the remaining square-free part by Kronecker interpolation.  Desk
 scale degrees keep the interpolation search small.
+
+The dense polynomial core works in plain integers throughout: exact division
+by long division with an early exit, gcd by a primitive pseudo-remainder
+sequence, interpolation by Newton divided differences.  Fractions appear only
+in `evaluate` and in the splitting-genus bound.
 """
 
 from __future__ import annotations
@@ -319,7 +324,8 @@ def parse_laurent(text: str) -> LaurentPolynomial:
 MAX_DENSE_BREADTH = 100_000
 
 
-def _check_breadth(breadth: int, what: str) -> None:
+def check_breadth(breadth: int, what: str) -> None:
+    """Refuse a polynomial of this breadth: ValidationError above the limit."""
     if breadth > MAX_DENSE_BREADTH:
         raise ValidationError(
             f"{what} {breadth} exceeds the dense polynomial limit {MAX_DENSE_BREADTH}"
@@ -328,7 +334,7 @@ def _check_breadth(breadth: int, what: str) -> None:
 
 def _dense(f: LaurentPolynomial) -> list[int]:
     """Coefficient list of f shifted to minimal exponent 0."""
-    _check_breadth(f.breadth, "breadth")
+    check_breadth(f.breadth, "breadth")
     lo = f.min_exp
     out = [0] * (f.breadth + 1)
     for e, c in f.coeffs.items():
@@ -361,43 +367,40 @@ def _dmul(a: list, b: list) -> list:
     return _trim(out)
 
 
-def _dsub(a: list, b: list) -> list:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
+def _dexact_div(a: list, b: list):
+    """Exact integer quotient a / b, or None when b does not divide a over Z.
 
-
-def _ddivmod(a: list, b: list) -> tuple[list, list]:
-    """Division over the rationals; returns (quotient, remainder) as Fractions."""
+    Integer long division from the top coefficient down (Knuth, TAOCP vol. 2,
+    4.6.1).  The quotient over Q is unique and its coefficients come out in
+    that order, so the first one not divisible by lc(b), or a nonzero
+    remainder, settles that b does not divide a over Z.
+    """
+    a = _trim(list(a))
+    b = _trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(x) for x in a]
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    dv = [Fraction(x) for x in b]
-    while _deg(_trim(rem[:])) >= _deg(dv) and any(rem):
-        rem = _trim(rem)
-        shift = len(rem) - len(dv)
-        factor = rem[-1] / dv[-1]
-        quot[shift] += factor
-        for i, y in enumerate(dv):
-            rem[shift + i] -= factor * y
-        rem = _trim(rem)
-        if not rem:
-            break
-    return _trim(quot), _trim(rem)
-
-
-def _dexact_div(a: list, b: list):
-    """Exact integer quotient a / b, or None when b does not divide a over Z."""
-    q, r = _ddivmod(a, b)
-    if r:
+    if not a:
+        return []
+    m = len(b)
+    if len(a) < m:
         return None
-    if any(x.denominator != 1 for x in q):
+    lc = b[-1]
+    tail = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    quot = [0] * (len(a) - m + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = a[k + m - 1]
+        if not c:
+            continue
+        if lc != 1:
+            c, r = divmod(c, lc)
+            if r:
+                return None
+        quot[k] = c
+        for j, y in tail:
+            a[k + j] -= c * y
+    if any(a[: m - 1]):
         return None
-    return [int(x) for x in q]
+    return quot
 
 
 def _dcontent(a: list) -> int:
@@ -411,23 +414,36 @@ def _dprimitive(a: list) -> list:
     return [x // c for x in a]
 
 
+def _dprem(a: list, b: list) -> list:
+    """A nonzero integer multiple of the remainder of a by b (the
+    pseudo-remainder, scaling by lc(b) only when a quotient coefficient would
+    not be an integer)."""
+    rem = a[:]
+    m = len(b)
+    lc = b[-1]
+    for k in range(len(a) - m, -1, -1):
+        c = rem[k + m - 1]
+        if c % lc:
+            rem = [lc * x for x in rem]
+            c *= lc
+        c //= lc
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _trim(rem[: m - 1])
+
+
 def _dgcd(a: list, b: list) -> list:
-    """Primitive gcd over Z with positive leading coefficient."""
-    fa = [Fraction(x) for x in _trim(a[:])]
-    fb = [Fraction(x) for x in _trim(b[:])]
-    while fb:
-        _, r = _ddivmod(fa, fb)
-        fa, fb = fb, r
-    if not fa:
-        return []
-    # clear denominators, reduce to primitive integer form
-    lcm = 1
-    for x in fa:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = _dprimitive([int(x * lcm) for x in fa])
-    if ints and ints[-1] < 0:
-        ints = [-x for x in ints]
-    return ints
+    """Primitive gcd over Z with positive leading coefficient, by the
+    primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1)."""
+    a = _dprimitive(_trim(a[:]))
+    b = _dprimitive(_trim(b[:]))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _dprimitive(_dprem(a, b))
+    if a and a[-1] < 0:
+        a = [-x for x in a]
+    return a
 
 
 def _self_checked(value, claim: str):
@@ -501,24 +517,53 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _dstretch(a: list, k: int) -> list:
+    """Coefficients of a(t^k)."""
+    out = [0] * ((len(a) - 1) * k + 1)
+    out[::k] = a
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> LaurentPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of t^n - 1."""
+    """The n-th cyclotomic polynomial.
+
+    Built from Phi_1 = t - 1 one prime p of n at a time by
+    Phi_{mp}(t) = Phi_m(t^p) / Phi_m(t) (p not dividing m), an exact integer
+    division by a monic polynomial, and finished with
+    Phi_n(t) = Phi_{rad n}(t^{n / rad n}).  No intermediate list is longer
+    than n + 1 entries.
+    """
     if n < 1:
         raise ValidationError("cyclotomic requires n >= 1")
-    _check_breadth(n, "cyclotomic index")
-    poly = [-1] + [0] * (n - 1) + [1]  # t^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _self_checked(
-                _dexact_div(poly, _dense(cyclotomic(d))), "Phi_d divides t^n - 1"
-            )
-    return _from_dense(poly)
+    check_breadth(n, "cyclotomic index")
+    poly = [-1, 1]
+    rad = 1
+    for p in _prime_factors(n):
+        poly = _self_checked(
+            _dexact_div(_dstretch(poly, p), poly), "Phi_m(t) divides Phi_m(t^p)"
+        )
+        rad *= p
+    return _from_dense(_dstretch(poly, n // rad))
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_at(n: int, x: int) -> int:
-    return _deval(_dense(cyclotomic(n)), x)
+    """Phi_n(x) for an integer x >= 2, as the integer
+    prod_{d | n} (x^d - 1)^mu(n/d); no polynomial is built."""
+    num = den = 1
+    squarefree = [(1, 1)]  # (s, mu(s)) over the squarefree divisors s of n
+    for p in _prime_factors(n):
+        squarefree += [(s * p, -mu) for s, mu in squarefree]
+    for s, mu in squarefree:
+        if mu == 1:
+            num *= x ** (n // s) - 1
+        else:
+            den *= x ** (n // s) - 1
+    value, rem = divmod(num, den)
+    if rem:
+        raise InternalCheckError(f"self-check failed: Phi_{n}({x}) must be an integer")
+    return value
 
 
 def torus_alexander(p: int, q: int) -> LaurentPolynomial:
@@ -528,7 +573,7 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
         raise ValidationError("torus knot parameters must be >= 2")
     if math.gcd(p, q) != 1:
         raise ValidationError(f"torus knot parameters must be coprime, got ({p},{q})")
-    _check_breadth(p * q, "torus knot product pq")
+    check_breadth(p * q, "torus knot product pq")
 
     def tn_minus_1(n):
         return [-1] + [0] * (n - 1) + [1]
@@ -685,27 +730,29 @@ def _kronecker_split(W: list) -> list | None:
 
 
 def _interpolate_integer(xs: list[int], ys: list[int]) -> list | None:
-    """Lagrange interpolation; returns dense integer coefficients or None."""
+    """Integer polynomial through the points (xs[i], ys[i]), or None when the
+    interpolating polynomial has a non-integral coefficient.
+
+    Newton divided differences at distinct integer nodes are all integers
+    exactly when the interpolant has integer coefficients, so the first
+    non-divisible difference settles it.
+    """
     m = len(xs)
-    coeffs = [Fraction(0)] * m
-    for i in range(m):
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(m):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] += b * (-xs[j])
-                new[k + 1] += b
-            basis = new
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i], denom)
-        for k, b in enumerate(basis):
-            coeffs[k] += b * scale
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return _trim([int(c) for c in coeffs])
+    newton = list(ys)
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            diff, rem = divmod(newton[i] - newton[i - 1], xs[i] - xs[i - k])
+            if rem:
+                return None
+            newton[i] = diff
+    coeffs = [newton[-1]]  # Horner on the Newton form
+    for k in range(m - 2, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= xs[k] * c
+        shifted[0] += newton[k]
+        coeffs = shifted
+    return _trim(coeffs)
 
 
 def _kronecker_irreducibles(W: list) -> list[list]:
@@ -723,9 +770,12 @@ def _kronecker_irreducibles(W: list) -> list[list]:
 def factor(f: LaurentPolynomial) -> Factorization:
     """Complete irreducible factorization over Z up to units +-t^k.
 
-    Cyclotomic polynomials of index up to 3 * breadth are tried by trial
-    division; factors beyond that bound are still found by the general
-    interpolation stage.
+    Cyclotomic polynomials of index d up to 3 * breadth with phi(d) at most
+    the remaining degree are screened first: Phi_d(x) must divide F(x) at
+    x = 2 and 3 wherever F(x) != 0, with Phi_d(x) computed as an integer
+    without building Phi_d.  Only a d that passes the screen has Phi_d built
+    and tried by trial division.  Factors beyond the index bound are still
+    found by the general interpolation stage.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
@@ -749,12 +799,11 @@ def factor(f: LaurentPolynomial) -> Factorization:
 
     if _deg(F) >= 1:
         bound = 3 * f.breadth
-        screens = [x for x in (2, 3) if _deval(F, x) != 0]
-        screen_vals = {x: _deval(F, x) for x in screens}
+        screen_vals = {x: v for x in (2, 3) if (v := _deval(F, x))}
         for d in range(1, bound + 1):
             if totient(d) > _deg(F):
                 continue
-            if any(screen_vals[x] % _cyclotomic_at(d, x) != 0 for x in screens):
+            if any(v % _cyclotomic_at(d, x) for x, v in screen_vals.items()):
                 continue
             phi_d = _dense(cyclotomic(d))
             mult = 0
@@ -766,8 +815,10 @@ def factor(f: LaurentPolynomial) -> Factorization:
                 mult += 1
             if mult:
                 record(cyclotomic(d), mult)
-                screens = [x for x in (2, 3) if _deval(F, x) != 0]
-                screen_vals = {x: _deval(F, x) for x in screens}
+                # Phi_d(x) >= 1 at x = 2, 3: F(x) stays zero or nonzero
+                screen_vals = {
+                    x: v // _cyclotomic_at(d, x) ** mult for x, v in screen_vals.items()
+                }
             if _deg(F) < 1:
                 break
 

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import knots
 from .errors import (
     AmbiguousSignatureError,
@@ -331,6 +329,8 @@ def numeric_signature(V: SeifertMatrix, x) -> int:
     Eigenvalues are counted by sign with an explicit error bound; ambiguous
     gaps escalate to high-precision arithmetic and finally raise.
     """
+    import numpy as np  # only this oracle needs numpy; importing it costs every CLI call
+
     x = Fraction(x)
     n = V.size
     if n == 0:

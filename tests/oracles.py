@@ -28,6 +28,35 @@ def brute_totient(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def brute_mobius(n: int) -> int:
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    if any(n % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
+
+
+def cyclotomic_oracle(n: int) -> dict:
+    """Phi_n as an exponent->coefficient dict, from the Moebius product
+    prod_{d | n} (1 - t^d)^mu(n/d) (equal to Phi_n for n > 1) expanded as a
+    power series past degree phi(n); 1/(1 - t^d) is its geometric series."""
+    if n == 1:
+        return {0: -1, 1: 1}
+    top = brute_totient(n)
+    out = {0: 1}
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        mu = brute_mobius(n // d)
+        if mu == 1:
+            factor = {0: 1, d: -1}
+        elif mu == -1:
+            factor = {k * d: 1 for k in range(top // d + 1)}
+        else:
+            continue
+        out = {e: c for e, c in convolve(out, factor).items() if e <= top}
+    return out
+
+
 # Small irreducible pool with value +-1 at t = 1: linears and quadratics with
 # non-square discriminant, cubics without rational roots, and cyclotomics of
 # indices with at least two distinct prime factors (those take value 1 at 1).

@@ -1,7 +1,11 @@
 """CLI dispatch, exit codes, and artifact emission."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -77,6 +81,43 @@ class TestExitCodes:
         assert run(["factor", "t^200000 - 1"]) == 1
         assert run(["gsp-bound", "Cable(" * 100 + "T(2,3)" + ";2,1)" * 100]) == 1
         assert "dense polynomial limit" in capsys.readouterr().err
+
+    def test_nested_cables_fail_fast(self, capsys):
+        start = time.monotonic()
+        assert run(["alexander", "Cable(" * 30 + "T(2,3)" + ";2,3)" * 30]) == 1
+        assert time.monotonic() - start < 5.0
+        assert "dense polynomial limit" in capsys.readouterr().err
+
+    def test_huge_integer_is_1(self, capsys):
+        assert run(["genus", "T(2," + "1" * 5000 + ")"]) == 1
+        assert "too long" in capsys.readouterr().err
+
+    def test_unwritable_json_path_is_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x.json"
+        assert run(["genus", "T(2,3)", "--json", str(missing)]) == 2
+        assert "error: FileNotFoundError:" in capsys.readouterr().err
+        # the error envelope of a failed handler has nowhere to go either
+        assert run(["alexander", "T(2,4)", "--json", str(missing)]) == 2
+
+    def test_unwritable_csv_path_is_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "x.csv"
+        assert run(["sig-jumps", "T(2,3)", "--csv", str(missing)]) == 2
+        assert run(["upsilon", "T(3,4)", "--csv", str(missing)]) == 2
+        assert capsys.readouterr().err.count("error: FileNotFoundError:") == 2
+
+    def test_unwritable_svg_path_is_2(self, tmp_path, capsys):
+        assert run(["upsilon", "T(3,4)", "--svg", str(tmp_path)]) == 2
+        assert "error: IsADirectoryError:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, knotobs.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestArtifacts:

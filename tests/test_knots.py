@@ -1,6 +1,7 @@
 """Knot expression AST, Alexander polynomials, genus, families, bounds."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,10 @@ class TestGrammar:
     def test_long_sum_of_mirrors(self):
         assert genus(parse_knot(" # ".join(["-T(2,3)"] * 3000))).seifert_genus == 3000
 
+    def test_integer_beyond_string_limit_is_parse_error(self):
+        with pytest.raises(ParseError, match="too long"):
+            parse_knot("T(2," + "1" * 5000 + ")")
+
 
 class TestAlexander:
     def test_trefoil(self):
@@ -140,6 +145,14 @@ class TestAlexander:
     def test_negative_cable_rejected(self):
         with pytest.raises(UnsupportedOrientationError):
             alexander(Cable(torus(2, 3), 2, -3))
+
+    def test_products_beyond_dense_limit_refused(self):
+        start = time.monotonic()
+        with pytest.raises(ValidationError, match="dense polynomial limit"):
+            alexander(parse_knot("Cable(" * 30 + "T(2,3)" + ";2,3)" * 30))
+        with pytest.raises(ValidationError, match="dense polynomial limit"):
+            alexander(sum_of(torus(300, 331), mirror(torus(300, 331))))
+        assert time.monotonic() - start < 5.0
 
     def test_mirror_and_sum_laws_random(self):
         rng = random.Random(77)

@@ -1,6 +1,7 @@
 """Laurent polynomial arithmetic, factorization, Fox-Milnor, genus bound."""
 
 import random
+import time
 
 import pytest
 
@@ -121,6 +122,49 @@ class TestCyclotomicTotient:
                 if n % d == 0:
                     prod = prod * cyclotomic(d)
             assert prod == LaurentPolynomial({0: -1, n: 1})
+
+
+class TestIntegerCore:
+    def test_exact_div_refuses_non_divisors(self):
+        assert laurent._dexact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+        assert laurent._dexact_div([1, 0, 1], [1, 1]) is None  # nonzero remainder
+        assert laurent._dexact_div([1, 1], [2, 2]) is None  # quotient 1/2 over Q
+        assert laurent._dexact_div([1, 1], [1, 0, 1]) is None  # divisor of larger degree
+        assert laurent._dexact_div([6, 10, 4], [2, 2]) == [3, 2]
+
+    def test_gcd_is_primitive_with_positive_lead(self):
+        a = laurent._dmul([-1, 0, 1], [3, 2])  # (t^2 - 1)(2t + 3)
+        b = laurent._dmul([-5, 5], [1, 0, 1])  # 5(t - 1)(t^2 + 1)
+        assert laurent._dgcd(a, b) == [-1, 1]
+        assert laurent._dgcd([-2, 0, -2], [4, 0, 4]) == [1, 0, 1]
+        assert laurent._dgcd([3, 1], [5]) == [1]
+
+    def test_interpolation_is_integral_or_none(self):
+        assert laurent._interpolate_integer([0, 1, 2], [1, 3, 7]) == [1, 1, 1]
+        assert laurent._interpolate_integer([0, -1, 2, 3], [-2, -3, 6, 25]) == [-2, 0, 0, 1]
+        assert laurent._interpolate_integer([0, 2], [0, 1]) is None  # t / 2
+
+    def test_cyclotomic_matches_moebius_oracle(self):
+        for n in range(1, 301):
+            assert cyclotomic(n).coeffs == oracles.cyclotomic_oracle(n), n
+
+    def test_cyclotomic_values_without_polynomials(self):
+        for n in range(1, 301):
+            for x in (2, 3):
+                assert laurent._cyclotomic_at(n, x) == cyclotomic(n).evaluate(x), (n, x)
+
+    def test_t2000_minus_1_splits_into_its_cyclotomics(self):
+        fac = factor(parse_laurent("t^2000 - 1"))
+        divisors = [d for d in range(1, 2001) if 2000 % d == 0]
+        assert len(divisors) == 20
+        assert len(fac.factors) == 20
+        assert dict(fac.factors) == {cyclotomic(d): 1 for d in divisors}
+        assert fac.unit == ONE
+
+    def test_gsp_bound_of_large_torus_knot_within_budget(self):
+        start = time.monotonic()
+        assert gsp_lower_bound(torus_alexander(31, 37)) == 540
+        assert time.monotonic() - start < 5.0
 
 
 class TestFactor:
