@@ -1,4 +1,4 @@
-"""Machine-readable output: JSON result envelopes, CSV breakpoints, SVG plots.
+"""Machine-readable output: JSON result envelopes, CSV tables, SVG plots.
 
 Computation stays exact; SVG coordinates alone are rendered as decimals at
 1e-6 presentation precision.
@@ -24,16 +24,9 @@ def write_json(path: str, document: dict) -> None:
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
 
 
-def write_breakpoint_csv(path: str, rows: list[tuple[Fraction, Fraction]]) -> None:
-    """Rows of exact `t,value` pairs; fractions keep their p/q form."""
-    lines = ["t,value"]
-    lines += [f"{t},{v}" for t, v in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_jump_csv(path: str, rows: list[dict]) -> None:
-    lines = ["x,jump"]
-    lines += [f"{r['x']},{r['jump']}" for r in rows]
+def write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    """Comma-separated rows under `header`; fractions keep their exact p/q form."""
+    lines = [",".join(header)] + [",".join(str(cell) for cell in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import artifacts, knots, laurent, ordered, signature, upsilon
@@ -49,215 +50,210 @@ def _poly_or_alexander(text: str) -> tuple[laurent.LaurentPolynomial, str]:
         return laurent.parse_laurent(text), text
 
 
-def _kv(key: str, value) -> None:
-    print(f"{key:<22} {value}")
+@dataclass(frozen=True)
+class Result:
+    """One subcommand's result: the rows it prints, its envelope and the data
+    of its --csv and --svg artifacts.  A row is a `(key, value)` pair or a
+    string printed as it is."""
+
+    lines: list[str | tuple[str, object]]
+    payload: dict
+    status: str = "ok"
+    provenance: tuple[str, ...] = ()
+    csv: tuple | None = None  # (header, rows)
+    svg: tuple | None = None  # (points, title)
 
 
-def _print_checks(checks) -> None:
-    width = max(len(c.name) for c in checks)
-    for c in checks:
-        mark = "pass" if c.passed else "FAIL"
-        line = f"  {c.name:<{width}}  {mark}"
-        if c.witness:
-            line += f"  {c.witness}"
-        print(line)
+def _print(lines) -> None:
+    for line in lines:
+        print(line if isinstance(line, str) else f"{line[0]:<22} {line[1]}")
+
+
+def _certificate(cert, head: list, provenance=()) -> Result:
+    """`head`, one row per check, then the verdict and the conclusion."""
+    width = max(len(c.name) for c in cert.checks)
+    checks = [
+        f"  {c.name:<{width}}  {'pass' if c.passed else 'FAIL'}"
+        + (f"  {c.witness}" if c.witness else "")
+        for c in cert.checks
+    ]
+    verdict = [("certificate", "VALID" if cert.valid else "INVALID"), ("conclusion", cert.conclusion)]
+    lines = [*head, *checks, *verdict]
+    return Result(lines, cert.as_dict(), "ok" if cert.valid else "invalid", provenance)
+
+
+def _fox_milnor_lines(fm: laurent.FoxMilnorResult) -> list:
+    lines = [("fox-milnor", "passes" if fm.passes else "fails")]
+    if fm.witness is not None:
+        lines.append(("witness", laurent.format_laurent(fm.witness)))
+    return lines + [("violation", v) for v in fm.violations]
+
+
+def _genus_lines(report: knots.GenusReport) -> list:
+    lines = [
+        ("seifert genus", report.seifert_genus),
+        ("summand max genus", report.summand_max_genus),
+    ]
+    if report.slice_genus_hint is not None:
+        hint = f"{report.slice_genus_hint} ({report.slice_genus_source})"
+        lines.append(("slice genus hint", hint))
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (status, payload, provenance, extras)
+# subcommand handlers: each returns a Result
 # ---------------------------------------------------------------------------
 
 
 def _cmd_alexander(args):
     expr = knots.parse_knot(args.expression)
     delta = knots.alexander(expr)
-    _kv("knot", knots.format_knot(expr))
-    _kv("alexander", laurent.format_laurent(delta))
-    _kv("breadth", delta.breadth if not delta.is_zero else 0)
-    payload = {
-        "expression": knots.format_knot(expr),
-        "alexander": laurent.format_laurent(delta),
-        "breadth": delta.breadth,
-    }
-    status = "ok"
+    shown, poly = knots.format_knot(expr), laurent.format_laurent(delta)
+    lines = [("knot", shown), ("alexander", poly), ("breadth", delta.breadth)]
+    payload = {"expression": shown, "alexander": poly, "breadth": delta.breadth}
     if args.fox_milnor:
         fm = laurent.fox_milnor(delta)
-        _kv("fox-milnor", "passes" if fm.passes else "fails")
-        if fm.witness is not None:
-            _kv("witness", laurent.format_laurent(fm.witness))
-        for v in fm.violations:
-            _kv("violation", v)
+        lines += _fox_milnor_lines(fm)
         payload["fox_milnor"] = fm.as_dict()
-    return status, payload, [], {}
+    return Result(lines, payload)
 
 
 def _cmd_genus(args):
     expr = knots.parse_knot(args.expression)
     report = knots.genus(expr)
-    _kv("knot", knots.format_knot(expr))
-    _kv("seifert genus", report.seifert_genus)
-    _kv("summand max genus", report.summand_max_genus)
-    if report.slice_genus_hint is not None:
-        _kv("slice genus hint", f"{report.slice_genus_hint} ({report.slice_genus_source})")
-    prov = [report.slice_genus_source] if report.slice_genus_source else []
-    return "ok", {"expression": knots.format_knot(expr), **report.as_dict()}, prov, {}
+    shown = knots.format_knot(expr)
+    prov = (report.slice_genus_source,) if report.slice_genus_source else ()
+    payload = {"expression": shown, **report.as_dict()}
+    return Result([("knot", shown), *_genus_lines(report)], payload, provenance=prov)
 
 
 def _cmd_gsp_bound(args):
     expr = knots.parse_knot(args.expression)
     lower, upper = knots.gsp_bound_of_knot(expr)
-    _kv("knot", knots.format_knot(expr))
-    _kv("gsp lower bound", lower)
-    _kv("gsp upper bound", upper)
-    payload = {
-        "expression": knots.format_knot(expr),
-        "lower": str(lower),
-        "upper": str(upper),
-    }
-    return "ok", payload, [], {}
+    shown = knots.format_knot(expr)
+    lines = [("knot", shown), ("gsp lower bound", lower), ("gsp upper bound", upper)]
+    return Result(lines, {"expression": shown, "lower": str(lower), "upper": str(upper)})
 
 
 def _cmd_fox_milnor(args):
     poly, shown = _poly_or_alexander(args.input)
     fm = laurent.fox_milnor(poly)
-    _kv("input", shown)
-    _kv("polynomial", laurent.format_laurent(poly))
-    _kv("fox-milnor", "passes" if fm.passes else "fails")
-    if fm.witness is not None:
-        _kv("witness", laurent.format_laurent(fm.witness))
-    for v in fm.violations:
-        _kv("violation", v)
-    return "ok", {"input": shown, **fm.as_dict()}, [], {}
+    lines = [("input", shown), ("polynomial", laurent.format_laurent(poly)), *_fox_milnor_lines(fm)]
+    return Result(lines, {"input": shown, **fm.as_dict()})
 
 
 def _cmd_factor(args):
     poly, shown = _poly_or_alexander(args.input)
     fac = laurent.factor(poly)
-    _kv("input", shown)
-    _kv("unit", laurent.format_laurent(fac.unit))
-    for p, m in fac.factors:
-        _kv("factor", f"({laurent.format_laurent(p)})^{m}")
-    return "ok", {"input": shown, **fac.as_dict()}, [], {}
+    lines = [("input", shown), ("unit", laurent.format_laurent(fac.unit))]
+    lines += [("factor", f"({laurent.format_laurent(p)})^{m}") for p, m in fac.factors]
+    return Result(lines, {"input": shown, **fac.as_dict()})
 
 
 def _cmd_sig_jumps(args):
     expr = knots.parse_knot(args.expression)
     jf = signature.expression_jumps(expr)
-    _kv("knot", knots.format_knot(expr))
+    shown = knots.format_knot(expr)
+    lines = [("knot", shown)]
     if jf:
-        for x, j in jf.jumps.items():
-            _kv(f"jump at {x}", f"{j:+d}")
+        lines += [(f"jump at {x}", f"{j:+d}") for x, j in jf.jumps.items()]
     else:
-        _kv("jumps", "none (signature identically 0)")
-    payload = {"expression": knots.format_knot(expr), "jumps": jf.as_rows()}
-    extras = {"jump_rows": jf.as_rows()}
+        lines.append(("jumps", "none (signature identically 0)"))
+    payload = {"expression": shown, "jumps": jf.as_rows()}
     if args.at is not None:
         x = _parse_fraction(args.at)
         value = jf.step_at(x)
-        _kv(f"signature at {x}", value)
+        lines.append((f"signature at {x}", value))
         payload["signature_at"] = {"x": str(x), "value": value}
-    return "ok", payload, [], extras
+    return Result(lines, payload, csv=(("x", "jump"), list(jf.jumps.items())))
 
 
 def _cmd_sig_certify(args):
     pairs = [_parse_pair(p) for p in args.pair]
     cert = signature.torus_independence_certificate(pairs, args.k)
-    _kv("generators", ", ".join(f"T({p},{q})" for p, q in pairs))
-    _kv("filtration level", args.k)
-    _print_checks(cert.checks)
-    _kv("certificate", "VALID" if cert.valid else "INVALID")
-    _kv("conclusion", cert.conclusion)
-    return ("ok" if cert.valid else "invalid"), cert.as_dict(), [], {}
+    head = [("generators", ", ".join(f"T({p},{q})" for p, q in pairs)), ("filtration level", args.k)]
+    return _certificate(cert, head)
 
 
 def _cmd_upsilon(args):
     expr = knots.parse_knot(args.expression)
     fn = upsilon.upsilon_of_expression(expr)
-    _kv("knot", knots.format_knot(expr))
-    for t, v in fn.breakpoints():
-        _kv(f"  t = {t}", v)
+    shown = knots.format_knot(expr)
+    points = fn.breakpoints()
     sing = [str(t) for t in fn.singularities()]
-    _kv("singularities", ", ".join(sing) if sing else "none")
+    lines = [("knot", shown), *((f"  t = {t}", v) for t, v in points)]
+    lines.append(("singularities", ", ".join(sing) if sing else "none"))
     payload = {
-        "expression": knots.format_knot(expr),
-        "breakpoints": [[str(t), str(v)] for t, v in fn.breakpoints()],
+        "expression": shown,
+        "breakpoints": [[str(t), str(v)] for t, v in points],
         "singularities": sing,
     }
-    extras = {"pl": fn, "title": f"Upsilon of {knots.format_knot(expr)}"}
-    return "ok", payload, [], extras
+    return Result(lines, payload, csv=(("t", "value"), points), svg=(points, f"Upsilon of {shown}"))
 
 
 def _cmd_upsilon_obstruct(args):
     if (args.expression is None) == (args.germ_index is None):
         raise ValidationError("provide exactly one of EXPRESSION or --germ-index")
-    prov = []
+    prov = ()
     if args.germ_index is not None:
         source = upsilon.jprime_germ(args.germ_index)
         shown = f"Jprime_{args.germ_index} (germ)"
-        prov.append(source.source)
+        prov = (source.source,)
     else:
         expr = knots.parse_knot(args.expression)
         source = upsilon.upsilon_of_expression(expr)
         shown = knots.format_knot(expr)
     verdict = upsilon.obstruct_Gn(source, args.genus_level)
-    _kv("source", shown)
-    _kv("genus level", args.genus_level)
-    _kv("verdict", verdict.status)
-    _kv("detail", verdict.detail)
+    lines = [("source", shown), ("genus level", args.genus_level),
+             ("verdict", verdict.status), ("detail", verdict.detail)]
     status = "ok" if verdict.status in ("obstructed", "not_obstructed") else "inconclusive"
-    return status, {"source": shown, "genus_level": args.genus_level, **verdict.as_dict()}, prov, {}
+    payload = {"source": shown, "genus_level": args.genus_level, **verdict.as_dict()}
+    return Result(lines, payload, status, prov)
 
 
 def _cmd_upsilon_certify(args):
     cert = upsilon.summand_certificate_upsilon(args.k, args.max)
-    _kv("family", f"J'_{args.k} .. J'_{args.max}")
-    print("matrix (rows m, cols n; '.' = beyond certified germ range):")
-    for row in cert.matrix:
-        print("  " + " ".join(f"{str(v) if v is not None else '.':>3}" for v in row))
-    _print_checks(cert.checks)
-    _kv("certificate", "VALID" if cert.valid else "INVALID")
-    _kv("conclusion", cert.conclusion)
-    return ("ok" if cert.valid else "invalid"), cert.as_dict(), list(cert.provenance), {}
+    head = [
+        ("family", f"J'_{args.k} .. J'_{args.max}"),
+        "matrix (rows m, cols n; '.' = beyond certified germ range):",
+        *("  " + " ".join(f"{'.' if v is None else str(v):>3}" for v in row) for row in cert.matrix),
+    ]
+    return _certificate(cert, head, cert.provenance)
 
 
 def _cmd_ordered_demo(args):
     results = ordered.run_property_suites(rank=args.rank, cases=args.cases, seed=args.seed)
     width = max(len(r.name) for r in results)
-    for r in results:
-        print(f"  {r.name:<{width}}  {r.cases:>5} cases  {r.failures} failures")
+    lines = [f"  {r.name:<{width}}  {r.cases:>5} cases  {r.failures} failures" for r in results]
     all_ok = all(r.passed for r in results)
-    _kv("suites", "ALL PASS" if all_ok else "FAILURES")
+    lines.append(("suites", "ALL PASS" if all_ok else "FAILURES"))
     payload = {
         "rank": args.rank,
         "cases": args.cases,
         "seed": args.seed,
         "suites": [r.as_dict() for r in results],
     }
-    return ("ok" if all_ok else "invalid"), payload, [], {}
+    return Result(lines, payload, "ok" if all_ok else "invalid")
 
 
 def _cmd_eps_obstruct(args):
-    if (args.label is None) == (args.a1 is None):
-        raise ValidationError("provide exactly one of --label or --a1/--a2")
+    given = (args.label is not None, args.a1 is not None, args.a2 is not None)
+    if given not in ((True, False, False), (False, True, True)):
+        raise ValidationError("provide either --label or both --a1 and --a2")
     if args.label is not None:
         rec = ordered.registry_record(args.label)
     else:
-        if args.a2 is None:
-            raise ValidationError("--a1 requires --a2")
         rec = ordered.EpsilonClass(
             label="user-supplied", epsilon_sign=1, a1=args.a1, a2=args.a2,
             source="user-supplied",
         )
     outcome = ordered.epsilon_obstruction(rec, args.genus_level)
-    _kv("record", rec.label)
-    _kv("a-plus", f"(1, {rec.a2})" if rec.a1 == 1 else f"({rec.a1}, {rec.a2})")
-    _kv("genus level", args.genus_level)
-    _kv("verdict", outcome.status)
-    _kv("detail", outcome.detail)
-    prov = [rec.source] if rec.source else []
-    status = "ok" if outcome.obstructs else "inconclusive"
+    lines = [("record", rec.label), ("a-plus", f"({rec.a1}, {rec.a2})"),
+             ("genus level", args.genus_level), ("verdict", outcome.status),
+             ("detail", outcome.detail)]
     payload = {"record": rec.as_dict(), "genus_level": args.genus_level, **outcome.as_dict()}
-    return status, payload, prov, {}
+    prov = (rec.source,) if rec.source else ()
+    return Result(lines, payload, "ok" if outcome.obstructs else "inconclusive", prov)
 
 
 def _cmd_eps_certify(args):
@@ -265,33 +261,25 @@ def _cmd_eps_certify(args):
         cert = ordered.summand_certificate_epsilon(args.k, args.max)
     else:
         cert = ordered.subgroup_certificate_epsilon(args.k, args.max)
-    _kv("family", args.family)
-    _print_checks(cert.checks)
-    _kv("certificate", "VALID" if cert.valid else "INVALID")
-    _kv("conclusion", cert.conclusion)
-    return ("ok" if cert.valid else "invalid"), cert.as_dict(), list(cert.provenance), {}
+    return _certificate(cert, [("family", args.family)], cert.provenance)
 
 
 def _cmd_family(args):
     expr = knots.family(args.name, args.n)
     report = knots.genus(expr)
     delta = knots.alexander(expr)
-    _kv("family member", f"{args.name}_{args.n}")
-    _kv("expression", knots.format_knot(expr))
-    _kv("alexander", laurent.format_laurent(delta))
-    _kv("seifert genus", report.seifert_genus)
-    _kv("summand max genus", report.summand_max_genus)
-    if report.slice_genus_hint is not None:
-        _kv("slice genus hint", f"{report.slice_genus_hint} ({report.slice_genus_source})")
+    shown, poly = knots.format_knot(expr), laurent.format_laurent(delta)
+    lines = [("family member", f"{args.name}_{args.n}"), ("expression", shown),
+             ("alexander", poly), *_genus_lines(report)]
     payload = {
         "family": args.name,
         "n": args.n,
-        "expression": knots.format_knot(expr),
-        "alexander": laurent.format_laurent(delta),
+        "expression": shown,
+        "alexander": poly,
         "genus": report.as_dict(),
     }
-    prov = [report.slice_genus_source] if report.slice_genus_source else []
-    return "ok", payload, prov, {}
+    prov = (report.slice_genus_source,) if report.slice_genus_source else ()
+    return Result(lines, payload, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -383,47 +371,45 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        status, payload, provenance, extras = args.handler(args)
+        result = args.handler(args)
     except Exception as exc:  # every failure, package error or defect, gets an exit code
-        status, payload = _failure(exc)
-        provenance, extras = [], {}
+        result = _failure(exc)
     try:
-        _write_artifacts(args, status, payload, provenance, extras)
-    except Exception as exc:  # an unwritable artifact path is an internal failure
+        _print(result.lines)
+        _write_artifacts(args, result)
+    except Exception as exc:  # an unwritable stdout or artifact path is an internal failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return _EXIT[status]
+    return _EXIT[result.status]
 
 
-def _failure(exc: Exception) -> tuple[str, dict]:
-    """Report an exception raised by a handler on stderr; return the status
-    and payload of its result envelope."""
+def _failure(exc: Exception) -> Result:
+    """Report an exception raised by a handler on stderr; its result has no
+    rows, only the status and payload of its envelope."""
     if isinstance(exc, (ValidationError, InsufficientDataError, RuleNotApplicableError,
                         JumpEvaluationError)):
         print(f"invalid: {exc}", file=sys.stderr)
         payload = {"message": str(exc)}
         if isinstance(exc, JumpEvaluationError):
             payload.update(left=exc.left, right=exc.right)
-        return "invalid", payload
+        return Result([], payload, "invalid")
     message = str(exc) if isinstance(exc, KnotObsError) else f"{type(exc).__name__}: {exc}"
     print(f"error: {message}", file=sys.stderr)
-    return "error", {"message": message}
+    return Result([], {"message": message}, "error")
 
 
-def _write_artifacts(args, status, payload, provenance, extras) -> None:
+def _write_artifacts(args, result: Result) -> None:
     if getattr(args, "json", None):
-        doc = artifacts.result_envelope(args.command, status, payload, provenance)
+        doc = artifacts.result_envelope(
+            args.command, result.status, result.payload, result.provenance
+        )
         artifacts.write_json(args.json, doc)
         print(f"wrote {args.json}")
-    if getattr(args, "csv", None):
-        if "pl" in extras:
-            artifacts.write_breakpoint_csv(args.csv, extras["pl"].breakpoints())
-            print(f"wrote {args.csv}")
-        elif "jump_rows" in extras:
-            artifacts.write_jump_csv(args.csv, extras["jump_rows"])
-            print(f"wrote {args.csv}")
-    if getattr(args, "svg", None) and "pl" in extras:
-        artifacts.write_polyline_svg(args.svg, extras["pl"].breakpoints(), extras["title"])
+    if getattr(args, "csv", None) and result.csv is not None:
+        artifacts.write_csv(args.csv, *result.csv)
+        print(f"wrote {args.csv}")
+    if getattr(args, "svg", None) and result.svg is not None:
+        artifacts.write_polyline_svg(args.svg, *result.svg)
         print(f"wrote {args.svg}")
 
 

@@ -13,7 +13,7 @@ computation only through Delta = 1 and g = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -339,12 +339,7 @@ class GenusReport:
                 raise ValidationError("slice genus hints must carry a provenance tag")
 
     def as_dict(self) -> dict:
-        return {
-            "seifert_genus": self.seifert_genus,
-            "summand_max_genus": self.summand_max_genus,
-            "slice_genus_hint": self.slice_genus_hint,
-            "slice_genus_source": self.slice_genus_source,
-        }
+        return asdict(self)
 
 
 def _seifert_genus(e: KnotExpression) -> int:

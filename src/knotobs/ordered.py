@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     RuleNotApplicableError,
     ValidationError,
 )
-from .reporting import CertificateCheck
+from .reporting import Certificate, CertificateCheck
 
 DEFAULT_RANK = 8
 
@@ -261,6 +261,10 @@ def run_property_suites(rank: int = DEFAULT_RANK, cases: int = 1000, seed: int =
     """Randomized checks of the quotient-order and Property A facts in the
     rank-`rank` lex model: well-definedness, trichotomy, transitivity,
     translation invariance, domination descent and Property A descent."""
+    if rank < 2:
+        raise ValidationError(f"rank must be >= 2, got {rank}")
+    if cases < 1:
+        raise ValidationError(f"cases must be >= 1, got {cases}")
     rng = random.Random(seed)
     results = []
 
@@ -394,17 +398,7 @@ class EpsilonClass:
             raise ValidationError("Property A flags must carry a provenance tag")
 
     def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "epsilon_sign": self.epsilon_sign,
-            "a1": self.a1,
-            "a2": self.a2,
-            "property_A": self.property_A,
-            "property_A_source": self.property_A_source,
-            "genus_bound": self.genus_bound,
-            "tau_bound": self.tau_bound,
-            "source": self.source,
-        }
+        return asdict(self)
 
 
 def compare_aplus(K: EpsilonClass, Kp: EpsilonClass) -> DominationVerdict:
@@ -445,7 +439,7 @@ class ObstructionOutcome:
         return self.status == "obstructs"
 
     def as_dict(self) -> dict:
-        return {"status": self.status, "detail": self.detail}
+        return asdict(self)
 
 
 def epsilon_obstruction(J: EpsilonClass, n: int) -> ObstructionOutcome:
@@ -525,25 +519,12 @@ def registry_record(label: str) -> EpsilonClass:
 
 
 @dataclass(frozen=True)
-class EpsilonCertificate:
+class EpsilonCertificate(Certificate):
     family: str
     k: int
     n_max: int
     kind: str  # summand | subgroup
-    checks: tuple[CertificateCheck, ...]
     provenance: tuple[str, ...]
-    conclusion_if_valid: str
-
-    @property
-    def valid(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def conclusion(self) -> str:
-        if self.valid:
-            return self.conclusion_if_valid
-        failed = ", ".join(c.name for c in self.checks if not c.passed)
-        return f"certificate invalid; failed checks: {failed}"
 
     def as_dict(self) -> dict:
         return {
@@ -551,9 +532,7 @@ class EpsilonCertificate:
             "k": self.k,
             "n_max": self.n_max,
             "kind": self.kind,
-            "valid": self.valid,
-            "checks": [c.as_dict() for c in self.checks],
-            "conclusion": self.conclusion,
+            **self.verdict_dict(),
             "provenance": list(self.provenance),
         }
 

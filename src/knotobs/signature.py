@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .laurent import ONE
-from .reporting import CertificateCheck
+from .reporting import Certificate, CertificateCheck
 
 
 # ---------------------------------------------------------------------------
@@ -375,36 +375,18 @@ def _numeric_signature_mp(V: SeifertMatrix, x: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(Certificate):
     """Checked hypotheses for linear independence of torus knots modulo the
     genus-k filtration subgroup."""
 
     generators: tuple[tuple[int, int], ...]
     filtration_level: int
-    checks: tuple[CertificateCheck, ...]
-
-    @property
-    def valid(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def conclusion(self) -> str:
-        names = ", ".join(f"T({p},{q})" for p, q in self.generators)
-        if self.valid:
-            return (
-                f"{names} are linearly independent modulo knots of genus <= "
-                f"{self.filtration_level}"
-            )
-        failed = ", ".join(c.name for c in self.checks if not c.passed)
-        return f"certificate invalid; failed checks: {failed}"
 
     def as_dict(self) -> dict:
         return {
             "generators": [list(g) for g in self.generators],
             "filtration_level": self.filtration_level,
-            "valid": self.valid,
-            "checks": [c.as_dict() for c in self.checks],
-            "conclusion": self.conclusion,
+            **self.verdict_dict(),
         }
 
 
@@ -461,8 +443,12 @@ def torus_independence_certificate(
             )
         )
 
+    names = ", ".join(f"T({p},{q})" for p, q in pairs)
     return IndependenceCertificate(
-        generators=tuple(pairs), filtration_level=k, checks=tuple(checks)
+        generators=tuple(pairs),
+        filtration_level=k,
+        checks=tuple(checks),
+        conclusion_if_valid=f"{names} are linearly independent modulo knots of genus <= {k}",
     )
 
 

@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedExpressionError,
     ValidationError,
 )
-from .reporting import CertificateCheck
+from .reporting import Certificate, CertificateCheck
 
 JPRIME_GERM_SOURCE = "published derivative-jump computation for the J' family"
 
@@ -399,29 +399,14 @@ def obstruct_Gn(source, n: int) -> ObstructionVerdict:
 
 
 @dataclass(frozen=True)
-class UpsilonSummandCertificate:
+class UpsilonSummandCertificate(Certificate):
     """Checked hypotheses that the J' family from index k on maps onto a basis
     of a Z^infinity summand of the concordance group modulo genus <= k-1."""
 
     k: int
     n_max: int
     matrix: tuple[tuple[Fraction | None, ...], ...]  # rows m, cols n; None = uncertified
-    checks: tuple[CertificateCheck, ...]
     provenance: tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def conclusion(self) -> str:
-        if self.valid:
-            return (
-                f"J'_{self.k} .. J'_{self.n_max} represent part of a basis of a "
-                f"Z^inf summand modulo knots of genus <= {self.k - 1}"
-            )
-        failed = ", ".join(c.name for c in self.checks if not c.passed)
-        return f"certificate invalid; failed checks: {failed}"
 
     def as_dict(self) -> dict:
         return {
@@ -431,9 +416,7 @@ class UpsilonSummandCertificate:
             "matrix": [
                 [str(v) if v is not None else None for v in row] for row in self.matrix
             ],
-            "valid": self.valid,
-            "checks": [c.as_dict() for c in self.checks],
-            "conclusion": self.conclusion,
+            **self.verdict_dict(),
             "provenance": list(self.provenance),
         }
 
@@ -494,4 +477,8 @@ def summand_certificate_upsilon(k: int, n_max: int) -> UpsilonSummandCertificate
         matrix=tuple(matrix),
         checks=tuple(checks),
         provenance=(JPRIME_GERM_SOURCE,),
+        conclusion_if_valid=(
+            f"J'_{k} .. J'_{n_max} represent part of a basis of a "
+            f"Z^inf summand modulo knots of genus <= {k - 1}"
+        ),
     )

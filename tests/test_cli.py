@@ -54,7 +54,21 @@ class TestExitCodes:
 
     def test_jump_point_evaluation_is_1(self, capsys):
         assert run(["sig-jumps", "T(2,3)", "--at", "1/6"]) == 1
-        assert "left limit" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "left limit" in captured.err
+        assert captured.out == ""  # a failed command prints none of its rows
+
+    def test_conflicting_or_degenerate_options_are_1(self, capsys):
+        level = ["--genus-level", "2"]
+        assert run(["eps-obstruct", "--label", "L_5", "--a2", "3", *level]) == 1
+        assert run(["eps-obstruct", "--label", "L_5", "--a1", "1", "--a2", "3", *level]) == 1
+        assert run(["eps-obstruct", "--a1", "1", *level]) == 1
+        assert run(["eps-obstruct", "--a2", "3", *level]) == 1
+        assert run(["ordered-demo", "--rank", "1"]) == 1
+        assert run(["ordered-demo", "--cases", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("invalid:") == 6
 
     def test_unexpected_exception_is_2(self, tmp_path, capsys, monkeypatch):
         def broken(args):

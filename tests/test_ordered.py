@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -96,6 +97,14 @@ class TestQuotient:
     def test_property_suites_zero_failures(self):
         for result in run_property_suites(rank=8, cases=250, seed=99):
             assert result.failures == 0, result
+
+    @pytest.mark.parametrize("rank, cases", [(0, 10), (1, 10), (2, 0), (8, -5)])
+    def test_property_suites_refuse_degenerate_sizes(self, rank, cases):
+        # rank < 2 leaves no positive modulus to draw; no cases passes vacuously
+        start = time.monotonic()
+        with pytest.raises(ValidationError):
+            run_property_suites(rank=rank, cases=cases)
+        assert time.monotonic() - start < 1.0
 
 
 class TestPropertyA:
