@@ -13,7 +13,7 @@ computation only through Delta = 1 and g = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Union
 
@@ -339,7 +339,7 @@ class GenusReport:
                 raise ValidationError("slice genus hints must carry a provenance tag")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _seifert_genus(e: KnotExpression) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .errors import (
@@ -398,7 +398,7 @@ class EpsilonClass:
             raise ValidationError("Property A flags must carry a provenance tag")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def compare_aplus(K: EpsilonClass, Kp: EpsilonClass) -> DominationVerdict:
@@ -439,7 +439,7 @@ class ObstructionOutcome:
         return self.status == "obstructs"
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def epsilon_obstruction(J: EpsilonClass, n: int) -> ObstructionOutcome:

@@ -2,12 +2,14 @@
 
 Upsilon of an L-space-form polynomial is realized through its staircase:
 corners read off the alternating Alexander coefficients, then
-U(t) = -2 min over corners (i,j) of [(1 - t/2) i + (t/2) j].  The derivative
-jump at t0 drives two obstructions: a genus bound from the denominator of a
-singularity, and exclusion of nonzero jumps on (0, 1/n) for sums of genus-n
-knots.  The J' family enters only through its published derivative-jump germ
-(zero before 2/(2n-1), jump 2n-1 there); queries beyond the certified range
-are refused rather than defaulted.
+U(t) = -2 min over corners (i,j) of [(1 - t/2) i + (t/2) j], the lower
+envelope of the corner lines built in one stack pass that is linear in the
+number of corners, so every admitted T(p,q) (pq <= 100000) answers.  The
+derivative jump at t0 drives two obstructions: a genus bound from the
+denominator of a singularity, and exclusion of nonzero jumps on (0, 1/n) for
+sums of genus-n knots.  The J' family enters only through its published
+derivative-jump germ (zero before 2/(2n-1), jump 2n-1 there); queries beyond
+the certified range are refused rather than defaulted.
 
 All arithmetic in this module is exact rational.
 """
@@ -15,6 +17,7 @@ All arithmetic in this module is exact rational.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -78,12 +81,8 @@ class PiecewiseLinearFunction:
         t = Fraction(t)
         if not 0 <= t <= 2:
             raise ValidationError(f"{t} outside the domain [0,2]")
-        for i in range(len(self.ts) - 1):
-            if self.ts[i] <= t <= self.ts[i + 1]:
-                t0, t1 = self.ts[i], self.ts[i + 1]
-                v0, v1 = self.vs[i], self.vs[i + 1]
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        raise AssertionError("unreachable")
+        i = min(bisect_right(self.ts, t), len(self.ts) - 1)
+        return self.vs[i - 1] + self._slope(i) * (t - self.ts[i - 1])
 
     def __add__(self, other: "PiecewiseLinearFunction") -> "PiecewiseLinearFunction":
         ts = sorted(set(self.ts) | set(other.ts))
@@ -103,19 +102,17 @@ class PiecewiseLinearFunction:
         t = Fraction(t)
         if not 0 <= t < 2:
             raise ValidationError(f"no right slope at {t}")
-        for i in range(len(self.ts) - 1):
-            if self.ts[i] <= t < self.ts[i + 1]:
-                return (self.vs[i + 1] - self.vs[i]) / (self.ts[i + 1] - self.ts[i])
-        raise AssertionError("unreachable")
+        return self._slope(bisect_right(self.ts, t))
 
     def slope_left(self, t) -> Fraction:
         t = Fraction(t)
         if not 0 < t <= 2:
             raise ValidationError(f"no left slope at {t}")
-        for i in range(len(self.ts) - 1):
-            if self.ts[i] < t <= self.ts[i + 1]:
-                return (self.vs[i + 1] - self.vs[i]) / (self.ts[i + 1] - self.ts[i])
-        raise AssertionError("unreachable")
+        return self._slope(bisect_left(self.ts, t))
+
+    def _slope(self, i: int) -> Fraction:
+        """Slope of the segment [ts[i-1], ts[i]]."""
+        return (self.vs[i] - self.vs[i - 1]) / (self.ts[i] - self.ts[i - 1])
 
     def delta_prime(self, t0) -> Fraction:
         """Jump of the derivative at t0 in (0,2): right slope minus left slope."""
@@ -208,20 +205,30 @@ def staircase_from_alexander(f: laurent.LaurentPolynomial) -> Staircase:
 
 def upsilon_from_staircase(s: Staircase) -> PiecewiseLinearFunction:
     """U(t) = -2 min over corners (i,j) of [(1 - t/2) i + (t/2) j], as the
-    exact lower envelope of finitely many lines."""
-    lines = [(Fraction(i), Fraction(j - i, 2)) for i, j in s.corners]  # value i + slope*t
-    ts = {Fraction(0), Fraction(2)}
-    for a1, b1 in lines:
-        for a2, b2 in lines:
-            if b1 != b2:
-                t = (a2 - a1) / (b1 - b2)
-                if 0 < t < 2:
-                    ts.add(t)
-    pts = []
-    for t in sorted(ts):
-        m = min(a + b * t for a, b in lines)
-        pts.append((t, -2 * m))
-    return PiecewiseLinearFunction.from_breakpoints(pts)
+    exact lower envelope of the corner lines a + b*u with a = i, b = j - i
+    and u = t/2, in one stack pass.
+
+    Along the staircase b strictly decreases, so the envelope visits the
+    surviving lines in corner order.  The first corner (0, g) is the minimum
+    for u <= 0 and the last corner (g, 0) for u >= 1, so every vertex of the
+    envelope lies in (0, 2) and U vanishes at both ends."""
+    hull: list[tuple[int, int]] = []
+    for a3, b3 in ((i, j - i) for i, j in s.corners):
+        # the top line 2 is redundant when the new line 3 meets the line 1
+        # below it no later than line 2 does: x13 <= x12
+        while len(hull) >= 2:
+            (a1, b1), (a2, b2) = hull[-2], hull[-1]
+            if (a3 - a1) * (b1 - b2) > (a2 - a1) * (b1 - b3):
+                break
+            hull.pop()
+        hull.append((a3, b3))
+    ts, vs = [Fraction(0)], [Fraction(0)]
+    for (a1, b1), (a2, b2) in zip(hull, hull[1:]):
+        ts.append(Fraction(2 * (a2 - a1), b1 - b2))
+        vs.append(Fraction(-2 * (a2 * b1 - a1 * b2), b1 - b2))
+    ts.append(Fraction(2))
+    vs.append(Fraction(0))
+    return PiecewiseLinearFunction(tuple(ts), tuple(vs))
 
 
 def upsilon_torus(p: int, q: int) -> PiecewiseLinearFunction:

@@ -57,6 +57,22 @@ def cyclotomic_oracle(n: int) -> dict:
     return out
 
 
+def torus_upsilon_lines(p: int, q: int) -> list:
+    """Upsilon of T(p,q) from its semigroup S = <p, q>: with g = (p-1)(q-1)/2
+    it is the max over m in 0..2g of the lines -2 #(S & [0,m)) - t (g - m),
+    returned as (intercept, slope) integer pairs."""
+    g = (p - 1) * (q - 1) // 2
+    in_s = [False] * (2 * g + 1)
+    for a in range(0, 2 * g + 1, p):
+        for b in range(a, 2 * g + 1, q):
+            in_s[b] = True
+    lines, below = [], 0
+    for m in range(2 * g + 1):
+        lines.append((-2 * below, m - g))
+        below += in_s[m]
+    return lines
+
+
 # Small irreducible pool with value +-1 at t = 1: linears and quadratics with
 # non-square discriminant, cubics without rational roots, and cyclotomics of
 # indices with at least two distinct prime factors (those take value 1 at 1).

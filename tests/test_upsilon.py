@@ -1,6 +1,7 @@
 """Piecewise linear Upsilon calculus: staircases, germs, obstructions."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,35 @@ class TestUpsilonTorus:
             for t in u.singularities():
                 v = oss_hom(u, t.numerator, t.denominator)
                 assert v.denominator == 1
+
+    def test_matches_semigroup_oracle(self):
+        # the oracle lines never exceed U at its breakpoints, and each segment
+        # of U lies on one oracle line at both ends, so U is their max
+        for p, q in oracles.coprime_pairs(300) + [(23, 29), (31, 37)]:
+            u = upsilon_torus(p, q)
+            lines = oracles.torus_upsilon_lines(p, q)
+            tight = []
+            for t, v in u.breakpoints():
+                n, d = t.numerator, t.denominator  # compare d * line(t) with d * v
+                values = [a * d + b * n for a, b in lines]
+                vd = v * d
+                assert max(values) <= vd, (p, q, t)
+                tight.append({m for m, w in enumerate(values) if w == vd})
+            assert all(left & right for left, right in zip(tight, tight[1:])), (p, q)
+
+    def test_top_of_dense_range_within_budget(self):
+        def expire(signum, frame):
+            raise TimeoutError("upsilon_torus(313, 317) exceeded its 5 s budget")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            u = upsilon_torus(313, 317)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert u.slope_right(0) == -F(312 * 316, 2)
+        assert u.reflected() == u
 
     def test_expression_level(self):
         u = upsilon_of_expression(parse_knot("T(2,3) # T(2,3)"))
