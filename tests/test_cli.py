@@ -66,9 +66,10 @@ class TestExitCodes:
         assert run(["eps-obstruct", "--a2", "3", *level]) == 1
         assert run(["ordered-demo", "--rank", "1"]) == 1
         assert run(["ordered-demo", "--cases", "0"]) == 1
+        assert run(["ordered-demo", "--rank", "100000000"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("invalid:") == 6
+        assert captured.err.count("invalid:") == 7
 
     def test_unexpected_exception_is_2(self, tmp_path, capsys, monkeypatch):
         def broken(args):
