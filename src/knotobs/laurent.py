@@ -15,8 +15,14 @@ scale degrees keep the interpolation search small.
 
 The dense polynomial core works in plain integers throughout: exact division
 by long division with an early exit, gcd by a primitive pseudo-remainder
-sequence, interpolation by Newton divided differences.  Fractions appear only
-in `evaluate` and in the splitting-genus bound.
+sequence, interpolation by Newton divided differences.  The self-checks (the
+factorization reproduces its input, the Fox-Milnor witness reproduces f)
+and the witness itself are exact products of powers by Kronecker
+substitution: each coefficient list packs into one integer, wide enough for
+a bound on every coefficient of the product, and the polynomial product is
+one integer product.  Fractions appear only in `evaluate` (at a Fraction, or
+dividing by x^-lo at an int with negative least exponent lo) and in the
+splitting-genus bound.
 """
 
 from __future__ import annotations
@@ -156,8 +162,9 @@ class LaurentPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def shift(self, k: int) -> "LaurentPolynomial":
@@ -178,9 +185,20 @@ class LaurentPolynomial:
         return LaurentPolynomial({e - 1: e * c for e, c in self._coeffs.items() if e != 0})
 
     def evaluate(self, x):
-        """Exact evaluation at a nonzero int or Fraction."""
+        """Exact evaluation at a nonzero int or Fraction.
+
+        At an int x the sum is the integer x^-lo * f(x), with lo the least
+        exponent when it is negative (else 0), and one division by x^-lo
+        finishes it."""
         if x == 0:
             raise ValidationError("Laurent polynomials cannot be evaluated at 0")
+        if isinstance(x, int):
+            lo = min(min(self._coeffs, default=0), 0)
+            acc = sum(c * x ** (e - lo) for e, c in self._coeffs.items())
+            if lo == 0:
+                return acc
+            value = Fraction(acc, x**-lo)
+            return int(value) if value.denominator == 1 else value
         acc = Fraction(0)
         for e, c in self._coeffs.items():
             acc += c * Fraction(x) ** e
@@ -365,6 +383,46 @@ def _dmul(a: list, b: list) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim(out)
+
+
+def _kpack(a: list, w: int) -> int:
+    """a(2^(8w)) for coefficients of absolute value below 2^(8w-1): the
+    positive and the negative coefficients each joined as w-byte digits."""
+    zero = bytes(w)
+    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in a)
+    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in a)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _dproduct(parts) -> list:
+    """Exact dense product of a**m over the (a, m) pairs in parts.
+
+    Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 8.4): B = prod ||a||_1^m bounds every coefficient of the
+    product, so with the smallest byte width w where B < 2^(8w-1) each list
+    packs into the integer a(2^(8w)), the product is one integer product,
+    and adding 2^(8w-1) to every w-byte digit makes all digits nonnegative
+    so the coefficients read back exactly.
+    """
+    # a zeroth power is left out of B, so its list may not fit the width
+    parts = [(a, m) for a, m in parts if m]
+    bound = 1
+    for a, m in parts:
+        bound *= sum(map(abs, a)) ** m
+    if not bound:
+        return []
+    w = (bound.bit_length() + 8) // 8
+    value = 1
+    length = 1
+    for a, m in parts:
+        value *= _kpack(a, w) ** m
+        length += (len(a) - 1) * m
+    half = 1 << (8 * w - 1)
+    offset = int.from_bytes(half.to_bytes(w, "little") * length, "little")
+    raw = (value + offset).to_bytes(w * length, "little")
+    return _trim(
+        [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, len(raw), w)]
+    )
 
 
 def _dexact_div(a: list, b: list):
@@ -607,10 +665,8 @@ class Factorization:
         return LaurentPolynomial.monomial(self.sign, self.exponent)
 
     def expand(self) -> LaurentPolynomial:
-        out = self.unit
-        for p, m in self.factors:
-            out = out * p**m
-        return out
+        dense = _dproduct([(_dense(p), m) for p, m in self.factors])
+        return _from_dense([self.sign * c for c in dense]).shift(self.exponent)
 
     def multiplicity(self, p: LaurentPolynomial) -> int:
         key = p.canonical()
@@ -901,7 +957,7 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
     fac = factor(f)
     mult = {p: m for p, m in fac.factors}
     violations = []
-    witness = ONE
+    parts = []
     seen = set()
     for p, m in fac.factors:
         if p in seen:
@@ -913,7 +969,7 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
                     f"self-reciprocal factor {format_laurent(p)} has odd multiplicity {m}"
                 )
             else:
-                witness = witness * p ** (m // 2)
+                parts.append((_dense(p), m // 2))
             seen.add(p)
         else:
             pm = mult.get(partner, 0)
@@ -925,17 +981,17 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
             else:
                 # deterministic pick: the partner with the larger coefficient tuple
                 chosen = max(p, partner, key=_factor_key)
-                witness = witness * chosen**m
+                parts.append((_dense(chosen), m))
             seen.add(p)
             seen.add(partner)
     if violations:
         return FoxMilnorResult(False, None, tuple(violations), fac)
-    # confirm the witness reproduces f up to a unit
-    prod = witness * witness.reciprocal()
-    ratio = exact_div(f, prod)
-    if not (ratio.breadth == 0 and abs(ratio.leading_coeff) == 1):
+    # confirm the witness reproduces f up to a unit: w(t) * t^deg w * w(1/t)
+    w = _dproduct(parts)
+    F = _dense(f)
+    if _dproduct([(w, 1), (w[::-1], 1)]) not in (F, [-c for c in F]):
         raise InternalCheckError("self-check failed: the Fox-Milnor witness must reproduce f")
-    return FoxMilnorResult(True, witness, (), fac)
+    return FoxMilnorResult(True, _from_dense(w), (), fac)
 
 
 def gsp_lower_bound(f: LaurentPolynomial) -> Fraction:

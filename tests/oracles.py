@@ -4,6 +4,8 @@ Expected values in the tests are frozen from these oracles (or from hand
 computation); none of them call the code paths they are used to check.
 """
 
+import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -71,6 +73,32 @@ def torus_upsilon_lines(p: int, q: int) -> list:
         lines.append((-2 * below, m - g))
         below += in_s[m]
     return lines
+
+
+@functools.cache
+def property_A_table() -> dict:
+    """Property A by exhaustive decomposition search over every nonzero
+    element a of rank 3 with |coeff| <= 4, as {coords: holds}, computed once
+    per session.  a has Property A on the box when every b in it with the
+    same leading index splits as b = k a + c with |k| <= 8 and c zero or of
+    larger leading index.  Plain coordinate tuples, no LexElement."""
+    box = [v for v in itertools.product(range(-4, 5), repeat=3) if any(v)]
+
+    def lead(v):
+        return next(i for i, c in enumerate(v) if c)
+
+    def splits(a, b, i):
+        for k in range(-8, 9):
+            c = [bj - k * aj for aj, bj in zip(a, b)]
+            if not any(c[: i + 1]):
+                return True
+        return False
+
+    table = {}
+    for a in box:
+        i = lead(a)
+        table[a] = all(splits(a, b, i) for b in box if lead(b) == i)
+    return table
 
 
 # Small irreducible pool with value +-1 at t = 1: linears and quadratics with

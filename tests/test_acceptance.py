@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
-import itertools
 import json
 import random
 import time
@@ -164,25 +163,8 @@ def test_criterion_7_ordered_property_suite(capsys):
         for r in results:
             assert r.cases == 1000 and r.failures == 0, r
 
-        def brute_force_property_A(a: LexElement) -> bool:
-            lead = a.leading_index
-            for coords in itertools.product(range(-4, 5), repeat=3):
-                b = LexElement(coords)
-                if b.is_zero or b.leading_index != lead:
-                    continue
-                for k in range(-8, 9):
-                    c = b - a.scale(k)
-                    if c.is_zero or c.leading_index > lead:
-                        break
-                else:
-                    return False
-            return True
-
-        for coords in itertools.product(range(-4, 5), repeat=3):
-            a = LexElement(coords)
-            if a.is_zero:
-                continue
-            assert ordered.property_A_check(a).holds == brute_force_property_A(a)
+        for coords, holds in oracles.property_A_table().items():
+            assert ordered.property_A_check(LexElement(coords)).holds == holds
 
 
 def test_criterion_8_epsilon_certificates(tmp_path, capsys):

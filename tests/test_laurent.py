@@ -1,12 +1,15 @@
 """Laurent polynomial arithmetic, factorization, Fox-Milnor, genus bound."""
 
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 import oracles
 from knotobs import laurent
+from knotobs.cli import run
 from knotobs.errors import (
     NormalizationError,
     ParseError,
@@ -53,6 +56,35 @@ class TestArithmetic:
             f = oracles.random_laurent(rng)
             g = oracles.random_laurent(rng)
             assert (f * g).coeffs == oracles.convolve(f.coeffs, g.coeffs)
+
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        calls = []
+        sparse_mul = LaurentPolynomial.__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return sparse_mul(self, other)
+
+        for m in range(10):
+            expected = ONE
+            for _ in range(m):
+                expected = expected * TREFOIL
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(LaurentPolynomial, "__mul__", counting_mul)
+                assert TREFOIL**m == expected
+            # one product per set bit, one squaring per bit after the first
+            assert len(calls) == bin(m).count("1") + max(m.bit_length() - 1, 0), m
+
+    def test_integer_evaluation_matches_fraction_route(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            f = oracles.random_laurent(rng, max_breadth=12).shift(rng.randint(-8, 0))
+            for x in (1, -1, 2, -3):
+                value = f.evaluate(x)
+                assert value == f.evaluate(Fraction(x)) == oracles.dict_eval(f.coeffs, x)
+                if value == int(value):
+                    assert type(value) is int
 
     def test_no_zero_entries_stored(self):
         f = parse_laurent("1 + t") * parse_laurent("1 + -1t")  # 1 - t^2
@@ -165,6 +197,58 @@ class TestIntegerCore:
         start = time.monotonic()
         assert gsp_lower_bound(torus_alexander(31, 37)) == 540
         assert time.monotonic() - start < 5.0
+
+
+class TestDenseProduct:
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_constants_at_the_byte_width_boundary(self, j):
+        # 2^(8j-1) - 1 is the largest bound of width j; 2^(8j-1) needs j + 1
+        for c in (2 ** (8 * j - 1) - 1, 2 ** (8 * j - 1)):
+            for signed in (c, -c):
+                assert laurent._dproduct([([signed], 1)]) == [signed]
+                assert laurent._dproduct([([signed], 1), ([1], 3)]) == [signed]
+
+    @pytest.mark.parametrize("k", [1, 64, 257, 1000])
+    def test_binomial_powers(self, k):
+        assert laurent._dproduct([([1, 1], k)]) == [math.comb(k, i) for i in range(k + 1)]
+        assert laurent._dproduct([([1, -1], k)]) == [
+            (-1) ** i * math.comb(k, i) for i in range(k + 1)
+        ]
+
+    def test_empty_and_zeroth_powers(self):
+        assert laurent._dproduct([]) == [1]
+        assert laurent._dproduct([([3, 1], 0)]) == [1]
+        assert laurent._dproduct([([3, 1], 0), ([1, 1], 2)]) == [1, 2, 1]
+        assert laurent._dproduct([([0], 1), ([1, 1], 2)]) == []
+
+    def test_random_parts_match_sparse_product(self):
+        rng = random.Random(8080)
+        big = 10**30
+        for _ in range(300):
+            parts = []
+            expected = ONE
+            for _ in range(rng.randint(0, 4)):
+                width = rng.randint(1, 6)
+                a = [rng.randint(-big, big) if rng.random() < 0.8 else 0 for _ in range(width)]
+                m = rng.randint(0, 3)
+                parts.append((a, m))
+                expected = expected * laurent._from_dense(a) ** m
+            assert laurent._from_dense(laurent._dproduct(parts)) == expected
+
+    def test_failed_witness_check_is_2(self, capsys, monkeypatch):
+        exact = laurent._dproduct
+
+        def corrupt_witness_check(parts):
+            out = exact(parts)
+            if len(parts) == 2 and parts[1][0] == parts[0][0][::-1]:
+                out[0] += 1
+            return out
+
+        assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 0
+        monkeypatch.setattr(laurent, "_dproduct", corrupt_witness_check)
+        capsys.readouterr()
+        assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 2
+        assert "self-check failed" in capsys.readouterr().err
 
 
 class TestFactor:

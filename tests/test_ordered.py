@@ -1,11 +1,11 @@
 """Ordered-group engine: lex model, quotient order, epsilon obstructions."""
 
-import itertools
 import random
 import time
 
 import pytest
 
+import oracles
 from knotobs import ordered
 from knotobs.errors import (
     InsufficientDataError,
@@ -134,26 +134,10 @@ class TestPropertyA:
 
     def test_characterization_matches_brute_force(self):
         """Exhaustive decomposition search at rank <= 3, |coeff| <= 4."""
-
-        def brute_force_property_A(a: LexElement) -> bool:
-            lead = a.leading_index
-            for coords in itertools.product(range(-4, 5), repeat=3):
-                b = LexElement(coords)
-                if b.is_zero or b.leading_index != lead:
-                    continue  # only Archimedean-equivalent b matter
-                for k in range(-8, 9):
-                    c = b - a.scale(k)
-                    if c.is_zero or c.leading_index > lead:
-                        break
-                else:
-                    return False
-            return True
-
-        for coords in itertools.product(range(-4, 5), repeat=3):
-            a = LexElement(coords)
-            if a.is_zero:
-                continue
-            assert property_A_check(a).holds == brute_force_property_A(a)
+        table = oracles.property_A_table()
+        assert len(table) == 9**3 - 1 and set(table.values()) == {True, False}
+        for coords, holds in table.items():
+            assert property_A_check(LexElement(coords)).holds == holds
 
 
 class TestChainIndependence:
