@@ -20,9 +20,9 @@ factorization reproduces its input, the Fox-Milnor witness reproduces f)
 and the witness itself are exact products of powers by Kronecker
 substitution: each coefficient list packs into one integer, wide enough for
 a bound on every coefficient of the product, and the polynomial product is
-one integer product.  Fractions appear only in `evaluate` (at a Fraction, or
-dividing by x^-lo at an int with negative least exponent lo) and in the
-splitting-genus bound.
+one integer product.  Fractions appear only in `evaluate` (one division by
+x^-lo when the least exponent lo is negative, or at a Fraction point) and in
+the splitting-genus bound.
 """
 
 from __future__ import annotations
@@ -187,22 +187,14 @@ class LaurentPolynomial:
     def evaluate(self, x):
         """Exact evaluation at a nonzero int or Fraction.
 
-        At an int x the sum is the integer x^-lo * f(x), with lo the least
-        exponent when it is negative (else 0), and one division by x^-lo
-        finishes it."""
+        The sum is x^-lo * f(x), with lo the least exponent when it is
+        negative (else 0), so every power is nonnegative and one division by
+        x^-lo finishes it."""
         if x == 0:
             raise ValidationError("Laurent polynomials cannot be evaluated at 0")
-        if isinstance(x, int):
-            lo = min(min(self._coeffs, default=0), 0)
-            acc = sum(c * x ** (e - lo) for e, c in self._coeffs.items())
-            if lo == 0:
-                return acc
-            value = Fraction(acc, x**-lo)
-            return int(value) if value.denominator == 1 else value
-        acc = Fraction(0)
-        for e, c in self._coeffs.items():
-            acc += c * Fraction(x) ** e
-        return int(acc) if acc.denominator == 1 else acc
+        lo = min(min(self._coeffs, default=0), 0)
+        value = Fraction(sum(c * x ** (e - lo) for e, c in self._coeffs.items()), x**-lo)
+        return int(value) if value.denominator == 1 else value
 
     # -- normal forms --------------------------------------------------
 
@@ -372,17 +364,6 @@ def _trim(c: list) -> list:
 
 def _deg(c: list) -> int:
     return len(c) - 1
-
-
-def _dmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
 
 
 def _kpack(a: list, w: int) -> int:
@@ -633,11 +614,15 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
         raise ValidationError(f"torus knot parameters must be coprime, got ({p},{q})")
     check_breadth(p * q, "torus knot product pq")
 
-    def tn_minus_1(n):
-        return [-1] + [0] * (n - 1) + [1]
+    def times_minus_1(a, b):
+        """(t^a - 1)(t^b - 1) = 1 - t^a - t^b + t^(a+b) as a dense list, a != b."""
+        c = [0] * (a + b + 1)
+        c[0] = c[a + b] = 1
+        c[a] = c[b] = -1
+        return c
 
-    num = _dmul(tn_minus_1(p * q), tn_minus_1(1))
-    den = _dmul(tn_minus_1(p), tn_minus_1(q))
+    num = times_minus_1(p * q, 1)
+    den = times_minus_1(p, q)
     quot = _self_checked(_dexact_div(num, den), "(t^p - 1)(t^q - 1) divides (t^pq - 1)(t - 1)")
     return _from_dense(quot).centered()
 

@@ -76,7 +76,7 @@ class TestArithmetic:
             # one product per set bit, one squaring per bit after the first
             assert len(calls) == bin(m).count("1") + max(m.bit_length() - 1, 0), m
 
-    def test_integer_evaluation_matches_fraction_route(self):
+    def test_int_and_fraction_points_match_oracle(self):
         rng = random.Random(4242)
         for _ in range(200):
             f = oracles.random_laurent(rng, max_breadth=12).shift(rng.randint(-8, 0))
@@ -165,8 +165,8 @@ class TestIntegerCore:
         assert laurent._dexact_div([6, 10, 4], [2, 2]) == [3, 2]
 
     def test_gcd_is_primitive_with_positive_lead(self):
-        a = laurent._dmul([-1, 0, 1], [3, 2])  # (t^2 - 1)(2t + 3)
-        b = laurent._dmul([-5, 5], [1, 0, 1])  # 5(t - 1)(t^2 + 1)
+        a = laurent._dproduct([([-1, 0, 1], 1), ([3, 2], 1)])  # (t^2 - 1)(2t + 3)
+        b = laurent._dproduct([([-5, 5], 1), ([1, 0, 1], 1)])  # 5(t - 1)(t^2 + 1)
         assert laurent._dgcd(a, b) == [-1, 1]
         assert laurent._dgcd([-2, 0, -2], [4, 0, 4]) == [1, 0, 1]
         assert laurent._dgcd([3, 1], [5]) == [1]
@@ -192,6 +192,13 @@ class TestIntegerCore:
         assert len(fac.factors) == 20
         assert dict(fac.factors) == {cyclotomic(d): 1 for d in divisors}
         assert fac.unit == ONE
+
+    def test_torus_knot_with_pq_at_the_dense_limit(self):
+        # (t^pq - 1)(t - 1) is then one degree past the limit
+        assert 32 * 3125 == MAX_DENSE_BREADTH
+        f = torus_alexander(32, 3125)
+        assert f.breadth == 31 * 3124
+        assert f.evaluate(1) == 1 and f.is_palindromic()
 
     def test_gsp_bound_of_large_torus_knot_within_budget(self):
         start = time.monotonic()
