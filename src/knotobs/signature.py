@@ -4,7 +4,10 @@ Two independent routes to the signature function of torus-knot expressions:
 
 * ``torus_jumps`` builds the jump function from the combinatorial rule on the
   multiset { i/p + j/q }, extended to cables of trivial-Alexander companions,
-  mirrors and sums.
+  mirrors and sums.  A jump function holds integer numerators over one
+  common denominator (i/p + j/q is (iq + jp)/pq), so building, adding and
+  evaluating jump functions is integer arithmetic; a sum of k summands is
+  merged once over the lcm of their denominators.
 * ``seifert_from_braid`` + ``numeric_signature`` compute signatures from a
   Seifert matrix of the closed braid, by counting eigenvalue signs of
   (1-w)V + (1-conj w)V^T with certified precision.
@@ -27,7 +30,7 @@ from .errors import (
     UnsupportedExpressionError,
     ValidationError,
 )
-from .laurent import ONE
+from .laurent import ONE, check_breadth
 from .reporting import Certificate, CertificateCheck
 
 
@@ -41,76 +44,118 @@ class JumpFunction:
 
     Jumps are nonzero even integers with jump(1-x) = -jump(x); the running
     sum from 0+ is the signature step function.
+
+    A jump at x = n/N is held as the integer numerator n over one common
+    denominator N, sorted by n and reduced so that gcd(N, n_1, ..., n_k) = 1
+    (N = 1 when there are no jumps), so every function has exactly one form
+    and its arithmetic is integer arithmetic.  Locations become Fractions
+    only where they enter (the constructor, ``step_at``) or leave
+    (``jumps``, ``support``, ``as_rows``, ``repr``).
     """
 
-    __slots__ = ("_jumps",)
+    __slots__ = ("_den", "_jumps")
 
     def __init__(self, jumps):
-        data = {}
-        for x, j in dict(jumps).items():
-            x = Fraction(x)
-            j = int(j)
-            if j == 0:
-                continue
-            if not 0 < x < 1:
-                raise ValidationError(f"jump location {x} outside (0,1)")
+        data = {Fraction(x): int(j) for x, j in dict(jumps).items()}
+        den = math.lcm(*(x.denominator for x in data))
+        self._store(den, {x.numerator * (den // x.denominator): j for x, j in data.items()})
+
+    @classmethod
+    def _over(cls, den: int, jumps: dict) -> "JumpFunction":
+        """The function with jump jumps[n] at n/den; zero jumps are dropped."""
+        out = object.__new__(cls)
+        out._store(den, jumps)
+        return out
+
+    def _store(self, den: int, jumps: dict) -> None:
+        """Check the jumps n/den and keep them in the canonical form."""
+        jumps = {n: j for n, j in jumps.items() if j != 0}
+        for n, j in jumps.items():
+            if not 0 < n < den:
+                raise ValidationError(f"jump location {Fraction(n, den)} outside (0,1)")
             if j % 2 != 0:
-                raise ValidationError(f"jump {j} at {x} is odd")
-            data[x] = j
-        for x, j in data.items():
-            if data.get(1 - x, 0) != -j:
+                raise ValidationError(f"jump {j} at {Fraction(n, den)} is odd")
+            if jumps.get(den - n, 0) != -j:
                 raise ValidationError(
-                    f"conjugate antisymmetry fails at {x}: {j} vs {data.get(1 - x, 0)}"
+                    f"conjugate antisymmetry fails at {Fraction(n, den)}: "
+                    f"{j} vs {jumps.get(den - n, 0)}"
                 )
-        object.__setattr__(self, "_jumps", dict(sorted(data.items())))
+        g = math.gcd(den, *jumps)
+        object.__setattr__(self, "_den", den // g)
+        object.__setattr__(self, "_jumps", {n // g: jumps[n] for n in sorted(jumps)})
+
+    @classmethod
+    def _sum(cls, parts) -> "JumpFunction":
+        """Sum of jump functions: one common denominator, one merge, one validation."""
+        den = math.lcm(*(f._den for f in parts))
+        out: dict[int, int] = {}
+        for f in parts:
+            k = den // f._den
+            for n, j in f._jumps.items():
+                n *= k
+                out[n] = out.get(n, 0) + j
+        return cls._over(den, out)
 
     def __setattr__(self, *args):
         raise AttributeError("JumpFunction is immutable")
 
+    def _located(self):
+        """(location, jump) pairs with each location as a Fraction."""
+        return ((Fraction(n, self._den), j) for n, j in self._jumps.items())
+
     @property
     def jumps(self) -> dict:
-        return dict(self._jumps)
+        return dict(self._located())
 
     @property
     def support(self) -> tuple:
-        return tuple(self._jumps)
+        return tuple(x for x, _ in self._located())
 
     def __bool__(self) -> bool:
         return bool(self._jumps)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, JumpFunction) and self._jumps == other._jumps
+        return (
+            isinstance(other, JumpFunction)
+            and self._den == other._den
+            and self._jumps == other._jumps
+        )
 
     def __hash__(self):
-        return hash(tuple(self._jumps.items()))
+        return hash((self._den, tuple(self._jumps.items())))
 
     def __add__(self, other: "JumpFunction") -> "JumpFunction":
-        out = dict(self._jumps)
-        for x, j in other._jumps.items():
-            out[x] = out.get(x, 0) + j
-        return JumpFunction(out)
+        return JumpFunction._sum((self, other))
 
     def __neg__(self) -> "JumpFunction":
-        return JumpFunction({x: -j for x, j in self._jumps.items()})
+        return JumpFunction._over(self._den, {n: -j for n, j in self._jumps.items()})
 
     def scale(self, c: int) -> "JumpFunction":
-        return JumpFunction({x: c * j for x, j in self._jumps.items()})
+        return JumpFunction._over(self._den, {n: c * j for n, j in self._jumps.items()})
 
     def step_at(self, x: Fraction) -> int:
-        """Sum of jumps strictly below x; raises at a jump point with both
-        one-sided limits."""
+        """Sum of jumps strictly below x in (0,1); raises at a jump point with
+        both one-sided limits."""
         x = Fraction(x)
-        left = sum(j for p, j in self._jumps.items() if p < x)
-        if x in self._jumps:
-            raise JumpEvaluationError(x, left, left + self._jumps[x])
+        if not 0 < x < 1:
+            raise ValidationError(f"evaluation point {x} outside (0,1)")
+        # n/N < x exactly when n * x.denominator < x.numerator * N
+        d, target = x.denominator, x.numerator * self._den
+        left = 0
+        for n, j in self._jumps.items():
+            if n * d >= target:
+                if n * d == target:
+                    raise JumpEvaluationError(x, left, left + j)
+                break
+            left += j
         return left
 
     def __repr__(self):
-        inner = ", ".join(f"{x}: {j:+d}" for x, j in self._jumps.items())
+        inner = ", ".join(f"{x}: {j:+d}" for x, j in self._located())
         return f"JumpFunction({{{inner}}})"
 
     def as_rows(self) -> list[dict]:
-        return [{"x": str(x), "jump": j} for x, j in self._jumps.items()]
+        return [{"x": str(x), "jump": j} for x, j in self._located()]
 
 
 EMPTY_JUMPS = JumpFunction({})
@@ -119,21 +164,24 @@ EMPTY_JUMPS = JumpFunction({})
 def torus_jumps(p: int, q: int) -> JumpFunction:
     """Signature jumps of the (p,q) torus knot at x in (0,1), w = e^{2 pi i x}:
     +2 at points of S in (0,1) and -2 at points of S - 1, where
-    S = { i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1 }."""
+    S = { i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1 }.  Over N = pq the point
+    i/p + j/q has numerator i*q + j*p."""
     if p < 2 or q < 2:
         raise ValidationError("torus knot parameters must be >= 2")
     if math.gcd(p, q) != 1:
         raise ValidationError(f"torus knot parameters must be coprime: ({p},{q})")
-    jumps: dict[Fraction, int] = {}
-    for i in range(1, p):
-        for j in range(1, q):
-            s = Fraction(i, p) + Fraction(j, q)
-            if s < 1:
-                jumps[s] = jumps.get(s, 0) + 2
+    check_breadth(p * q, "torus knot product pq")
+    N = p * q
+    jumps: dict[int, int] = {}
+    # a repeated numerator would overwrite a jump and fail the count below
+    for iq in range(q, N, q):
+        for n in range(iq + p, iq + N, p):
+            if n < N:
+                jumps[n] = 2
             else:
-                jumps[s - 1] = jumps.get(s - 1, 0) - 2
-    out = JumpFunction(jumps)
-    if len(out.jumps) != (p - 1) * (q - 1):
+                jumps[n - N] = -2
+    out = JumpFunction._over(N, jumps)
+    if len(out._jumps) != (p - 1) * (q - 1):
         raise InternalCheckError("self-check failed: T(p,q) has (p-1)(q-1) distinct jumps")
     return out
 
@@ -155,10 +203,7 @@ def expression_jumps(e: knots.KnotExpression) -> JumpFunction:
     if isinstance(e, knots.Mirror):
         return -expression_jumps(e.inner)
     if isinstance(e, knots.Sum):
-        out = EMPTY_JUMPS
-        for s in e.summands:
-            out = out + expression_jumps(s)
-        return out
+        return JumpFunction._sum([expression_jumps(s) for s in e.summands])
     if isinstance(e, knots.Cable):
         if knots.alexander(e.companion) != ONE:
             raise UnsupportedExpressionError(
@@ -177,9 +222,6 @@ def expression_jumps(e: knots.KnotExpression) -> JumpFunction:
 
 def signature_at(e: knots.KnotExpression, x) -> int:
     """Signature sigma_w at w = e^{2 pi i x}, x a non-jump rational in (0,1)."""
-    x = Fraction(x)
-    if not 0 < x < 1:
-        raise ValidationError(f"evaluation point {x} outside (0,1)")
     return expression_jumps(e).step_at(x)
 
 
@@ -407,6 +449,7 @@ def torus_independence_certificate(
     for p, q in pairs:
         if p < 2 or q < 2 or math.gcd(p, q) != 1:
             raise ValidationError(f"({p},{q}) is not a coprime torus-knot pair")
+        check_breadth(p * q, "torus knot product pq")
     checks: list[CertificateCheck] = []
 
     products = [p * q for p, q in pairs]
@@ -422,24 +465,26 @@ def torus_independence_certificate(
         # primality makes deg Delta = (p-1)(q-1) the degree of the relevant
         # cyclotomic; the strict inequality is what blocks divisibility
         degree = (p - 1) * (q - 1)
-        passed = _is_prime(p) and _is_prime(q) and 2 * k < degree
+        both_prime = _is_prime(p) and _is_prime(q)
         checks.append(
             CertificateCheck(
                 name=f"degree_bound[{p},{q}]",
-                passed=passed,
+                passed=both_prime and 2 * k < degree,
                 witness=f"2k = {2 * k} < (p-1)(q-1) = {degree}: {2 * k < degree}; "
-                f"both prime: {_is_prime(p) and _is_prime(q)}",
+                f"both prime: {both_prime}",
             )
         )
 
     for p, q in pairs:
+        # torus_jumps keeps the denominator pq (p + q is a numerator prime to
+        # pq), so n/pq is a primitive (pq)-th root exactly when gcd(n, pq) = 1
         jf = torus_jumps(p, q)
-        primitive = [x for x in jf.support if x.denominator == p * q and math.gcd(x.numerator, p * q) == 1]
+        n = next((n for n in jf._jumps if math.gcd(n, p * q) == 1), None)
         checks.append(
             CertificateCheck(
                 name=f"primitive_jump[{p},{q}]",
-                passed=bool(primitive),
-                witness=f"jump {jf.jumps[primitive[0]]:+d} at {primitive[0]}" if primitive else "no primitive jump point",
+                passed=n is not None,
+                witness=f"jump {jf._jumps[n]:+d} at {Fraction(n, p * q)}" if n is not None else "no primitive jump point",
             )
         )
 

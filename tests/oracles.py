@@ -75,6 +75,29 @@ def torus_upsilon_lines(p: int, q: int) -> list:
     return lines
 
 
+def litherland_jumps(p: int, q: int) -> dict:
+    """Signature jumps of T(p,q) as {Fraction: jump} by Litherland's rule:
+    each s = i/p + j/q (1 <= i < p, 1 <= j < q) adds +2 at s when s < 1 and
+    -2 at s - 1 otherwise."""
+    out = {}
+    for i in range(1, p):
+        for j in range(1, q):
+            s = Fraction(i, p) + Fraction(j, q)
+            x, jump = (s, 2) if s < 1 else (s - 1, -2)
+            out[x] = out.get(x, 0) + jump
+    return {x: j for x, j in out.items() if j}
+
+
+def signed_litherland_jumps(terms) -> dict:
+    """Jumps of the sum of sign * T(p,q) over (p, q, sign) terms, as
+    {Fraction: jump} with cancelled locations removed."""
+    out = {}
+    for p, q, sign in terms:
+        for x, j in litherland_jumps(p, q).items():
+            out[x] = out.get(x, 0) + sign * j
+    return {x: j for x, j in out.items() if j}
+
+
 @functools.cache
 def property_A_table() -> dict:
     """Property A by exhaustive decomposition search over every nonzero

@@ -57,6 +57,11 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "left limit" in captured.err
         assert captured.out == ""  # a failed command prints none of its rows
+        for x in ("3/2", "0", "1"):
+            assert run(["sig-jumps", "T(3,4)", "--at", x]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"invalid: evaluation point {x} outside (0,1)\n"
+            assert captured.out == ""
 
     def test_conflicting_or_degenerate_options_are_1(self, capsys):
         level = ["--genus-level", "2"]
@@ -96,6 +101,15 @@ class TestExitCodes:
         assert run(["factor", "t^200000 - 1"]) == 1
         assert run(["gsp-bound", "Cable(" * 100 + "T(2,3)" + ";2,1)" * 100]) == 1
         assert "dense polynomial limit" in capsys.readouterr().err
+
+    def test_torus_pq_beyond_dense_limit_fails_fast(self, capsys):
+        start = time.monotonic()
+        assert run(["sig-jumps", "T(1009,1013)"]) == 1
+        assert run(["sig-certify", "--pair", "5,7", "--pair", "1009,1013", "--k", "2"]) == 1
+        assert time.monotonic() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.err.count("torus knot product pq 1022117 exceeds the dense polynomial limit") == 2
+        assert captured.out == ""
 
     def test_nested_cables_fail_fast(self, capsys):
         start = time.monotonic()

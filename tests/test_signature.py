@@ -1,6 +1,8 @@
 """Signature jump functions, the Seifert-matrix oracle, and their agreement."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from knotobs.knots import (
     cable,
     family,
     mirror,
+    parse_knot,
     sum_of,
     torus,
     wh,
@@ -46,6 +49,25 @@ class TestJumpFunction:
     def test_total_jump_vanishes(self):
         for p, q in oracles.SMALL_TORUS:
             assert sum(torus_jumps(p, q).jumps.values()) == 0
+
+    def test_one_form_per_function(self):
+        # the common denominator is reduced, so equal functions have equal
+        # hashes however they were built
+        trefoil = torus_jumps(2, 3)
+        cancelled = expression_jumps(parse_knot("T(2,3) # -T(2,3)"))
+        assert cancelled == EMPTY_JUMPS and hash(cancelled) == hash(EMPTY_JUMPS)
+        assert trefoil + (-trefoil) == EMPTY_JUMPS
+        reduced = expression_jumps(parse_knot("T(2,3) # T(3,4) # -T(3,4)"))
+        assert reduced == trefoil and hash(reduced) == hash(trefoil)
+        for p, q in oracles.SMALL_TORUS:
+            built = JumpFunction(oracles.litherland_jumps(p, q))
+            assert built == torus_jumps(p, q) and hash(built) == hash(torus_jumps(p, q))
+        assert trefoil.scale(0) == EMPTY_JUMPS
+
+    def test_step_at_outside_unit_interval(self):
+        for x in (Fraction(3, 2), 0, 1, Fraction(-1, 6)):
+            with pytest.raises(ValidationError):
+                torus_jumps(2, 3).step_at(x)
 
     def test_step_function_even(self):
         jf = torus_jumps(3, 5)
@@ -99,11 +121,17 @@ class TestTorusJumps:
                 # root iff Phi_d divides Delta
                 exact_div(delta, cyclotomic(d))
 
+    def test_matches_litherland_oracle(self):
+        for p, q in oracles.coprime_pairs(300):
+            assert torus_jumps(p, q).jumps == oracles.litherland_jumps(p, q), (p, q)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
             torus_jumps(2, 4)
         with pytest.raises(ValidationError):
             torus_jumps(1, 5)
+        with pytest.raises(ValidationError, match="dense polynomial limit"):
+            torus_jumps(1009, 1013)
 
 
 class TestExpressionJumps:
@@ -125,6 +153,14 @@ class TestExpressionJumps:
             assert expression_jumps(sum_of(k1, k2)) == expression_jumps(k1) + expression_jumps(k2)
             assert expression_jumps(mirror(k1)) == -expression_jumps(k1)
 
+    def test_signed_sums_match_litherland_oracle(self):
+        rng = random.Random(909)
+        pairs = oracles.coprime_pairs(60)
+        for _ in range(100):
+            terms = [(*rng.choice(pairs), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))]
+            knot = sum_of(*(torus(p, q) if s > 0 else mirror(torus(p, q)) for p, q, s in terms))
+            assert expression_jumps(knot).jumps == oracles.signed_litherland_jumps(terms), terms
+
     def test_cable_of_nontrivial_companion_rejected(self):
         with pytest.raises(UnsupportedExpressionError):
             expression_jumps(cable(torus(2, 3), 2, 5))
@@ -132,6 +168,41 @@ class TestExpressionJumps:
     def test_L_family_silent(self):
         for n in range(2, 6):
             assert expression_jumps(family("L", n)) == EMPTY_JUMPS
+
+
+@contextlib.contextmanager
+def budget(seconds: float, what: str):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} exceeded its {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestTopOfDenseRange:
+    """T(313,317) has pq = 99221, just under laurent.MAX_DENSE_BREADTH."""
+
+    def test_torus_jumps_within_budget(self):
+        with budget(5.0, "torus_jumps(313, 317)"):
+            jf = torus_jumps(313, 317)
+        assert len(jf.support) == 312 * 316
+        assert jf.step_at(Fraction(1, 2)) % 2 == 0
+
+    def test_signed_sum_within_budget(self):
+        with budget(5.0, "expression_jumps(T(313,317) # -T(311,317))"):
+            jf = expression_jumps(parse_knot("T(313,317) # -T(311,317)"))
+        # every jump of T(p,q) sits at a reduced fraction with denominator pq,
+        # so the two summands share no jump point and nothing cancels
+        jumps = jf.jumps
+        assert len(jumps) == 312 * 316 + 310 * 316
+        assert sum(jumps.values()) == 0
 
 
 class TestSignatureAt:
