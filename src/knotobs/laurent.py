@@ -13,8 +13,10 @@ divisibility of evaluations), strip linear factors by the rational root test,
 then split the remaining square-free part by Kronecker interpolation.  Desk
 scale degrees keep the interpolation search small.
 
-The dense polynomial core works in plain integers throughout: exact division
-by long division with an early exit, gcd by a primitive pseudo-remainder
+The dense polynomial core works in plain integers throughout: cyclotomic
+polynomials are built, and divided out, through their Moebius factors
+t^e - 1, one linear pass per binomial; other exact division is long
+division with an early exit, gcd by a primitive pseudo-remainder
 sequence, interpolation by Newton divided differences.  The self-checks (the
 factorization reproduces its input, the Fox-Milnor witness reproduces f)
 and the witness itself are exact products of powers by Kronecker
@@ -31,6 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain
+from operator import add, sub
 
 from .errors import (
     FactorizationComplexityError,
@@ -563,26 +567,100 @@ def _dstretch(a: list, k: int) -> list:
     return out
 
 
+def _dtimes_binomial(a: list, e: int) -> list:
+    """Coefficients of a * (t^e - 1)."""
+    pad = [0] * e
+    return list(map(sub, pad + a, a + pad))
+
+
+def _ddiv_binomial(a: list, e: int):
+    """Exact quotient a / (t^e - 1) of a trimmed list, or None when t^e - 1
+    does not divide a.
+
+    a = q (t^e - 1) + r reads q[i] = a[i + e] + q[i + e] from the top, so
+    each quotient coefficient is a suffix sum of a over its residue class
+    mod e, and r[i] = a[i] + q[i] (i < e) is the sum of the whole class.
+    With more classes than entries per class (e * e >= len(a)) the sums run
+    one block of e coefficients at a time, otherwise one class at a time;
+    either way the work is linear in len(a).
+    """
+    n = len(a)
+    if n <= e:
+        return None if a else []
+    if e * e < n:
+        q = [0] * (n - e)
+        for r in range(e):
+            sums = list(accumulate(a[r::e][::-1]))
+            if sums[-1]:
+                return None
+            q[r::e] = sums[-2::-1]
+        return q
+    # t^pad a has the same divisibility and a length that is a multiple of e
+    pad = -n % e
+    a = [0] * pad + a
+    acc = [0] * e
+    blocks = []
+    for i in range(len(a) - e, 0, -e):
+        acc = list(map(add, acc, a[i : i + e]))
+        blocks.append(acc)
+    if any(map(add, acc, a[:e])):
+        return None
+    return list(chain.from_iterable(reversed(blocks)))[pad:]
+
+
+@lru_cache(maxsize=None)
+def _moebius_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Exponents of Phi_n = prod (t^e - 1)^mu(n/e) over e | n with n/e
+    squarefree, as (those with mu = +1, those with mu = -1), largest first."""
+    squarefree = [(1, 1)]  # (s, mu(s)) over the squarefree divisors s of n
+    for p in _prime_factors(n):
+        squarefree += [(s * p, -mu) for s, mu in squarefree]
+    numer = tuple(sorted((n // s for s, mu in squarefree if mu == 1), reverse=True))
+    denom = tuple(sorted((n // s for s, mu in squarefree if mu == -1), reverse=True))
+    return numer, denom
+
+
+def _ddiv_cyclotomic(a: list, d: int):
+    """Exact quotient a / Phi_d of a trimmed list, or None when Phi_d does
+    not divide a, without building Phi_d.
+
+    a / Phi_d = a * prod(denominator binomials) / prod(numerator binomials)
+    of the Moebius product.  Exact division by monic polynomials stays in
+    Z[t], so when Phi_d divides a every step divides exactly, and a None
+    from any step proves that Phi_d does not divide a.
+    """
+    numer, denom = _moebius_exponents(d)
+    for e in denom:
+        a = _dtimes_binomial(a, e)
+    for e in numer:
+        a = _ddiv_binomial(a, e)
+        if a is None:
+            return None
+    return a
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> LaurentPolynomial:
     """The n-th cyclotomic polynomial.
 
-    Built from Phi_1 = t - 1 one prime p of n at a time by
-    Phi_{mp}(t) = Phi_m(t^p) / Phi_m(t) (p not dividing m), an exact integer
-    division by a monic polynomial, and finished with
-    Phi_n(t) = Phi_{rad n}(t^{n / rad n}).  No intermediate list is longer
-    than n + 1 entries.
+    Phi_r for r = rad n is the Moebius product of binomials t^e - 1: [1]
+    times each numerator binomial, then divided exactly by each denominator
+    binomial, every step linear in the length.  Phi_n(t) = Phi_r(t^{n / r})
+    finishes it.  The longest intermediate list is the numerator product,
+    with 1 + (sigma(r) + phi(r)) / 2 entries: 2 for n = 1, and at most
+    1.71 n below the dense limit, the largest ratio being 51,265 entries at
+    n = 30030.
     """
     if n < 1:
         raise ValidationError("cyclotomic requires n >= 1")
     check_breadth(n, "cyclotomic index")
-    poly = [-1, 1]
-    rad = 1
-    for p in _prime_factors(n):
-        poly = _self_checked(
-            _dexact_div(_dstretch(poly, p), poly), "Phi_m(t) divides Phi_m(t^p)"
-        )
-        rad *= p
+    rad = math.prod(_prime_factors(n))
+    numer, denom = _moebius_exponents(rad)
+    poly = [1]
+    for e in numer:
+        poly = _dtimes_binomial(poly, e)
+    for e in denom:
+        poly = _self_checked(_ddiv_binomial(poly, e), f"t^{e} - 1 divides the Phi_{rad} numerator")
     return _from_dense(_dstretch(poly, n // rad))
 
 
@@ -590,16 +668,10 @@ def cyclotomic(n: int) -> LaurentPolynomial:
 def _cyclotomic_at(n: int, x: int) -> int:
     """Phi_n(x) for an integer x >= 2, as the integer
     prod_{d | n} (x^d - 1)^mu(n/d); no polynomial is built."""
-    num = den = 1
-    squarefree = [(1, 1)]  # (s, mu(s)) over the squarefree divisors s of n
-    for p in _prime_factors(n):
-        squarefree += [(s * p, -mu) for s, mu in squarefree]
-    for s, mu in squarefree:
-        if mu == 1:
-            num *= x ** (n // s) - 1
-        else:
-            den *= x ** (n // s) - 1
-    value, rem = divmod(num, den)
+    numer, denom = _moebius_exponents(n)
+    value, rem = divmod(
+        math.prod(x**e - 1 for e in numer), math.prod(x**e - 1 for e in denom)
+    )
     if rem:
         raise InternalCheckError(f"self-check failed: Phi_{n}({x}) must be an integer")
     return value
@@ -814,9 +886,13 @@ def factor(f: LaurentPolynomial) -> Factorization:
     Cyclotomic polynomials of index d up to 3 * breadth with phi(d) at most
     the remaining degree are screened first: Phi_d(x) must divide F(x) at
     x = 2 and 3 wherever F(x) != 0, with Phi_d(x) computed as an integer
-    without building Phi_d.  Only a d that passes the screen has Phi_d built
-    and tried by trial division.  Factors beyond the index bound are still
-    found by the general interpolation stage.
+    without building Phi_d.  Only a d that passes the screen is tried, by
+    trial division through the binomial factors t^e - 1 of Phi_d, each step
+    linear in the length of F; Phi_d is built only once it divides.  The
+    longest list is F times the denominator binomials, with
+    len(F) + (d / r) (sigma(r) - phi(r)) / 2 entries for r = rad d.
+    Factors beyond the index bound are still found by the general
+    interpolation stage.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
@@ -846,12 +922,8 @@ def factor(f: LaurentPolynomial) -> Factorization:
                 continue
             if any(v % _cyclotomic_at(d, x) for x, v in screen_vals.items()):
                 continue
-            phi_d = _dense(cyclotomic(d))
             mult = 0
-            while True:
-                q = _dexact_div(F, phi_d)
-                if q is None:
-                    break
+            while (q := _ddiv_cyclotomic(F, d)) is not None:
                 F = q
                 mult += 1
             if mult:
@@ -868,7 +940,6 @@ def factor(f: LaurentPolynomial) -> Factorization:
         for lin in linears:
             poly = _from_dense(lin).canonical()
             record(poly)
-        # re-collect multiplicities of repeated linear factors
     if _deg(F) >= 1:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))
         W = _dprimitive(_self_checked(_dexact_div(F, sqfree_gcd), "the square-free gcd divides F"))

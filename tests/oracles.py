@@ -2,12 +2,15 @@
 
 Expected values in the tests are frozen from these oracles (or from hand
 computation); none of them call the code paths they are used to check.
+`budget` bounds the wall time of a block for the tests that time one.
 """
 
+import contextlib
 import functools
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 from knotobs.laurent import LaurentPolynomial, parse_laurent
@@ -57,6 +60,36 @@ def cyclotomic_oracle(n: int) -> dict:
             continue
         out = {e: c for e, c in convolve(out, factor).items() if e <= top}
     return out
+
+
+def dict_exact_div(a: dict, b: dict) -> dict:
+    """Quotient a / b of exponent->coefficient dicts by schoolbook long
+    division over Fractions; ArithmeticError unless b divides a exactly."""
+    rem = {e: Fraction(c) for e, c in a.items()}
+    top, low = max(b), min(b)
+    quot = {}
+    for shift in range(max(a) - top, min(a) - low - 1, -1):
+        c = rem.pop(shift + top, 0) / b[top]
+        if c:
+            quot[shift] = c
+            for e, y in b.items():
+                if e != top:
+                    rem[e + shift] = rem.get(e + shift, 0) - c * y
+    if any(rem.values()) or any(c.denominator != 1 for c in quot.values()):
+        raise ArithmeticError(f"{b} does not divide {a} over Z")
+    return {e: int(c) for e, c in quot.items()}
+
+
+def cyclotomic_prime_by_prime(n: int) -> dict:
+    """Phi_n as an exponent->coefficient dict, built from Phi_1 = t - 1 one
+    prime p of n at a time by Phi_{mp}(t) = Phi_m(t^p) / Phi_m(t) (p not
+    dividing m), then Phi_n(t) = Phi_{rad n}(t^{n / rad n})."""
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    phi = {0: -1, 1: 1}
+    for p in primes:
+        phi = dict_exact_div({e * p: c for e, c in phi.items()}, phi)
+    stretch = n // math.prod(primes)
+    return {e * stretch: c for e, c in phi.items()}
 
 
 def torus_upsilon_lines(p: int, q: int) -> list:
@@ -240,3 +273,19 @@ def random_expression(rng: random.Random, depth: int = 3, signature_safe: bool =
         return leaf()
 
     return knots.normalize(build(depth))
+
+
+@contextlib.contextmanager
+def budget(seconds: float, what: str):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} exceeded its {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

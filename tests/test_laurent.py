@@ -180,6 +180,10 @@ class TestIntegerCore:
         for n in range(1, 301):
             assert cyclotomic(n).coeffs == oracles.cyclotomic_oracle(n), n
 
+    def test_cyclotomic_matches_prime_by_prime_oracle(self):
+        for n in list(range(1, 301)) + [d for d in range(1, 2311) if 2310 % d == 0]:
+            assert cyclotomic(n).coeffs == oracles.cyclotomic_prime_by_prime(n), n
+
     def test_cyclotomic_values_without_polynomials(self):
         for n in range(1, 301):
             for x in (2, 3):
@@ -204,6 +208,110 @@ class TestIntegerCore:
         start = time.monotonic()
         assert gsp_lower_bound(torus_alexander(31, 37)) == 540
         assert time.monotonic() - start < 5.0
+
+
+def dense_phi(d: int) -> list:
+    """Phi_d from the prime-by-prime oracle, as a coefficient list."""
+    phi = oracles.cyclotomic_prime_by_prime(d)
+    return [phi.get(i, 0) for i in range(max(phi) + 1)]
+
+
+def random_dense(rng: random.Random, length: int) -> list:
+    """Random coefficient list of this length with a nonzero top entry."""
+    return [rng.randint(-4, 4) for _ in range(length - 1)] + [rng.choice([-3, -1, 1, 2])]
+
+
+class TestBinomialKernels:
+    """Division by Phi_d through its factors t^e - 1, against dense long
+    division by the oracle's Phi_d."""
+
+    def test_times_binomial_matches_convolution(self):
+        rng = random.Random(6060)
+        for _ in range(200):
+            a = random_dense(rng, rng.randint(1, 30))
+            e = rng.randint(1, 40)
+            expected = oracles.convolve(dict(enumerate(a)), {0: -1, e: 1})
+            assert laurent._from_dense(laurent._dtimes_binomial(a, e)).coeffs == expected
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 5, 8, 12])
+    def test_binomial_division_edge_cases(self, e):
+        rng = random.Random(e)
+        binomial = [-1] + [0] * (e - 1) + [1]
+        branches = set()
+        # quotient lengths putting len(a) = m + e on both sides of e * e
+        for m in sorted({1, 2, e - 1, e, e + 1, e * e - e - 1, e * e - e, e * e - e + 1, 3 * e * e}):
+            if m < 1:
+                continue
+            q = random_dense(rng, m)
+            a = laurent._dtimes_binomial(q, e)
+            branches.add(e * e < len(a))
+            assert laurent._ddiv_binomial(a, e) == q == laurent._dexact_div(a, binomial)
+            # a remainder that sits only in the lowest block
+            for j in {0, e // 2, e - 1}:
+                r = a[:]
+                r[j] += rng.choice([-2, -1, 1, 3])
+                assert laurent._ddiv_binomial(r, e) is None
+                assert laurent._dexact_div(r, binomial) is None
+        assert branches == ({True} if e == 1 else {True, False})
+        for n in range(1, e + 1):  # len(a) <= e: only zero is a multiple
+            assert laurent._ddiv_binomial(random_dense(rng, n), e) is None
+        assert laurent._ddiv_binomial([], e) == []
+
+    def test_cyclotomic_division_matches_dense_division(self):
+        rng = random.Random(6161)
+        for d in range(1, 61):
+            phi = dense_phi(d)
+            for _ in range(6):
+                a = random_dense(rng, rng.randint(1, 80))
+                for F in (a, laurent._dproduct([(a, 1), (phi, 1)])):
+                    assert laurent._ddiv_cyclotomic(F, d) == laurent._dexact_div(F, phi), d
+
+    def test_known_multiplicities_of_cyclotomic_products(self):
+        rng = random.Random(6262)
+        phis = {d: dense_phi(d) for d in range(1, 61)}
+        for _ in range(25):
+            mults = {d: rng.randint(1, 3) for d in rng.sample(range(1, 61), 4)}
+            F = laurent._dproduct([(phis[d], m) for d, m in mults.items()])
+            for d, phi in phis.items():
+                G, m = F, 0
+                while (q := laurent._ddiv_cyclotomic(G, d)) is not None:
+                    assert q == laurent._dexact_div(G, phi)
+                    G, m = q, m + 1
+                assert laurent._dexact_div(G, phi) is None
+                assert m == mults.get(d, 0), (mults, d)
+
+    def test_t30030_minus_1_strips_within_budget(self):
+        divisors = [d for d in range(1, 30031) if 30030 % d == 0]
+        assert len(divisors) == 64
+        F = [-1] + [0] * 30029 + [1]
+        with oracles.budget(10.0, "stripping the cyclotomic factors of t^30030 - 1"):
+            for d in divisors:
+                F = laurent._ddiv_cyclotomic(F, d)
+                assert F is not None, d
+                assert laurent._ddiv_cyclotomic(F, d) is None, d
+        assert F == [1]
+
+    def test_cyclotomic_products_use_no_dense_division(self, monkeypatch):
+        rng = random.Random(6363)
+        inputs = [parse_laurent("t^2000 - 1"), torus_alexander(5, 7) * torus_alexander(2, 9)]
+        for _ in range(40):
+            f = ONE
+            for d in rng.sample(range(1, 61), 4):
+                f = f * laurent._from_dense(dense_phi(d)) ** rng.randint(1, 3)
+            inputs.append(f.shift(rng.randint(-3, 3)))
+        divisors = []
+        dense_div = laurent._dexact_div
+
+        def recording_div(a, b):
+            divisors.append(b)
+            return dense_div(a, b)
+
+        monkeypatch.setattr(laurent, "_dexact_div", recording_div)
+        for f in inputs:
+            assert factor(f).expand() == f
+        for n in range(1, 301):
+            laurent.cyclotomic.__wrapped__(n)
+        assert divisors == []
 
 
 class TestDenseProduct:

@@ -1,8 +1,6 @@
 """Signature jump functions, the Seifert-matrix oracle, and their agreement."""
 
-import contextlib
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -170,33 +168,17 @@ class TestExpressionJumps:
             assert expression_jumps(family("L", n)) == EMPTY_JUMPS
 
 
-@contextlib.contextmanager
-def budget(seconds: float, what: str):
-    """Raise TimeoutError in the block once it has run for `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"{what} exceeded its {seconds} s budget")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestTopOfDenseRange:
     """T(313,317) has pq = 99221, just under laurent.MAX_DENSE_BREADTH."""
 
     def test_torus_jumps_within_budget(self):
-        with budget(5.0, "torus_jumps(313, 317)"):
+        with oracles.budget(5.0, "torus_jumps(313, 317)"):
             jf = torus_jumps(313, 317)
         assert len(jf.support) == 312 * 316
         assert jf.step_at(Fraction(1, 2)) % 2 == 0
 
     def test_signed_sum_within_budget(self):
-        with budget(5.0, "expression_jumps(T(313,317) # -T(311,317))"):
+        with oracles.budget(5.0, "expression_jumps(T(313,317) # -T(311,317))"):
             jf = expression_jumps(parse_knot("T(313,317) # -T(311,317)"))
         # every jump of T(p,q) sits at a reduced fraction with denominator pq,
         # so the two summands share no jump point and nothing cancels

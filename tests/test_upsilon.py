@@ -1,7 +1,6 @@
 """Piecewise linear Upsilon calculus: staircases, germs, obstructions."""
 
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -188,16 +187,8 @@ class TestUpsilonTorus:
             assert all(left & right for left, right in zip(tight, tight[1:])), (p, q)
 
     def test_top_of_dense_range_within_budget(self):
-        def expire(signum, frame):
-            raise TimeoutError("upsilon_torus(313, 317) exceeded its 5 s budget")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
+        with oracles.budget(5.0, "upsilon_torus(313, 317)"):
             u = upsilon_torus(313, 317)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert u.slope_right(0) == -F(312 * 316, 2)
         assert u.reflected() == u
 
