@@ -4,10 +4,10 @@ Two independent routes to the signature function of torus-knot expressions:
 
 * ``torus_jumps`` builds the jump function from the combinatorial rule on the
   multiset { i/p + j/q }, extended to cables of trivial-Alexander companions,
-  mirrors and sums.  A jump function holds integer numerators over one
-  common denominator (i/p + j/q is (iq + jp)/pq), so building, adding and
-  evaluating jump functions is integer arithmetic; a sum of k summands is
-  merged once over the lcm of their denominators.
+  mirrors and sums.  Its shared core ``RationalJumps`` (also under
+  ``upsilon.PiecewiseLinearFunction``) holds integer jumps at numerators over
+  one common denominator (i/p + j/q is (iq + jp)/pq) in one canonical form,
+  and merges a sum of k summands once over the lcm of their denominators.
 * ``seifert_from_braid`` + ``numeric_signature`` compute signatures from a
   Seifert matrix of the closed braid, by counting eigenvalue signs of
   (1-w)V + (1-conj w)V^T with certified precision.
@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedExpressionError,
     ValidationError,
 )
-from .laurent import ONE, check_breadth
+from .laurent import MAX_DENSE_BREADTH, ONE, check_breadth
 from .reporting import Certificate, CertificateCheck
 
 
@@ -39,18 +39,22 @@ from .reporting import Certificate, CertificateCheck
 # ---------------------------------------------------------------------------
 
 
-class JumpFunction:
-    """Finite set of signature jumps at rationals in (0,1).
+# a #-sum merges at most this many jumps, so its memory stays bounded (eight
+# summands near pq = 99,000 built 779,008 jumps in 307 MB); twice the torus
+# limit lets two summands from the top of the admitted range still answer
+MAX_JUMPS = 2 * MAX_DENSE_BREADTH
 
-    Jumps are nonzero even integers with jump(1-x) = -jump(x); the running
-    sum from 0+ is the signature step function.
+
+class RationalJumps:
+    """Finite set of nonzero integer jumps at rational locations.
 
     A jump at x = n/N is held as the integer numerator n over one common
     denominator N, sorted by n and reduced so that gcd(N, n_1, ..., n_k) = 1
     (N = 1 when there are no jumps), so every function has exactly one form
     and its arithmetic is integer arithmetic.  Locations become Fractions
-    only where they enter (the constructor, ``step_at``) or leave
-    (``jumps``, ``support``, ``as_rows``, ``repr``).
+    only where they enter (the constructor) or leave (the readers).
+    Each subclass admits its jumps in ``_check(den, jumps)``, which raises
+    ValidationError for a nonzero jump it does not admit.
     """
 
     __slots__ = ("_den", "_jumps")
@@ -61,7 +65,7 @@ class JumpFunction:
         self._store(den, {x.numerator * (den // x.denominator): j for x, j in data.items()})
 
     @classmethod
-    def _over(cls, den: int, jumps: dict) -> "JumpFunction":
+    def _over(cls, den: int, jumps: dict):
         """The function with jump jumps[n] at n/den; zero jumps are dropped."""
         out = object.__new__(cls)
         out._store(den, jumps)
@@ -70,6 +74,75 @@ class JumpFunction:
     def _store(self, den: int, jumps: dict) -> None:
         """Check the jumps n/den and keep them in the canonical form."""
         jumps = {n: j for n, j in jumps.items() if j != 0}
+        self._check(den, jumps)
+        g = math.gcd(den, *jumps)
+        object.__setattr__(self, "_den", den // g)
+        object.__setattr__(self, "_jumps", {n // g: jumps[n] for n in sorted(jumps)})
+
+    @classmethod
+    def _sum(cls, parts):
+        """Sum of functions: one common denominator, one merge, one validation.
+        The parts' jump counts are added up as they arrive, before any merge."""
+        kept, total = [], 0
+        for f in parts:
+            total += len(f._jumps)
+            if total > MAX_JUMPS:
+                raise ValidationError(f"#-sum jump count exceeds the limit {MAX_JUMPS}")
+            kept.append(f)
+        den = math.lcm(*(f._den for f in kept))
+        out: dict[int, int] = {}
+        for f in kept:
+            k = den // f._den
+            for n, j in f._jumps.items():
+                n *= k
+                out[n] = out.get(n, 0) + j
+        return cls._over(den, out)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _located(self):
+        """(location, jump) pairs with each location as a Fraction."""
+        return ((Fraction(n, self._den), j) for n, j in self._jumps.items())
+
+    def __bool__(self) -> bool:
+        return bool(self._jumps)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._den == other._den
+            and self._jumps == other._jumps
+        )
+
+    def __hash__(self):
+        return hash((self._den, tuple(self._jumps.items())))
+
+    def __add__(self, other):
+        return self._sum((self, other))
+
+    def __neg__(self):
+        return self._over(self._den, {n: -j for n, j in self._jumps.items()})
+
+    def scale(self, c: int):
+        return self._over(self._den, {n: c * j for n, j in self._jumps.items()})
+
+    def __repr__(self):
+        inner = ", ".join(f"{x}: {j:+d}" for x, j in self._located())
+        return f"{type(self).__name__}({{{inner}}})"
+
+
+class JumpFunction(RationalJumps):
+    """Finite set of signature jumps at rationals in (0,1).
+
+    Jumps are nonzero even integers with jump(1-x) = -jump(x); the running
+    sum from 0+ is the signature step function.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(den: int, jumps: dict) -> None:
         for n, j in jumps.items():
             if not 0 < n < den:
                 raise ValidationError(f"jump location {Fraction(n, den)} outside (0,1)")
@@ -80,28 +153,6 @@ class JumpFunction:
                     f"conjugate antisymmetry fails at {Fraction(n, den)}: "
                     f"{j} vs {jumps.get(den - n, 0)}"
                 )
-        g = math.gcd(den, *jumps)
-        object.__setattr__(self, "_den", den // g)
-        object.__setattr__(self, "_jumps", {n // g: jumps[n] for n in sorted(jumps)})
-
-    @classmethod
-    def _sum(cls, parts) -> "JumpFunction":
-        """Sum of jump functions: one common denominator, one merge, one validation."""
-        den = math.lcm(*(f._den for f in parts))
-        out: dict[int, int] = {}
-        for f in parts:
-            k = den // f._den
-            for n, j in f._jumps.items():
-                n *= k
-                out[n] = out.get(n, 0) + j
-        return cls._over(den, out)
-
-    def __setattr__(self, *args):
-        raise AttributeError("JumpFunction is immutable")
-
-    def _located(self):
-        """(location, jump) pairs with each location as a Fraction."""
-        return ((Fraction(n, self._den), j) for n, j in self._jumps.items())
 
     @property
     def jumps(self) -> dict:
@@ -110,28 +161,6 @@ class JumpFunction:
     @property
     def support(self) -> tuple:
         return tuple(x for x, _ in self._located())
-
-    def __bool__(self) -> bool:
-        return bool(self._jumps)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, JumpFunction)
-            and self._den == other._den
-            and self._jumps == other._jumps
-        )
-
-    def __hash__(self):
-        return hash((self._den, tuple(self._jumps.items())))
-
-    def __add__(self, other: "JumpFunction") -> "JumpFunction":
-        return JumpFunction._sum((self, other))
-
-    def __neg__(self) -> "JumpFunction":
-        return JumpFunction._over(self._den, {n: -j for n, j in self._jumps.items()})
-
-    def scale(self, c: int) -> "JumpFunction":
-        return JumpFunction._over(self._den, {n: c * j for n, j in self._jumps.items()})
 
     def step_at(self, x: Fraction) -> int:
         """Sum of jumps strictly below x in (0,1); raises at a jump point with
@@ -149,10 +178,6 @@ class JumpFunction:
                 break
             left += j
         return left
-
-    def __repr__(self):
-        inner = ", ".join(f"{x}: {j:+d}" for x, j in self._located())
-        return f"JumpFunction({{{inner}}})"
 
     def as_rows(self) -> list[dict]:
         return [{"x": str(x), "jump": j} for x, j in self._located()]
@@ -203,7 +228,7 @@ def expression_jumps(e: knots.KnotExpression) -> JumpFunction:
     if isinstance(e, knots.Mirror):
         return -expression_jumps(e.inner)
     if isinstance(e, knots.Sum):
-        return JumpFunction._sum([expression_jumps(s) for s in e.summands])
+        return JumpFunction._sum(expression_jumps(s) for s in e.summands)
     if isinstance(e, knots.Cable):
         if knots.alexander(e.companion) != ONE:
             raise UnsupportedExpressionError(

@@ -1,4 +1,4 @@
-"""Exact piecewise-linear Upsilon calculus on [0,2].
+"""Exact piecewise-linear Upsilon calculus on [0,2], held by derivative jumps.
 
 Upsilon of an L-space-form polynomial is realized through its staircase:
 corners read off the alternating Alexander coefficients, then
@@ -11,13 +11,15 @@ sums of genus-n knots.  The J' family enters only through its published
 derivative-jump germ (zero before 2/(2n-1), jump 2n-1 there); queries beyond
 the certified range are refused rather than defaulted.
 
-All arithmetic in this module is exact rational.
+A PL function is held by its integer slope jumps over one common denominator,
+in the form it shares with signature jumps (``signature.RationalJumps``): a
+sum is one merge, a derivative jump is a lookup, and breakpoints are integer
+prefix sums.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .reporting import Certificate, CertificateCheck
+from .signature import RationalJumps
 
 JPRIME_GERM_SOURCE = "published derivative-jump computation for the J' family"
 
@@ -38,104 +41,78 @@ JPRIME_GERM_SOURCE = "published derivative-jump computation for the J' family"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearFunction:
-    """Exact PL function on [0,2] stored by breakpoints; canonical form keeps
-    no collinear interior breakpoint, so equality is equality of graphs."""
+class PiecewiseLinearFunction(RationalJumps):
+    """Exact PL function U on [0,2] with U(0) = 0, held by its integer
+    derivative jumps at rationals in [0,2): the slope at 0 is the jump at
+    t = 0 (taking U' = 0 before 0), so U(t) is the sum over jumps j at s < t
+    of j * (t - s).  Only nonzero jumps are kept, so equality is equality of
+    graphs."""
 
-    ts: tuple[Fraction, ...]
-    vs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.ts) != len(self.vs) or len(self.ts) < 2:
-            raise ValidationError("breakpoints and values must align, with both endpoints")
-        if self.ts[0] != 0 or self.ts[-1] != 2:
-            raise ValidationError("domain must be exactly [0,2]")
-        if any(a >= b for a, b in zip(self.ts, self.ts[1:])):
-            raise ValidationError("breakpoints must be strictly increasing")
-        if self.vs[0] != 0:
-            raise ValidationError("value at t = 0 must be 0")
+    __slots__ = ()
 
     @staticmethod
-    def from_breakpoints(points) -> "PiecewiseLinearFunction":
-        pts = sorted((Fraction(t), Fraction(v)) for t, v in points)
-        ts = [p[0] for p in pts]
-        vs = [p[1] for p in pts]
-        # drop collinear interior points
-        keep_t, keep_v = [ts[0]], [vs[0]]
-        for i in range(1, len(ts) - 1):
-            t0, v0 = keep_t[-1], keep_v[-1]
-            t1, v1, t2, v2 = ts[i], vs[i], ts[i + 1], vs[i + 1]
-            if (v1 - v0) * (t2 - t1) != (v2 - v1) * (t1 - t0):
-                keep_t.append(t1)
-                keep_v.append(v1)
-        keep_t.append(ts[-1])
-        keep_v.append(vs[-1])
-        return PiecewiseLinearFunction(tuple(keep_t), tuple(keep_v))
+    def _check(den: int, jumps: dict) -> None:
+        for n in jumps:
+            if not 0 <= n < 2 * den:
+                raise ValidationError(f"slope jump location {Fraction(n, den)} outside [0,2)")
 
     @staticmethod
     def zero() -> "PiecewiseLinearFunction":
-        return PiecewiseLinearFunction((Fraction(0), Fraction(2)), (Fraction(0), Fraction(0)))
+        return PiecewiseLinearFunction({})
 
     def value(self, t) -> Fraction:
         t = Fraction(t)
         if not 0 <= t <= 2:
             raise ValidationError(f"{t} outside the domain [0,2]")
-        i = min(bisect_right(self.ts, t), len(self.ts) - 1)
-        return self.vs[i - 1] + self._slope(i) * (t - self.ts[i - 1])
+        # for t = a/b, t - n/N = (a * N - n * b) / (b * N)
+        b, target = t.denominator, t.numerator * self._den
+        total = sum(j * (target - n * b) for n, j in self._jumps.items() if n * b < target)
+        return Fraction(total, b * self._den)
 
-    def __add__(self, other: "PiecewiseLinearFunction") -> "PiecewiseLinearFunction":
-        ts = sorted(set(self.ts) | set(other.ts))
-        return PiecewiseLinearFunction.from_breakpoints(
-            (t, self.value(t) + other.value(t)) for t in ts
-        )
-
-    def __neg__(self) -> "PiecewiseLinearFunction":
-        return PiecewiseLinearFunction(self.ts, tuple(-v for v in self.vs))
-
-    def scale(self, c: int) -> "PiecewiseLinearFunction":
-        if c == 0:
-            return PiecewiseLinearFunction.zero()
-        return PiecewiseLinearFunction(self.ts, tuple(c * v for v in self.vs))
-
-    def slope_right(self, t) -> Fraction:
+    def slope_right(self, t) -> int:
         t = Fraction(t)
         if not 0 <= t < 2:
             raise ValidationError(f"no right slope at {t}")
-        return self._slope(bisect_right(self.ts, t))
+        d, target = t.denominator, t.numerator * self._den
+        return sum(j for n, j in self._jumps.items() if n * d <= target)
 
-    def slope_left(self, t) -> Fraction:
-        t = Fraction(t)
-        if not 0 < t <= 2:
-            raise ValidationError(f"no left slope at {t}")
-        return self._slope(bisect_left(self.ts, t))
-
-    def _slope(self, i: int) -> Fraction:
-        """Slope of the segment [ts[i-1], ts[i]]."""
-        return (self.vs[i] - self.vs[i - 1]) / (self.ts[i] - self.ts[i - 1])
-
-    def delta_prime(self, t0) -> Fraction:
+    def delta_prime(self, t0) -> int:
         """Jump of the derivative at t0 in (0,2): right slope minus left slope."""
         t0 = Fraction(t0)
         if not 0 < t0 < 2:
             raise ValidationError(f"derivative jumps are defined on (0,2), got {t0}")
-        return self.slope_right(t0) - self.slope_left(t0)
+        n, r = divmod(t0.numerator * self._den, t0.denominator)
+        return 0 if r else self._jumps.get(n, 0)
 
     def singularities(self) -> tuple[Fraction, ...]:
-        """Interior breakpoints; in canonical form each carries a nonzero
-        derivative jump."""
-        return self.ts[1:-1]
+        """Locations in (0,2) of the derivative jumps, each nonzero."""
+        return tuple(x for x, _ in self._located() if x)
 
     def reflected(self) -> "PiecewiseLinearFunction":
-        """The function t -> value(2 - t), valid when it vanishes at t = 2."""
-        if self.vs[-1] != 0:
+        """The function t -> value(2 - t), valid when it vanishes at t = 2:
+        each jump at s moves to 2 - s, and the slope at 0 becomes minus the
+        slope before 2."""
+        if self.value(2) != 0:
             raise ValidationError("reflection needs value 0 at t = 2")
-        return PiecewiseLinearFunction.from_breakpoints(
-            (2 - t, v) for t, v in zip(self.ts, self.vs)
-        )
+        N = self._den
+        jumps = {2 * N - n: j for n, j in self._jumps.items() if n}
+        jumps[0] = -sum(self._jumps.values())
+        return self._over(N, jumps)
 
     def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(zip(self.ts, self.vs))
+        """(t, U(t)) at 0, at each singularity and at 2, by integer prefix
+        sums over the common denominator N: U(n/N) = (n * S - W) / N with S
+        and W the sums of j and of j * m over the jumps j at m/N < n/N."""
+        N = self._den
+        out = [(Fraction(0), Fraction(0))]
+        slope = weighted = 0
+        for n, j in self._jumps.items():
+            if n:
+                out.append((Fraction(n, N), Fraction(n * slope - weighted, N)))
+            slope += j
+            weighted += j * n
+        out.append((Fraction(2), Fraction(2 * N * slope - weighted, N)))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +199,14 @@ def upsilon_from_staircase(s: Staircase) -> PiecewiseLinearFunction:
                 break
             hull.pop()
         hull.append((a3, b3))
-    ts, vs = [Fraction(0)], [Fraction(0)]
-    for (a1, b1), (a2, b2) in zip(hull, hull[1:]):
-        ts.append(Fraction(2 * (a2 - a1), b1 - b2))
-        vs.append(Fraction(-2 * (a2 * b1 - a1 * b2), b1 - b2))
-    ts.append(Fraction(2))
-    vs.append(Fraction(0))
-    return PiecewiseLinearFunction(tuple(ts), tuple(vs))
+    # U = -2a - b*t on line (a, b): slope -g from the first corner (0, g),
+    # then a slope jump d = b1 - b2 at t = 2(a2 - a1)/d where line 1 hands
+    # over to line 2
+    steps = [(2 * (a2 - a1), b1 - b2) for (a1, b1), (a2, b2) in zip(hull, hull[1:])]
+    den = math.lcm(*(d for _, d in steps))
+    jumps = {n * (den // d): d for n, d in steps}
+    jumps[0] = -hull[0][1]
+    return PiecewiseLinearFunction._over(den, jumps)
 
 
 def upsilon_torus(p: int, q: int) -> PiecewiseLinearFunction:
@@ -247,10 +225,7 @@ def upsilon_of_expression(e: knots.KnotExpression) -> PiecewiseLinearFunction:
     if isinstance(e, knots.Mirror):
         return -upsilon_of_expression(e.inner)
     if isinstance(e, knots.Sum):
-        out = PiecewiseLinearFunction.zero()
-        for s in e.summands:
-            out = out + upsilon_of_expression(s)
-        return out
+        return PiecewiseLinearFunction._sum(upsilon_of_expression(s) for s in e.summands)
     raise UnsupportedExpressionError(
         "Upsilon is only computed for sums and mirrors of torus knots; "
         "cabled and doubled summands enter through published germ data"
@@ -286,7 +261,7 @@ class JumpGerm:
     def negated(self) -> "JumpGerm":
         return replace(self, sign=-self.sign)
 
-    def delta_prime_at(self, t0: Fraction) -> Fraction:
+    def delta_prime(self, t0) -> Fraction:
         t0 = Fraction(t0)
         if t0 == self.first_singularity:
             return self.sign * self.jump_value
@@ -319,14 +294,6 @@ def jprime_germ(n: int) -> JumpGerm:
 # ---------------------------------------------------------------------------
 
 
-def _delta_prime_of(source, t0: Fraction) -> Fraction:
-    if isinstance(source, PiecewiseLinearFunction):
-        return source.delta_prime(t0)
-    if isinstance(source, JumpGerm):
-        return source.delta_prime_at(t0)
-    raise ValidationError(f"cannot read a derivative jump from {source!r}")
-
-
 def oss_hom(source, p: int, q: int) -> Fraction:
     """Integer-valued concordance homomorphism at the rational p/q in (0,2):
     (1/q) dU'(p/q) for even p, (1/(2q)) dU'(p/q) for odd p."""
@@ -335,8 +302,8 @@ def oss_hom(source, p: int, q: int) -> Fraction:
     t0 = Fraction(p, q)
     if not 0 < t0 < 2:
         raise ValidationError(f"evaluation point {t0} outside (0,2)")
-    dj = _delta_prime_of(source, t0)
-    return dj / q if p % 2 == 0 else dj / (2 * q)
+    dj = source.delta_prime(t0)
+    return Fraction(dj, q if p % 2 == 0 else 2 * q)
 
 
 def min_genus_from_singularity(p: int, q: int) -> int:
@@ -370,13 +337,15 @@ def obstruct_Gn(source, n: int) -> ObstructionVerdict:
         raise ValidationError("genus level must be >= 1")
     window = Fraction(1, n)
     if isinstance(source, PiecewiseLinearFunction):
-        for t in source.singularities():
-            if t < window and source.delta_prime(t) != 0:
-                return ObstructionVerdict(
-                    "obstructed",
-                    witness=t,
-                    detail=f"derivative jump {source.delta_prime(t)} at {t} < 1/{n}",
-                )
+        # every stored jump is nonzero, so the first singularity decides
+        sing = source.singularities()
+        if sing and sing[0] < window:
+            t = sing[0]
+            return ObstructionVerdict(
+                "obstructed",
+                witness=t,
+                detail=f"derivative jump {source.delta_prime(t)} at {t} < 1/{n}",
+            )
         return ObstructionVerdict(
             "not_obstructed", detail=f"no derivative jump on (0, 1/{n})"
         )
@@ -386,7 +355,7 @@ def obstruct_Gn(source, n: int) -> ObstructionVerdict:
             return ObstructionVerdict(
                 "obstructed",
                 witness=t0,
-                detail=f"certified jump {source.delta_prime_at(t0)} at {t0} < 1/{n}",
+                detail=f"certified jump {source.delta_prime(t0)} at {t0} < 1/{n}",
             )
         if source.zero_before:
             return ObstructionVerdict(

@@ -23,6 +23,7 @@ from knotobs.knots import (
 )
 from knotobs.signature import (
     EMPTY_JUMPS,
+    MAX_JUMPS,
     JumpFunction,
     closes_to_knot,
     expression_jumps,
@@ -185,6 +186,12 @@ class TestTopOfDenseRange:
         jumps = jf.jumps
         assert len(jumps) == 312 * 316 + 310 * 316
         assert sum(jumps.values()) == 0
+
+    def test_sum_past_jump_limit_refused_at_once(self):
+        # 312*316 + 310*316 + 306*316 jumps pass MAX_JUMPS before any merge
+        with oracles.budget(2.0, "three top-range summands"):
+            with pytest.raises(ValidationError, match=f"limit {MAX_JUMPS}"):
+                expression_jumps(parse_knot("T(313,317) # T(311,317) # T(307,317)"))
 
 
 class TestSignatureAt:

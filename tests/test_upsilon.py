@@ -31,10 +31,6 @@ from knotobs.upsilon import (
 F = Fraction
 
 
-def pl(*points) -> PiecewiseLinearFunction:
-    return PiecewiseLinearFunction.from_breakpoints(points)
-
-
 def random_pl_pool(rng, count):
     """Random integer combinations of torus Upsilon functions."""
     out = []
@@ -48,13 +44,11 @@ def random_pl_pool(rng, count):
 
 
 class TestPiecewiseLinear:
-    def test_zero_at_origin_enforced(self):
-        with pytest.raises(ValidationError):
-            PiecewiseLinearFunction((F(0), F(2)), (F(1), F(0)))
-
     def test_domain_enforced(self):
-        with pytest.raises(ValidationError):
-            PiecewiseLinearFunction((F(0), F(3)), (F(0), F(0)))
+        # slope jumps live on [0,2); U' = 0 before 0 and nothing follows 2
+        for t in (F(-1, 3), F(2), F(3)):
+            with pytest.raises(ValidationError):
+                PiecewiseLinearFunction({t: 1})
 
     def test_add_negate_cancel(self):
         u = upsilon_torus(2, 3)
@@ -62,12 +56,21 @@ class TestPiecewiseLinear:
 
     def test_scale_example(self):
         doubled = upsilon_torus(2, 3).scale(2)
-        assert doubled == pl((0, 0), (1, -2), (2, 0))
+        assert doubled.breakpoints() == ((0, 0), (1, -2), (2, 0))
         assert doubled.value(F(1, 2)) == -1
 
-    def test_canonical_form_drops_collinear_points(self):
-        f = pl((0, 0), (1, -1), (F(1, 2), F(-1, 2)), (2, 0))
-        assert f.ts == (F(0), F(1), F(2))
+    def test_canonical_form_one_graph_one_form(self):
+        # the hull of T(2,5) and the sum of two trefoils reach one graph
+        summed = upsilon_of_expression(parse_knot("T(2,3) # T(2,3)"))
+        assert upsilon_torus(2, 5) == summed
+        assert hash(upsilon_torus(2, 5)) == hash(summed)
+
+    def test_breakpoints_agree_with_value(self):
+        for f in random_pl_pool(random.Random(14), 30):
+            points = f.breakpoints()
+            assert points[0] == (0, 0) and points[-1][0] == 2
+            assert [t for t, _ in points[1:-1]] == list(f.singularities())
+            assert all(f.value(t) == v for t, v in points)
 
     def test_add_commutative_associative_random(self):
         rng = random.Random(11)
@@ -136,10 +139,10 @@ class TestStaircase:
 
 class TestUpsilonTorus:
     def test_trefoil_exact(self):
-        assert upsilon_torus(2, 3) == pl((0, 0), (1, -1), (2, 0))
+        assert upsilon_torus(2, 3).breakpoints() == ((0, 0), (1, -1), (2, 0))
 
     def test_T34_exact(self):
-        assert upsilon_torus(3, 4) == pl((0, 0), (F(2, 3), -2), (F(4, 3), -2), (2, 0))
+        assert upsilon_torus(3, 4).breakpoints() == ((0, 0), (F(2, 3), -2), (F(4, 3), -2), (2, 0))
 
     def test_T34_first_singularity(self):
         assert upsilon_torus(3, 4).singularities()[0] == F(2, 3)
@@ -213,16 +216,16 @@ class TestGerms:
 
     def test_mirror_negates(self):
         g = jprime_germ(3)
-        assert g.negated().delta_prime_at(g.first_singularity) == -5
+        assert g.negated().delta_prime(g.first_singularity) == -5
 
     def test_mirror_is_a_signed_germ(self):
         g = jprime_germ(3)
         m = g.negated()
         assert isinstance(m, JumpGerm) and m.sign == -1
         assert m.negated() == g
-        assert m.delta_prime_at(F(1, 10)) == 0
+        assert m.delta_prime(F(1, 10)) == 0
         with pytest.raises(InsufficientDataError):
-            m.delta_prime_at(F(1, 1))
+            m.delta_prime(F(1, 1))
 
     def test_sign_validated(self):
         with pytest.raises(ValidationError):
@@ -230,7 +233,7 @@ class TestGerms:
 
     def test_query_beyond_range_refused(self):
         with pytest.raises(InsufficientDataError):
-            jprime_germ(4).delta_prime_at(F(1, 1))
+            jprime_germ(4).delta_prime(F(1, 1))
 
 
 class TestOssHom:
@@ -286,6 +289,11 @@ class TestObstruction:
 
     def test_trefoil_not_obstructed_at_level_1(self):
         assert obstruct_Gn(upsilon_torus(2, 3), 1).status == "not_obstructed"
+
+    def test_first_singularity_is_the_witness(self):
+        verdict = obstruct_Gn(upsilon_torus(3, 4), 1)  # singularities 2/3, 4/3
+        assert verdict.status == "obstructed" and verdict.witness == F(2, 3)
+        assert verdict.detail == "derivative jump 3 at 2/3 < 1/1"
 
     def test_zero_function(self):
         assert obstruct_Gn(PiecewiseLinearFunction.zero(), 5).status == "not_obstructed"
