@@ -7,11 +7,12 @@ over the integers (up to units +-t^k), the Fox-Milnor slice condition with an
 explicit witness, and the splitting-genus lower bound read off from
 odd-multiplicity self-reciprocal factors.
 
-Factorization strategy, in order: strip the integer content into prime
-constants, strip cyclotomic factors by trial division (screened by integer
-divisibility of evaluations), strip linear factors by the rational root test,
-then split the remaining square-free part by Kronecker interpolation.  Desk
-scale degrees keep the interpolation search small.
+Factorization has three stages: strip the integer content into prime
+constants, strip cyclotomic factors by trial division over every index d
+with phi(d) at most the degree (screened by integer divisibility of
+evaluations), then split the remaining square-free part by Kronecker
+interpolation, linear factors included.  Desk scale degrees keep the
+interpolation search small.
 
 The dense polynomial core works in plain integers throughout: cyclotomic
 polynomials are built, and divided out, through their Moebius factors
@@ -184,9 +185,6 @@ class LaurentPolynomial:
         if p < 1:
             raise ValidationError("substitution power must be >= 1")
         return LaurentPolynomial({e * p: c for e, c in self._coeffs.items()})
-
-    def derivative(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e - 1: e * c for e, c in self._coeffs.items() if e != 0})
 
     def evaluate(self, x):
         """Exact evaluation at a nonzero int or Fraction.
@@ -520,24 +518,6 @@ def exact_div(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def totient(n: int) -> int:
-    """Euler's phi, via the product over prime divisors."""
-    if n < 1:
-        raise ValidationError("totient requires n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _prime_factors(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     m = abs(n)
@@ -552,12 +532,53 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
+def totient(n: int) -> int:
+    """Euler's phi, as the product of (p - 1) p^(k - 1) over n = prod p^k."""
+    if n < 1:
+        raise ValidationError("totient requires n >= 1")
+    return math.prod((p - 1) * p ** (k - 1) for p, k in _prime_factors(n).items())
+
+
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     out = [1]
     for p, e in _prime_factors(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(n: int) -> tuple[tuple[int, int], ...]:
+    """Every (d, phi(d)) with phi(d) <= n, in increasing d: the indices of
+    the cyclotomic polynomials that fit in degree n.
+
+    phi(d) is the product of (p - 1) p^(k - 1) over the prime powers p^k of
+    d, so a depth-first search that multiplies in prime powers, each prime
+    larger than the last, reaches every such d once and stops a branch as
+    soon as phi passes n; only primes with p - 1 <= n occur.
+    """
+    sieve = bytearray([1]) * (n + 2)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n + 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 2, p)))
+    primes = [p for p, is_prime in enumerate(sieve) if is_prime]
+    found = []
+
+    def search(start: int, d: int, phi: int):
+        found.append((d, phi))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            pk, phik = p, phi * (p - 1)
+            if phik > n:
+                return
+            while phik <= n:
+                search(i + 1, d * pk, phik)
+                pk, phik = pk * p, phik * p
+
+    if n >= 1:
+        search(0, 1, 1)
+    return tuple(sorted(found))
 
 
 def _dstretch(a: list, k: int) -> list:
@@ -746,54 +767,25 @@ def _factor_key(p: LaurentPolynomial):
     return (p.breadth, dense)
 
 
-def _strip_rational_roots(F: list) -> tuple[list, list[list]]:
-    """Remove linear factors b*t - a (rational roots a/b) from a primitive
-    dense polynomial; returns (remaining, linear factors found)."""
-    found = []
-    F = _trim(F[:])
-    while _deg(F) >= 1:
-        hit = None
-        for b in _divisors(F[-1]):
-            for a in _divisors(F[0]):
-                if math.gcd(a, b) != 1:
-                    continue
-                for aa in (a, -a):
-                    cand = _trim([-aa, b])
-                    q = _dexact_div(F, cand)
-                    if q is not None:
-                        hit = (cand, q)
-                        break
-                if hit:
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        found.append(hit[0])
-        F = _dprimitive(hit[1])
-    return F, found
-
-
 _KRONECKER_BUDGET = 400_000
 
 
 def _kronecker_split(W: list) -> list | None:
-    """Find one nontrivial factor of a primitive square-free polynomial with
-    no rational roots, by interpolation through small integer points; returns
-    the factor (dense, primitive, positive lc) or None when W is irreducible.
+    """Find one nontrivial factor of least degree of a primitive square-free
+    polynomial of degree at least 2, by interpolation through small integer
+    points; returns the factor (dense, primitive, positive lc) or None when W
+    is irreducible.  A pool point where W vanishes gives the factor t - x at
+    once; otherwise no value is zero and a factor of degree d takes its
+    values among the divisors of W's values at d + 1 points.
     """
-    n = _deg(W)
-    if n <= 3:
-        return None  # degree 2 or 3 without rational roots is irreducible
     pool = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6]
-    pts = sorted(pool, key=lambda x: abs(_deval(W, x)))
-    for d in range(2, n // 2 + 1):
+    at = {x: _deval(W, x) for x in pool}
+    pts = sorted(pool, key=lambda x: abs(at[x]))
+    if not at[pts[0]]:
+        return [-pts[0], 1]
+    for d in range(1, _deg(W) // 2 + 1):
         sel = pts[: d + 1]
-        values = [_deval(W, x) for x in sel]
-        if not all(values):
-            raise InternalCheckError(
-                "self-check failed: square-free part with no rational roots cannot vanish"
-            )
+        values = [at[x] for x in sel]
         divisor_lists = []
         for i, v in enumerate(values):
             ds = _divisors(v)
@@ -869,8 +861,8 @@ def _interpolate_integer(xs: list[int], ys: list[int]) -> list | None:
 
 
 def _kronecker_irreducibles(W: list) -> list[list]:
-    """Complete splitting of a primitive square-free dense polynomial with no
-    rational roots into irreducible factors."""
+    """Complete splitting of a primitive square-free dense polynomial into
+    irreducible factors."""
     if _deg(W) <= 1:
         return [W] if _deg(W) >= 1 else []
     piece = _kronecker_split(W)
@@ -881,18 +873,22 @@ def _kronecker_irreducibles(W: list) -> list[list]:
 
 
 def factor(f: LaurentPolynomial) -> Factorization:
-    """Complete irreducible factorization over Z up to units +-t^k.
+    """Complete irreducible factorization over Z up to units +-t^k, in three
+    stages.
 
-    Cyclotomic polynomials of index d up to 3 * breadth with phi(d) at most
-    the remaining degree are screened first: Phi_d(x) must divide F(x) at
-    x = 2 and 3 wherever F(x) != 0, with Phi_d(x) computed as an integer
-    without building Phi_d.  Only a d that passes the screen is tried, by
-    trial division through the binomial factors t^e - 1 of Phi_d, each step
-    linear in the length of F; Phi_d is built only once it divides.  The
-    longest list is F times the denominator binomials, with
-    len(F) + (d / r) (sigma(r) - phi(r)) / 2 entries for r = rad d.
-    Factors beyond the index bound are still found by the general
-    interpolation stage.
+    1. The integer content splits into prime constants.
+    2. Every cyclotomic polynomial that can divide, Phi_d with phi(d) at most
+       the remaining degree, is screened in increasing d: Phi_d(x) must
+       divide F(x) at x = 2 and 3 wherever F(x) != 0, with Phi_d(x) computed
+       as an integer without building Phi_d.  Only a d that passes the
+       screen is tried, by trial division through the binomial factors
+       t^e - 1 of Phi_d, each step linear in the length of F; Phi_d is built
+       only once it divides.  The longest list is F times the denominator
+       binomials, with len(F) + (d / r) (sigma(r) - phi(r)) / 2 entries for
+       r = rad d.
+    3. The square-free part of the rest splits by Kronecker interpolation,
+       linear factors included, and each irreducible piece is divided out
+       as often as it divides.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
@@ -914,32 +910,25 @@ def factor(f: LaurentPolynomial) -> Factorization:
         for p, e in _prime_factors(content).items():
             record(LaurentPolynomial.constant(p), e)
 
-    if _deg(F) >= 1:
-        bound = 3 * f.breadth
-        screen_vals = {x: v for x in (2, 3) if (v := _deval(F, x))}
-        for d in range(1, bound + 1):
-            if totient(d) > _deg(F):
-                continue
-            if any(v % _cyclotomic_at(d, x) for x, v in screen_vals.items()):
-                continue
-            mult = 0
-            while (q := _ddiv_cyclotomic(F, d)) is not None:
-                F = q
-                mult += 1
-            if mult:
-                record(cyclotomic(d), mult)
-                # Phi_d(x) >= 1 at x = 2, 3: F(x) stays zero or nonzero
-                screen_vals = {
-                    x: v // _cyclotomic_at(d, x) ** mult for x, v in screen_vals.items()
-                }
+    screen_vals = {x: v for x in (2, 3) if (v := _deval(F, x))}
+    for d, phi in _cyclotomic_indices(_deg(F)):
+        if phi > _deg(F):
+            continue
+        if any(v % _cyclotomic_at(d, x) for x, v in screen_vals.items()):
+            continue
+        mult = 0
+        while (q := _ddiv_cyclotomic(F, d)) is not None:
+            F = q
+            mult += 1
+        if mult:
+            record(cyclotomic(d), mult)
+            # Phi_d(x) >= 1 at x = 2, 3: F(x) stays zero or nonzero
+            screen_vals = {
+                x: v // _cyclotomic_at(d, x) ** mult for x, v in screen_vals.items()
+            }
             if _deg(F) < 1:
                 break
 
-    if _deg(F) >= 1:
-        F, linears = _strip_rational_roots(F)
-        for lin in linears:
-            poly = _from_dense(lin).canonical()
-            record(poly)
     if _deg(F) >= 1:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))
         W = _dprimitive(_self_checked(_dexact_div(F, sqfree_gcd), "the square-free gcd divides F"))

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedExpressionError,
     ValidationError,
 )
-from .laurent import MAX_DENSE_BREADTH, ONE, check_breadth
+from .laurent import MAX_DENSE_BREADTH, ONE, check_breadth, totient
 from .reporting import Certificate, CertificateCheck
 
 
@@ -490,7 +490,7 @@ def torus_independence_certificate(
         # primality makes deg Delta = (p-1)(q-1) the degree of the relevant
         # cyclotomic; the strict inequality is what blocks divisibility
         degree = (p - 1) * (q - 1)
-        both_prime = _is_prime(p) and _is_prime(q)
+        both_prime = totient(p) == p - 1 and totient(q) == q - 1
         checks.append(
             CertificateCheck(
                 name=f"degree_bound[{p},{q}]",
@@ -520,14 +520,3 @@ def torus_independence_certificate(
         checks=tuple(checks),
         conclusion_if_valid=f"{names} are linearly independent modulo knots of genus <= {k}",
     )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

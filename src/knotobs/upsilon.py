@@ -34,6 +34,9 @@ from .reporting import Certificate, CertificateCheck
 from .signature import RationalJumps
 
 JPRIME_GERM_SOURCE = "published derivative-jump computation for the J' family"
+# Largest side n_max - k + 1 of the summand certificate's matrix, which holds
+# the square of it in entries.
+MAX_CERTIFY_RANGE = 500
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +409,10 @@ def summand_certificate_upsilon(k: int, n_max: int) -> UpsilonSummandCertificate
         raise ValidationError("certificate needs k >= 2")
     if n_max < k:
         raise ValidationError(f"n_max must be >= k, got {n_max} < {k}")
+    if n_max - k + 1 > MAX_CERTIFY_RANGE:
+        raise ValidationError(
+            f"range {k}..{n_max} holds {n_max - k + 1} knots, above the limit {MAX_CERTIFY_RANGE}"
+        )
     indices = range(k, n_max + 1)
     germs = {n: jprime_germ(n) for n in indices}
     matrix: list[tuple[Fraction | None, ...]] = []

@@ -111,6 +111,14 @@ class TestExitCodes:
         assert captured.err.count("torus knot product pq 1022117 exceeds the dense polynomial limit") == 2
         assert captured.out == ""
 
+    def test_upsilon_certify_range_above_limit_fails_fast(self, capsys):
+        # the matrix would hold 99999^2 entries; the budget stops a build
+        with oracles.budget(2.0, "refusing an oversized certificate range"):
+            assert run(["upsilon-certify", "--k", "2", "--max", "100000"]) == 1
+        captured = capsys.readouterr()
+        assert "invalid: range 2..100000 holds 99999 knots, above the limit 500" in captured.err
+        assert captured.out == ""
+
     def test_nested_cables_fail_fast(self, capsys):
         start = time.monotonic()
         assert run(["alexander", "Cable(" * 30 + "T(2,3)" + ";2,3)" * 30]) == 1

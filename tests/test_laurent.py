@@ -147,6 +147,31 @@ class TestCyclotomicTotient:
         assert totient(15) == 8
         assert totient(35) == 24
 
+    def test_totient_detects_primes(self):
+        # the independence certificate reads primality as phi(n) = n - 1
+        for n in range(2, 500):
+            prime = all(n % d for d in range(2, n))
+            assert (totient(n) == n - 1) == prime, n
+
+    def test_candidate_indices_match_brute_force(self):
+        # A d with r distinct primes has phi(d) >= d * prod(1 - 1/p) and
+        # phi(d) >= prod(p - 1) over the first r primes; the second is 480
+        # for r = 5, so phi(d) <= 400 needs r <= 4 and d <= 400 * 210 / 48.
+        phis = {d: oracles.brute_totient(d) for d in range(1, 1751)}
+        for n in range(401):
+            expected = tuple((d, phi) for d, phi in phis.items() if phi <= n)
+            assert laurent._cyclotomic_indices(n) == expected, n
+
+    def test_candidate_indices_at_the_dense_limit_within_budget(self):
+        with oracles.budget(5.0, "the cyclotomic indices at the dense limit"):
+            indices = laurent._cyclotomic_indices.__wrapped__(MAX_DENSE_BREADTH)
+        assert len(indices) == 194_429
+        assert indices[-1] == (510_510, 92_160)
+        assert all(a[0] < b[0] for a, b in zip(indices, indices[1:]))
+        rng = random.Random(4040)
+        for d, phi in rng.sample(indices, 200):
+            assert phi == totient(d) <= MAX_DENSE_BREADTH
+
     def test_product_of_cyclotomics_is_tn_minus_1(self):
         for n in (6, 10, 12):
             prod = ONE
@@ -413,6 +438,35 @@ class TestFactor:
                     assert p == p.canonical()
                 else:
                     assert p.leading_coeff > 1  # prime integer factor
+
+    def test_cyclotomic_index_beyond_three_times_breadth(self):
+        # phi(210) = 48, so 210 lies above 3 * breadth = 144
+        phi = cyclotomic(210)
+        assert factor(phi).factors == ((phi, 1),)
+        linear = parse_laurent("3 + 2t")
+        assert factor(phi * linear).factors == ((linear, 1), (phi, 1))
+
+    def test_cli_factors_cyclotomic_210(self, capsys):
+        phi = cyclotomic(210)
+        assert run(["factor", format_laurent(phi)]) == 0
+        rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        assert [value for key, value in rows if key == "factor"] == [f"({format_laurent(phi)})^1"]
+
+    def test_splitter_returns_a_root_at_a_pool_point(self):
+        quadratic = parse_laurent("7 + t + t^2")
+        W = laurent._dense(parse_laurent("t - 2") * quadratic)
+        assert laurent._kronecker_split(W) == [-2, 1]
+        assert factor(parse_laurent("t - 2") * quadratic).factors == (
+            (parse_laurent("-2 + t"), 1),
+            (quadratic, 1),
+        )
+
+    def test_splitter_finds_a_repeated_non_integer_root(self):
+        quadratic = parse_laurent("7 + t + t^2")
+        linear = parse_laurent("1 + 3t")
+        assert laurent._kronecker_split(laurent._dense(linear * quadratic)) == [1, 3]
+        assert laurent._kronecker_split(laurent._dense(quadratic)) is None
+        assert factor(linear**2 * quadratic).factors == ((linear, 2), (quadratic, 1))
 
     def test_exact_div(self):
         assert exact_div(TREFOIL * TREFOIL, TREFOIL) == TREFOIL

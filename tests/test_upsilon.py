@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from knotobs import laurent
+from knotobs import laurent, upsilon
 from knotobs.errors import (
     InsufficientDataError,
     NotLSpaceFormError,
@@ -329,6 +329,12 @@ class TestSummandCertificate:
             summand_certificate_upsilon(2, 1)
         with pytest.raises(ValidationError):
             summand_certificate_upsilon(1, 5)
+
+    def test_range_limit_is_the_matrix_side(self, monkeypatch):
+        monkeypatch.setattr(upsilon, "MAX_CERTIFY_RANGE", 4)
+        assert len(summand_certificate_upsilon(2, 5).matrix) == 4
+        with pytest.raises(ValidationError):
+            summand_certificate_upsilon(2, 6)
 
     def test_provenance_recorded(self):
         cert = summand_certificate_upsilon(2, 4)
