@@ -10,9 +10,9 @@ odd-multiplicity self-reciprocal factors.
 Factorization has three stages: strip the integer content into prime
 constants, strip cyclotomic factors by trial division over every index d
 with phi(d) at most the degree (screened by integer divisibility of
-evaluations), then split the remaining square-free part by Kronecker
-interpolation, linear factors included.  Desk scale degrees keep the
-interpolation search small.
+evaluations), then split the remaining square-free part with one
+splitter: linear factors by the rational root test, longer ones by Kronecker
+interpolation.  Desk scale degrees keep the interpolation search small.
 
 The dense polynomial core works in plain integers throughout: cyclotomic
 polynomials are built, and divided out, through their Moebius factors
@@ -31,6 +31,7 @@ the splitting-genus bound.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -547,16 +548,26 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_indices(n: int) -> tuple[tuple[int, int], ...]:
-    """Every (d, phi(d)) with phi(d) <= n, in increasing d: the indices of
-    the cyclotomic polynomials that fit in degree n.
+# (degree m, phis, ds): every index d with phi(d) <= m, sorted by (phi, d)
+_index_table = (0, array("q"), array("q"))
+
+
+def _cyclotomic_indices(n: int) -> tuple[array, array]:
+    """(phis, ds) for every index d with phi(d) <= m, for some m >= n,
+    sorted by (phi, d): a caller that stops at the first phi above n reads
+    the indices of the cyclotomic polynomials that fit in degree n.
 
     phi(d) is the product of (p - 1) p^(k - 1) over the prime powers p^k of
     d, so a depth-first search that multiplies in prime powers, each prime
     larger than the last, reaches every such d once and stops a branch as
-    soon as phi passes n; only primes with p - 1 <= n occur.
+    soon as phi passes n; only primes with p - 1 <= n occur.  One table,
+    for the largest degree asked so far, serves every call: 194,429
+    indices in two 8-byte arrays at the dense limit.
     """
+    global _index_table
+    top, phis, ds = _index_table
+    if n <= top:
+        return phis, ds
     sieve = bytearray([1]) * (n + 2)
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(n + 1) + 1):
@@ -566,7 +577,7 @@ def _cyclotomic_indices(n: int) -> tuple[tuple[int, int], ...]:
     found = []
 
     def search(start: int, d: int, phi: int):
-        found.append((d, phi))
+        found.append((phi, d))
         for i in range(start, len(primes)):
             p = primes[i]
             pk, phik = p, phi * (p - 1)
@@ -576,9 +587,10 @@ def _cyclotomic_indices(n: int) -> tuple[tuple[int, int], ...]:
                 search(i + 1, d * pk, phik)
                 pk, phik = pk * p, phik * p
 
-    if n >= 1:
-        search(0, 1, 1)
-    return tuple(sorted(found))
+    search(0, 1, 1)
+    found.sort()
+    _index_table = (n, array("q", [phi for phi, _ in found]), array("q", [d for _, d in found]))
+    return _index_table[1:]
 
 
 def _dstretch(a: list, k: int) -> list:
@@ -660,21 +672,27 @@ def _ddiv_cyclotomic(a: list, d: int):
     return a
 
 
-@lru_cache(maxsize=None)
 def cyclotomic(n: int) -> LaurentPolynomial:
-    """The n-th cyclotomic polynomial.
+    """The n-th cyclotomic polynomial, for an index within the dense limit."""
+    if n < 1:
+        raise ValidationError("cyclotomic requires n >= 1")
+    check_breadth(n, "cyclotomic index")
+    return _cyclotomic(n)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> LaurentPolynomial:
+    """Phi_n for any n >= 1, with no index check: factor builds a Phi_d that
+    divides its input, whose index may pass the dense limit.
 
     Phi_r for r = rad n is the Moebius product of binomials t^e - 1: [1]
     times each numerator binomial, then divided exactly by each denominator
     binomial, every step linear in the length.  Phi_n(t) = Phi_r(t^{n / r})
     finishes it.  The longest intermediate list is the numerator product,
-    with 1 + (sigma(r) + phi(r)) / 2 entries: 2 for n = 1, and at most
-    1.71 n below the dense limit, the largest ratio being 51,265 entries at
-    n = 30030.
+    with 1 + (sigma(r) + phi(r)) / 2 entries: 2 for n = 1, at most 1.71 n
+    below the dense limit (51,265 entries at n = 30030), and 916,993 at
+    n = 510510, the largest index with phi(n) within it.
     """
-    if n < 1:
-        raise ValidationError("cyclotomic requires n >= 1")
-    check_breadth(n, "cyclotomic index")
     rad = math.prod(_prime_factors(n))
     numer, denom = _moebius_exponents(rad)
     poly = [1]
@@ -772,30 +790,31 @@ _KRONECKER_BUDGET = 400_000
 
 def _kronecker_split(W: list) -> list | None:
     """Find one nontrivial factor of least degree of a primitive square-free
-    polynomial of degree at least 2, by interpolation through small integer
-    points; returns the factor (dense, primitive, positive lc) or None when W
-    is irreducible.  A pool point where W vanishes gives the factor t - x at
-    once; otherwise no value is zero and a factor of degree d takes its
-    values among the divisors of W's values at d + 1 points.
+    polynomial of degree at least 2; returns the factor (dense, primitive,
+    positive lc) or None when W is irreducible.
+
+    A linear factor b t - a has b | lc(W) and a | W(0), and every such
+    candidate is tried, with no budget.  Without one, degree 2 or 3 is
+    irreducible and W vanishes at no integer, so a factor of degree d >= 2
+    takes its values among the divisors of W's values at d + 1 small
+    integer points; that interpolation search is budgeted.
     """
-    pool = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6]
-    at = {x: _deval(W, x) for x in pool}
-    pts = sorted(pool, key=lambda x: abs(at[x]))
-    if not at[pts[0]]:
-        return [-pts[0], 1]
-    for d in range(1, _deg(W) // 2 + 1):
+    for b in _divisors(W[-1]):
+        for a in _divisors(W[0]):
+            if math.gcd(a, b) == 1:
+                for cand in ([-a, b], [a, b]):
+                    if _dexact_div(W, cand) is not None:
+                        return cand
+    if _deg(W) <= 3:
+        return None
+    at = {x: _deval(W, x) for x in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6)}
+    pts = sorted(at, key=lambda x: abs(at[x]))
+    for d in range(2, _deg(W) // 2 + 1):
         sel = pts[: d + 1]
-        values = [at[x] for x in sel]
-        divisor_lists = []
-        for i, v in enumerate(values):
-            ds = _divisors(v)
-            if i == 0:
-                divisor_lists.append(ds)  # global sign is quotiented out
-            else:
-                divisor_lists.append([s * t for t in ds for s in (1, -1)])
-        budget = 1
-        for ds in divisor_lists:
-            budget *= len(ds)
+        # a factor and its negative are one: the first value takes positive divisors
+        divisor_lists = [_divisors(at[sel[0]])]
+        divisor_lists += [[s * t for t in _divisors(at[x]) for s in (1, -1)] for x in sel[1:]]
+        budget = math.prod(map(len, divisor_lists))
         if budget > _KRONECKER_BUDGET:
             raise FactorizationComplexityError(
                 f"interpolation search space {budget} exceeds budget at degree {d}"
@@ -814,13 +833,7 @@ def _kronecker_split(W: list) -> list | None:
                         return cand
                 return None
             for v in divisor_lists[depth]:
-                ok = True
-                for j in range(depth):
-                    diff = sel[depth] - sel[j]
-                    if (v - stack[j]) % diff != 0:
-                        ok = False
-                        break
-                if ok:
+                if all((v - stack[j]) % (sel[depth] - sel[j]) == 0 for j in range(depth)):
                     stack.append(v)
                     hit = search(depth + 1)
                     if hit is not None:
@@ -886,9 +899,9 @@ def factor(f: LaurentPolynomial) -> Factorization:
        only once it divides.  The longest list is F times the denominator
        binomials, with len(F) + (d / r) (sigma(r) - phi(r)) / 2 entries for
        r = rad d.
-    3. The square-free part of the rest splits by Kronecker interpolation,
-       linear factors included, and each irreducible piece is divided out
-       as often as it divides.
+    3. The square-free part of the rest splits, linear factors by the
+       rational root test and longer ones by Kronecker interpolation, and
+       each irreducible piece is divided out as often as it divides.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
@@ -911,23 +924,20 @@ def factor(f: LaurentPolynomial) -> Factorization:
             record(LaurentPolynomial.constant(p), e)
 
     screen_vals = {x: v for x in (2, 3) if (v := _deval(F, x))}
-    for d, phi in _cyclotomic_indices(_deg(F)):
+    for phi, d in zip(*_cyclotomic_indices(_deg(F))):
         if phi > _deg(F):
-            continue
+            break
         if any(v % _cyclotomic_at(d, x) for x, v in screen_vals.items()):
             continue
         mult = 0
         while (q := _ddiv_cyclotomic(F, d)) is not None:
-            F = q
-            mult += 1
+            F, mult = q, mult + 1
         if mult:
-            record(cyclotomic(d), mult)
+            record(_cyclotomic(d), mult)
             # Phi_d(x) >= 1 at x = 2, 3: F(x) stays zero or nonzero
             screen_vals = {
                 x: v // _cyclotomic_at(d, x) ** mult for x, v in screen_vals.items()
             }
-            if _deg(F) < 1:
-                break
 
     if _deg(F) >= 1:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))
@@ -936,12 +946,8 @@ def factor(f: LaurentPolynomial) -> Factorization:
             poly = _from_dense(irr).canonical()
             dense_irr = _dense(poly)
             mult = 0
-            while True:
-                q = _dexact_div(F, dense_irr)
-                if q is None:
-                    break
-                F = q
-                mult += 1
+            while (q := _dexact_div(F, dense_irr)) is not None:
+                F, mult = q, mult + 1
             if mult == 0:
                 raise InternalCheckError(f"self-check failed: factor {poly} does not divide F")
             record(poly, mult)

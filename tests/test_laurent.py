@@ -3,7 +3,9 @@
 import math
 import random
 import time
+from array import array
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
@@ -153,24 +155,39 @@ class TestCyclotomicTotient:
             prime = all(n % d for d in range(2, n))
             assert (totient(n) == n - 1) == prime, n
 
-    def test_candidate_indices_match_brute_force(self):
+    @staticmethod
+    def indices_within(n):
+        # the (d, phi) a caller reads, stopping at the first phi above n
+        phis, ds = laurent._cyclotomic_indices(n)
+        return sorted((d, phi) for phi, d in takewhile(lambda e: e[0] <= n, zip(phis, ds)))
+
+    def test_candidate_indices_match_brute_force(self, monkeypatch):
         # A d with r distinct primes has phi(d) >= d * prod(1 - 1/p) and
         # phi(d) >= prod(p - 1) over the first r primes; the second is 480
         # for r = 5, so phi(d) <= 400 needs r <= 4 and d <= 400 * 210 / 48.
         phis = {d: oracles.brute_totient(d) for d in range(1, 1751)}
-        for n in range(401):
-            expected = tuple((d, phi) for d, phi in phis.items() if phi <= n)
-            assert laurent._cyclotomic_indices(n) == expected, n
+        monkeypatch.setattr(laurent, "_index_table", (0, array("q"), array("q")))
+        # rising n rebuilds the table each time; falling n reads the one for 400
+        for n in [*range(401), *range(400, -1, -1)]:
+            expected = [(d, phi) for d, phi in phis.items() if phi <= n]
+            assert self.indices_within(n) == expected, n
+        assert laurent._index_table[0] == 400
 
-    def test_candidate_indices_at_the_dense_limit_within_budget(self):
+    def test_candidate_indices_at_the_dense_limit_within_budget(self, monkeypatch):
+        monkeypatch.setattr(laurent, "_index_table", (0, array("q"), array("q")))
         with oracles.budget(5.0, "the cyclotomic indices at the dense limit"):
-            indices = laurent._cyclotomic_indices.__wrapped__(MAX_DENSE_BREADTH)
-        assert len(indices) == 194_429
-        assert indices[-1] == (510_510, 92_160)
-        assert all(a[0] < b[0] for a, b in zip(indices, indices[1:]))
+            phis, ds = laurent._cyclotomic_indices(MAX_DENSE_BREADTH)
+        assert len(ds) == 194_429
+        assert max(ds) == 510_510
+        pairs = list(zip(phis, ds))
+        assert all(a < b for a, b in zip(pairs, pairs[1:]))
         rng = random.Random(4040)
-        for d, phi in rng.sample(indices, 200):
+        for phi, d in rng.sample(pairs, 200):
             assert phi == totient(d) <= MAX_DENSE_BREADTH
+        # one table of two 8-byte arrays serves every smaller degree
+        assert phis.itemsize == ds.itemsize == 8
+        smaller = laurent._cyclotomic_indices(324)
+        assert smaller[0] is phis and smaller[1] is ds
 
     def test_product_of_cyclotomics_is_tn_minus_1(self):
         for n in (6, 10, 12):
@@ -335,7 +352,7 @@ class TestBinomialKernels:
         for f in inputs:
             assert factor(f).expand() == f
         for n in range(1, 301):
-            laurent.cyclotomic.__wrapped__(n)
+            laurent._cyclotomic.__wrapped__(n)
         assert divisors == []
 
 
@@ -452,7 +469,7 @@ class TestFactor:
         rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
         assert [value for key, value in rows if key == "factor"] == [f"({format_laurent(phi)})^1"]
 
-    def test_splitter_returns_a_root_at_a_pool_point(self):
+    def test_splitter_returns_an_integer_root(self):
         quadratic = parse_laurent("7 + t + t^2")
         W = laurent._dense(parse_laurent("t - 2") * quadratic)
         assert laurent._kronecker_split(W) == [-2, 1]
@@ -467,6 +484,34 @@ class TestFactor:
         assert laurent._kronecker_split(laurent._dense(linear * quadratic)) == [1, 3]
         assert laurent._kronecker_split(laurent._dense(quadratic)) is None
         assert factor(linear**2 * quadratic).factors == ((linear, 2), (quadratic, 1))
+
+    def test_quadratic_whose_constant_has_many_divisors_is_irreducible(self):
+        # 21621600 = 2^5 3^3 5^2 7 11 13 has 576 divisors, so an interpolation
+        # search for a linear factor would pass the Kronecker budget
+        quadratic = parse_laurent("21621600 - t + t^2")
+        with oracles.budget(2.0, "factoring t^2 - t + 21621600"):
+            assert factor(quadratic).factors == ((quadratic, 1),)
+
+    def test_linear_factor_beside_a_constant_with_many_divisors(self):
+        linear = parse_laurent("-2 + 3t")
+        cubic = parse_laurent("21621600 - t + t^3")
+        with oracles.budget(2.0, "factoring (3t - 2)(t^3 - t + 21621600)"):
+            assert factor(linear * cubic).factors == ((linear, 1), (cubic, 1))
+
+    def test_cyclotomic_factor_above_the_dense_limit(self, monkeypatch):
+        # factor builds a Phi_d that divides its input without the index check
+        phi = cyclotomic(105)
+        monkeypatch.setattr(laurent, "MAX_DENSE_BREADTH", 100)
+        assert phi.breadth == 48
+        assert factor(phi).factors == ((phi, 1),)
+        with pytest.raises(ValidationError):
+            cyclotomic(105)
+
+    def test_cyclotomic_builder_past_the_index_limit(self):
+        # phi(120120) = 23040 fits the dense limit though the index does not
+        with pytest.raises(ValidationError):
+            cyclotomic(120120)
+        assert laurent._cyclotomic(120120) == cyclotomic(30030).substitute_power(4)
 
     def test_exact_div(self):
         assert exact_div(TREFOIL * TREFOIL, TREFOIL) == TREFOIL
