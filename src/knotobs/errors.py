@@ -57,8 +57,8 @@ class AmbiguousSignatureError(KnotObsError):
     """Numeric signature could not be certified even at escalated precision."""
 
 
-class FactorizationComplexityError(KnotObsError):
-    """Interpolation factoring exceeded its search budget."""
+class FactorizationComplexityError(ValidationError):
+    """Zassenhaus recombination would pass `laurent.MAX_RECOMBINATIONS` subsets."""
 
 
 class InternalCheckError(KnotObsError):

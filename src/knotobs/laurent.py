@@ -10,15 +10,15 @@ odd-multiplicity self-reciprocal factors.
 Factorization has three stages: strip the integer content into prime
 constants, strip cyclotomic factors by trial division over every index d
 with phi(d) at most the degree (screened by integer divisibility of
-evaluations), then split the remaining square-free part with one
-splitter: linear factors by the rational root test, longer ones by Kronecker
-interpolation.  Desk scale degrees keep the interpolation search small.
+evaluations), then split the remaining square-free part by Zassenhaus:
+factor it modulo a small prime, Hensel-lift past the Mignotte bound, and
+recombine subsets of the lifted factors.
 
 The dense polynomial core works in plain integers throughout: cyclotomic
 polynomials are built, and divided out, through their Moebius factors
 t^e - 1, one linear pass per binomial; other exact division is long
-division with an early exit, gcd by a primitive pseudo-remainder
-sequence, interpolation by Newton divided differences.  The self-checks (the
+division with an early exit (reducing mod p^k in the splitter), and gcd a
+primitive pseudo-remainder sequence.  The self-checks (the
 factorization reproduces its input, the Fox-Milnor witness reproduces f)
 and the witness itself are exact products of powers by Kronecker
 substitution: each coefficient list packs into one integer, wide enough for
@@ -35,7 +35,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations, count, zip_longest
 from operator import add, sub
 
 from .errors import (
@@ -519,15 +519,24 @@ def exact_div(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _prime_factors(n: int) -> dict[int, int]:
+# factor trial-divides a content up to this bound; a larger prime is refused
+CONTENT_TRIAL_BOUND = 10**7
+
+
+def _prime_factors(n: int, bound: int | None = None) -> dict[int, int]:
+    """Trial division by 2 and the odd numbers p with p^2 <= the cofactor;
+    with a bound, p stops there, and a cofactor not shown prime is refused."""
     out: dict[int, int] = {}
     m = abs(n)
     p = 2
     while p * p <= m:
+        if bound is not None and p > bound:
+            raise ValidationError(f"cannot factor the integer content {n}: its "
+                                  f"cofactor above {bound}^2 has no prime factor up to {bound}")
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
-        p += 1
+        p += 1 + (p > 2)
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
@@ -538,14 +547,6 @@ def totient(n: int) -> int:
     if n < 1:
         raise ValidationError("totient requires n >= 1")
     return math.prod((p - 1) * p ** (k - 1) for p, k in _prime_factors(n).items())
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [1]
-    for p, e in _prime_factors(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 # (degree m, phis, ds): every index d with phi(d) <= m, sorted by (phi, d)
@@ -785,111 +786,150 @@ def _factor_key(p: LaurentPolynomial):
     return (p.breadth, dense)
 
 
-_KRONECKER_BUDGET = 400_000
+# Most subsets of modular factors that recombination may try, counted before
+# any lifting: 2^20 admits 21 factors.  4849845 t (t - 1) ... (t - 20) + 23,
+# irreducible with 21 linear factors mod 23, takes 3.7 s on a 2-core host.
+MAX_RECOMBINATIONS = 2**20
 
 
-def _kronecker_split(W: list) -> list | None:
-    """Find one nontrivial factor of least degree of a primitive square-free
-    polynomial of degree at least 2; returns the factor (dense, primitive,
-    positive lc) or None when W is irreducible.
+def _pmod(a: list, m: int) -> list:
+    return _trim([x % m for x in a])
 
-    A linear factor b t - a has b | lc(W) and a | W(0), and every such
-    candidate is tried, with no budget.  Without one, degree 2 or 3 is
-    irreducible and W vanishes at no integer, so a factor of degree d >= 2
-    takes its values among the divisors of W's values at d + 1 small
-    integer points; that interpolation search is budgeted.
+
+def _psub(a: list, b: list, m: int) -> list:
+    return _pmod([x - y for x, y in zip_longest(a, b, fillvalue=0)], m)
+
+
+def _pmul(a: list, b: list, m: int) -> list:
+    return _pmod(_dproduct([(a, 1), (b, 1)]), m)
+
+
+def _pdivmod(a: list, b: list, m: int) -> tuple[list, list]:
+    """(q, r) with a = q b + r mod m and deg r < deg b, for lc(b) a unit mod m."""
+    r, n, inv = _pmod(a, m), len(b), pow(b[-1], -1, m)
+    tail = [(j, y) for j, y in enumerate(b[:-1]) if y]
+    q = [0] * max(len(r) - n + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + n - 1] * inv % m
+        for j, y in tail:
+            r[k + j] -= c * y
+    return q, _pmod(r[: n - 1], m)
+
+
+def _ppow(a: list, e: int, f: list, m: int) -> list:
+    """a^e mod (f, m), by left-to-right repeated squaring."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _pdivmod(_pmul(out, out, m), f, m)[1]
+        if bit == "1":
+            out = _pdivmod(_pmul(out, a, m), f, m)[1]
+    return out
+
+
+def _pgcd(a: list, b: list, p: int) -> list:
+    """Monic gcd mod the prime p."""
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pmul(a, [pow(a[-1], -1, p)], p)
+
+
+def _pfactor(f: list, p: int) -> list[list]:
+    """Monic irreducible factors mod the odd prime p of a monic square-free f:
+    each gcd(f, t^(p^d) - t), split by `_psplit` (Modern Computer Algebra, 14.2)."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= _deg(f):
+        d += 1
+        h = _ppow(h, p, f, p)
+        g = _pgcd(f, _psub(h, [0, 1], p), p)
+        if _deg(g):
+            out += _psplit(g, d, p)
+            f = _pdivmod(f, g, p)[0]
+    return out + ([f] if _deg(f) else [])
+
+
+def _psplit(g: list, d: int, p: int) -> list[list]:
+    """Cantor-Zassenhaus (Modern Computer Algebra, 14.3): the factors of g, a
+    product of distinct degree-d irreducibles mod p.  gcd(g, a^((p^d-1)/2) - 1)
+    splits g for about half of all a; a takes the base-p digits of p, p + 1, ..."""
+    if _deg(g) == d:
+        return [g]
+    for n in count(p):
+        a = [n // p**i % p for i in range(n.bit_length())]
+        b = _pgcd(g, _psub(_ppow(a, (p**d - 1) // 2, g, p), [1], p), p)
+        if 0 < _deg(b) < _deg(g):
+            return _psplit(b, d, p) + _psplit(_pdivmod(g, b, p)[0], d, p)
+
+
+def _hensel_lift(W: list, h: list, p: int, M: int) -> list:
+    """The monic lift mod M = p^k of a monic irreducible factor h of W mod p
+    coprime to g = W / h, lifted quadratically with s = 1/g mod h (von zur
+    Gathen & Gerhard, 15.4): from m to m^2, W = g h + m e makes the divisor
+    h + m (s e mod h) and the inverse s (2 - s g); s starts as g^(p^deg h - 2)."""
+    s = _ppow(_pdivmod(W, h, p)[0], p ** _deg(h) - 2, h, p)
+    m = p
+    while m < M:
+        mm = min(m * m, M)
+        e = [c // m for c in _pdivmod(W, h, mm)[1]]
+        step = _pdivmod(_pmul(s, e, m), h, m)[1]
+        h = _pmod([a + m * b for a, b in zip_longest(h, step, fillvalue=0)], mm)
+        sg = _pmul(s, _pdivmod(W, h, mm)[0], mm)
+        s = _pdivmod(_pmul(s, _psub([2], sg, mm), mm), h, mm)[1]
+        m = mm
+    return h
+
+
+def _irreducibles(W: list) -> list[list]:
+    """Irreducible factors over Z of a primitive square-free dense W of
+    degree at least 1, by Zassenhaus (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 15.6; Knuth, TAOCP vol. 2, 4.6.2).
+
+    1. p is the first odd prime not dividing lc = lc(W), with W square-free
+       mod p; W / lc mod p splits into monic irreducibles g_i.
+    2. Each g_i lifts mod M = p^k > 2 |lc| 2^deg W ||W||_2, twice Mignotte's
+       bound on the coefficients of (lc / lc(v)) v for each v | W.
+    3. By increasing size, a subset gives lc prod g_i mod M in symmetric
+       residues; if its primitive part divides W it is a factor, and the
+       subset leaves the search.  A subset is skipped unformed when its
+       constant term does not divide lc W(0).
     """
-    for b in _divisors(W[-1]):
-        for a in _divisors(W[0]):
-            if math.gcd(a, b) == 1:
-                for cand in ([-a, b], [a, b]):
-                    if _dexact_div(W, cand) is not None:
-                        return cand
-    if _deg(W) <= 3:
-        return None
-    at = {x: _deval(W, x) for x in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6)}
-    pts = sorted(at, key=lambda x: abs(at[x]))
-    for d in range(2, _deg(W) // 2 + 1):
-        sel = pts[: d + 1]
-        # a factor and its negative are one: the first value takes positive divisors
-        divisor_lists = [_divisors(at[sel[0]])]
-        divisor_lists += [[s * t for t in _divisors(at[x]) for s in (1, -1)] for x in sel[1:]]
-        budget = math.prod(map(len, divisor_lists))
-        if budget > _KRONECKER_BUDGET:
-            raise FactorizationComplexityError(
-                f"interpolation search space {budget} exceeds budget at degree {d}"
-            )
-        # depth-first over divisor tuples; prune with (x_i - x_j) | (v_i - v_j)
-        stack: list[int] = []
-
-        def search(depth: int):
-            if depth == len(sel):
-                cand = _interpolate_integer(sel, stack)
-                if cand is not None and _deg(cand) == d:
-                    cand = _dprimitive(cand)
-                    if cand[-1] < 0:
-                        cand = [-x for x in cand]
-                    if _dexact_div(W, cand) is not None:
-                        return cand
-                return None
-            for v in divisor_lists[depth]:
-                if all((v - stack[j]) % (sel[depth] - sel[j]) == 0 for j in range(depth)):
-                    stack.append(v)
-                    hit = search(depth + 1)
-                    if hit is not None:
-                        return hit
-                    stack.pop()
-            return None
-
-        hit = search(0)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _interpolate_integer(xs: list[int], ys: list[int]) -> list | None:
-    """Integer polynomial through the points (xs[i], ys[i]), or None when the
-    interpolating polynomial has a non-integral coefficient.
-
-    Newton divided differences at distinct integer nodes are all integers
-    exactly when the interpolant has integer coefficients, so the first
-    non-divisible difference settles it.
-    """
-    m = len(xs)
-    newton = list(ys)
-    for k in range(1, m):
-        for i in range(m - 1, k - 1, -1):
-            diff, rem = divmod(newton[i] - newton[i - 1], xs[i] - xs[i - k])
-            if rem:
-                return None
-            newton[i] = diff
-    coeffs = [newton[-1]]  # Horner on the Newton form
-    for k in range(m - 2, -1, -1):
-        shifted = [0] + coeffs
-        for i, c in enumerate(coeffs):
-            shifted[i] -= xs[k] * c
-        shifted[0] += newton[k]
-        coeffs = shifted
-    return _trim(coeffs)
-
-
-def _kronecker_irreducibles(W: list) -> list[list]:
-    """Complete splitting of a primitive square-free dense polynomial into
-    irreducible factors."""
-    if _deg(W) <= 1:
-        return [W] if _deg(W) >= 1 else []
-    piece = _kronecker_split(W)
-    if piece is None:
+    lc, dW, p = W[-1], [i * c for i, c in enumerate(W)][1:], 3
+    while totient(p) < p - 1 or not lc % p or _deg(_pgcd(_pmod(W, p), _pmod(dW, p), p)):
+        p += 2
+    gs = _pfactor(_pmul(W, [pow(lc, -1, p)], p), p)
+    subsets = sum(math.comb(len(gs), s) for s in range(1, len(gs) // 2 + 1))
+    if subsets > MAX_RECOMBINATIONS:
+        raise FactorizationComplexityError(f"recombining {len(gs)} factors mod {p} may "
+                                           f"try {subsets} subsets, above {MAX_RECOMBINATIONS}")
+    if not subsets:
         return [W]
-    rest = _self_checked(_dexact_div(W, piece), "the Kronecker factor divides its input")
-    return _kronecker_irreducibles(piece) + _kronecker_irreducibles(_dprimitive(rest))
+    bound = abs(lc) * 2 ** _deg(W) * (math.isqrt(sum(c * c for c in W)) + 1)
+    M = p
+    while M <= 2 * bound:
+        M *= p
+    gs = [_hensel_lift(W, g, p, M) for g in gs]
+    out, s = [], 1
+    while 2 * s <= len(gs):
+        for S in combinations(range(len(gs)), s):
+            v = lc * math.prod(gs[i][0] for i in S) % M
+            if v and lc * W[0] % (v - M if 2 * v > M else v) == 0:
+                v = _pmod(_dproduct([([lc], 1)] + [(gs[i], 1) for i in S]), M)
+                cand = _dprimitive([c - M if 2 * c > M else c for c in v])
+                if (q := _dexact_div(W, cand)) is not None:
+                    out.append(cand)
+                    W, lc = q, q[-1]
+                    gs = [g for i, g in enumerate(gs) if i not in S]
+                    break
+        else:
+            s += 1
+    return out + [W]
 
 
 def factor(f: LaurentPolynomial) -> Factorization:
     """Complete irreducible factorization over Z up to units +-t^k, in three
     stages.
 
-    1. The integer content splits into prime constants.
+    1. The integer content splits into prime constants, by trial division
+       up to CONTENT_TRIAL_BOUND (a larger cofactor raises ValidationError).
     2. Every cyclotomic polynomial that can divide, Phi_d with phi(d) at most
        the remaining degree, is screened in increasing d: Phi_d(x) must
        divide F(x) at x = 2 and 3 wherever F(x) != 0, with Phi_d(x) computed
@@ -899,9 +939,9 @@ def factor(f: LaurentPolynomial) -> Factorization:
        only once it divides.  The longest list is F times the denominator
        binomials, with len(F) + (d / r) (sigma(r) - phi(r)) / 2 entries for
        r = rad d.
-    3. The square-free part of the rest splits, linear factors by the
-       rational root test and longer ones by Kronecker interpolation, and
-       each irreducible piece is divided out as often as it divides.
+    3. The square-free part of the rest splits into irreducibles by
+       Zassenhaus (`_irreducibles`), and each is divided out as often as it
+       divides.
     """
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
@@ -920,7 +960,7 @@ def factor(f: LaurentPolynomial) -> Factorization:
     content = _dcontent(F)
     if content > 1:
         F = [x // content for x in F]
-        for p, e in _prime_factors(content).items():
+        for p, e in _prime_factors(content, CONTENT_TRIAL_BOUND).items():
             record(LaurentPolynomial.constant(p), e)
 
     screen_vals = {x: v for x in (2, 3) if (v := _deval(F, x))}
@@ -942,7 +982,7 @@ def factor(f: LaurentPolynomial) -> Factorization:
     if _deg(F) >= 1:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))
         W = _dprimitive(_self_checked(_dexact_div(F, sqfree_gcd), "the square-free gcd divides F"))
-        for irr in _kronecker_irreducibles(W):
+        for irr in _irreducibles(W):
             poly = _from_dense(irr).canonical()
             dense_irr = _dense(poly)
             mult = 0

@@ -187,6 +187,58 @@ FACTOR_POOL = UNIT_AT_ONE_POOL + [
 ]
 
 
+def shift_argument(coeffs: list, a: int) -> list:
+    """Coefficients (low degree first) of g(t + a), by Horner's rule in t + a."""
+    out = []
+    for c in reversed(coeffs):
+        out = [x + a * y for x, y in zip([0] + out, out + [0])]
+        out[0] += c
+    return out
+
+
+def is_eisenstein(coeffs: list, q: int) -> bool:
+    """Eisenstein's criterion at the prime q: q divides every coefficient but
+    the leading one, which it does not divide, and q^2 misses the constant."""
+    return coeffs[-1] % q != 0 and all(c % q == 0 for c in coeffs[:-1]) and coeffs[0] % (q * q) != 0
+
+
+def random_eisenstein(rng: random.Random, max_degree: int = 5) -> LaurentPolynomial:
+    """A primitive polynomial of degree 2..max_degree, irreducible over Z by
+    Eisenstein's criterion (checked here), with t -> t + a applied to hide
+    the pattern; irreducibility survives the shift."""
+    q = rng.choice([2, 3, 5, 7])
+    degree = rng.randint(2, max_degree)
+    coeffs = [q * rng.choice([c for c in range(-4, 5) if c % q])]
+    coeffs += [q * rng.randint(-3, 3) for _ in range(degree - 1)]
+    coeffs.append(rng.choice([c for c in range(-5, 6) if c % q]))
+    content = math.gcd(*coeffs)
+    coeffs = [c // content for c in coeffs]
+    if not is_eisenstein(coeffs, q):
+        raise AssertionError(f"{coeffs} is not Eisenstein at {q}")
+    shifted = shift_argument(coeffs, rng.randint(-3, 3))
+    return LaurentPolynomial(dict(enumerate(shifted))).canonical()
+
+
+def swinnerton_dyer(primes) -> LaurentPolynomial:
+    """The Swinnerton-Dyer polynomial S_k, the product of t + sum(+-sqrt p)
+    over all signs, for the first k primes given.  In integers: S_0 = t and
+    S_{k+1} = A^2 - p B^2, where S_k(t + sqrt p) = A + sqrt(p) B.  It is
+    irreducible of degree 2^k, yet splits into factors of degree at most 2
+    modulo every prime."""
+    s = [0, 1]
+    for p in primes:
+        a, b = [0] * len(s), [0] * len(s)
+        for i, c in enumerate(s):
+            for j in range(i + 1):
+                # the term C(i, j) t^(i-j) sqrt(p)^j of (t + sqrt p)^i
+                term = c * math.comb(i, j) * p ** (j // 2)
+                (b if j % 2 else a)[i - j] += term
+        a2 = convolve(dict(enumerate(a)), dict(enumerate(a)))
+        b2 = convolve(dict(enumerate(b)), dict(enumerate(b)))
+        s = [a2.get(e, 0) - p * b2.get(e, 0) for e in range(2 * len(s) - 1)]
+    return LaurentPolynomial(dict(enumerate(s)))
+
+
 def random_normalized_poly(rng: random.Random, max_breadth: int = 10) -> LaurentPolynomial:
     """Random f with f(1) = +-1, built from the unit-at-one pool, with a
     random unit +-t^k thrown in."""

@@ -13,6 +13,7 @@ import oracles
 from knotobs import laurent
 from knotobs.cli import run
 from knotobs.errors import (
+    FactorizationComplexityError,
     NormalizationError,
     ParseError,
     ValidationError,
@@ -212,11 +213,6 @@ class TestIntegerCore:
         assert laurent._dgcd(a, b) == [-1, 1]
         assert laurent._dgcd([-2, 0, -2], [4, 0, 4]) == [1, 0, 1]
         assert laurent._dgcd([3, 1], [5]) == [1]
-
-    def test_interpolation_is_integral_or_none(self):
-        assert laurent._interpolate_integer([0, 1, 2], [1, 3, 7]) == [1, 1, 1]
-        assert laurent._interpolate_integer([0, -1, 2, 3], [-2, -3, 6, 25]) == [-2, 0, 0, 1]
-        assert laurent._interpolate_integer([0, 2], [0, 1]) is None  # t / 2
 
     def test_cyclotomic_matches_moebius_oracle(self):
         for n in range(1, 301):
@@ -471,8 +467,7 @@ class TestFactor:
 
     def test_splitter_returns_an_integer_root(self):
         quadratic = parse_laurent("7 + t + t^2")
-        W = laurent._dense(parse_laurent("t - 2") * quadratic)
-        assert laurent._kronecker_split(W) == [-2, 1]
+        assert factor(quadratic).factors == ((quadratic, 1),)
         assert factor(parse_laurent("t - 2") * quadratic).factors == (
             (parse_laurent("-2 + t"), 1),
             (quadratic, 1),
@@ -481,13 +476,104 @@ class TestFactor:
     def test_splitter_finds_a_repeated_non_integer_root(self):
         quadratic = parse_laurent("7 + t + t^2")
         linear = parse_laurent("1 + 3t")
-        assert laurent._kronecker_split(laurent._dense(linear * quadratic)) == [1, 3]
-        assert laurent._kronecker_split(laurent._dense(quadratic)) is None
+        assert factor(linear * quadratic).factors == ((linear, 1), (quadratic, 1))
         assert factor(linear**2 * quadratic).factors == ((linear, 2), (quadratic, 1))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 + 2t^3 + 5t^7 - 3t^11 + 7t^13",
+            "t^12 + 3t^7 - t^5 + 2",
+            "t^60 + t + 1",
+            "t^4 - t + 21621600",
+            "t^4 + 3t + 100000000000000000039",
+        ],
+    )
+    def test_sparse_and_large_constant_irreducibles(self, text):
+        f = parse_laurent(text)
+        with oracles.budget(2.0, f"factoring {text}"):
+            assert factor(f).factors == ((f, 1),)
+
+    def test_linear_factor_beside_a_quartic_with_many_divisors(self):
+        linear = parse_laurent("-7 + t")
+        quartic = parse_laurent("21621600 - t + t^4")
+        with oracles.budget(2.0, "factoring (t - 7)(t^4 - t + 21621600)"):
+            assert factor(linear * quartic).factors == ((linear, 1), (quartic, 1))
+
+    def test_trinomial_with_a_cyclotomic_factor(self):
+        f = parse_laurent("t^20 + t + 1")
+        cofactor = exact_div(f, cyclotomic(3))
+        assert cofactor.breadth == 18
+        with oracles.budget(2.0, "factoring t^20 + t + 1"):
+            assert factor(f).factors == ((cyclotomic(3), 1), (cofactor, 1))
+
+    def test_cli_factors_a_sparse_irreducible(self, capsys):
+        with oracles.budget(2.0, "knotobs factor t^12 + 3t^7 - t^5 + 2"):
+            assert run(["factor", "t^12 + 3t^7 - t^5 + 2"]) == 0
+        rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        assert [value for key, value in rows if key == "factor"] == [
+            f"({format_laurent(parse_laurent('2 - t^5 + 3t^7 + t^12'))})^1"
+        ]
+
+    def test_swinnerton_dyer_is_irreducible(self):
+        # S_4 splits into 8 quadratics modulo every prime, so every subset
+        # of up to 4 of them is tried and none divides
+        s4 = oracles.swinnerton_dyer([2, 3, 5, 7])
+        assert s4.coeffs == {
+            0: 46225, 2: -5596840, 4: 13950764, 6: -7453176, 8: 1513334,
+            10: -141912, 12: 6476, 14: -136, 16: 1,
+        }
+        with oracles.budget(2.0, "factoring S_4"):
+            assert factor(s4).factors == ((s4, 1),)
+
+    def test_products_of_known_irreducibles(self):
+        rng = random.Random(1313)
+        s4 = oracles.swinnerton_dyer([2, 3, 5, 7])
+        for _ in range(60):
+            pool = [oracles.random_eisenstein(rng) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                pool[-1] = s4
+            expected = {}
+            f = ONE
+            for p in pool:
+                m = rng.randint(1, 2)
+                expected[p] = expected.get(p, 0) + m
+                f = f * p**m
+            assert dict(factor(f).factors) == expected
+
+    def test_recombination_beyond_the_limit_is_refused_at_once(self, monkeypatch):
+        # S_5 splits into 16 quadratics mod 19, its first good prime, so
+        # recombination may try the subsets of up to 8 of them
+        s5 = oracles.swinnerton_dyer([2, 3, 5, 7, 11])
+        subsets = sum(math.comb(16, s) for s in range(1, 9))
+        monkeypatch.setattr(laurent, "MAX_RECOMBINATIONS", subsets)
+        assert factor(s5).factors == ((s5, 1),)
+        monkeypatch.setattr(laurent, "MAX_RECOMBINATIONS", subsets - 1)
+        with oracles.budget(2.0, "refusing the recombination of S_5"):
+            with pytest.raises(FactorizationComplexityError, match=f"{subsets} subsets"):
+                factor(s5)
+            assert run(["factor", format_laurent(s5)]) == 1
+
+    def test_large_prime_content_is_refused_at_once(self, capsys):
+        # 10^14 - 27 is prime and at most the bound squared: it answers
+        big = parse_laurent("99999999999973 + 99999999999973t")
+        with oracles.budget(3.0, "factoring content 99999999999973"):
+            assert dict(factor(big).factors) == {
+                LaurentPolynomial.constant(99999999999973): 1,
+                parse_laurent("1 + t"): 1,
+            }
+        # 10^20 + 39 is a prime above the bound squared
+        huge = "100000000000000000039 + 100000000000000000039t"
+        with oracles.budget(3.0, "refusing content 100000000000000000039"):
+            with pytest.raises(ValidationError, match="content"):
+                factor(parse_laurent(huge))
+        with oracles.budget(3.0, "knotobs factor with content 100000000000000000039"):
+            assert run(["factor", huge]) == 1
+        assert "invalid:" in capsys.readouterr().err
+
     def test_quadratic_whose_constant_has_many_divisors_is_irreducible(self):
-        # 21621600 = 2^5 3^3 5^2 7 11 13 has 576 divisors, so an interpolation
-        # search for a linear factor would pass the Kronecker budget
+        # 21621600 = 2^5 3^3 5^2 7 11 13 has 576 divisors: a search over the
+        # divisors of the coefficients or values would be large
         quadratic = parse_laurent("21621600 - t + t^2")
         with oracles.budget(2.0, "factoring t^2 - t + 21621600"):
             assert factor(quadratic).factors == ((quadratic, 1),)
