@@ -5,69 +5,4 @@ signature jump certificates, piecewise-linear Upsilon obstructions and an
 ordered-abelian-group engine for epsilon-class domination arguments.
 """
 
-from .laurent import (
-    Factorization,
-    FoxMilnorResult,
-    LaurentPolynomial,
-    cyclotomic,
-    factor,
-    format_laurent,
-    fox_milnor,
-    gsp_lower_bound,
-    parse_laurent,
-    torus_alexander,
-    totient,
-)
-from .knots import (
-    GenusReport,
-    KnotExpression,
-    alexander,
-    family,
-    format_knot,
-    genus,
-    gsp_bound_of_knot,
-    parse_knot,
-)
-from .signature import (
-    IndependenceCertificate,
-    JumpFunction,
-    SeifertMatrix,
-    expression_jumps,
-    numeric_signature,
-    seifert_from_braid,
-    signature_at,
-    torus_independence_certificate,
-    torus_jumps,
-)
-from .upsilon import (
-    JumpGerm,
-    PiecewiseLinearFunction,
-    Staircase,
-    jprime_germ,
-    min_genus_from_singularity,
-    obstruct_Gn,
-    oss_hom,
-    staircase_from_alexander,
-    summand_certificate_upsilon,
-    upsilon_from_staircase,
-    upsilon_torus,
-)
-from .ordered import (
-    DominationVerdict,
-    EpsilonClass,
-    LexElement,
-    a2_upper_bound,
-    archimedean,
-    chain_independence,
-    compare_aplus,
-    epsilon_obstruction,
-    lex_compare,
-    load_registry,
-    property_A_check,
-    quotient_compare,
-    subgroup_certificate_epsilon,
-    subgroup_membership,
-    summand_certificate_epsilon,
-)
-
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import artifacts, knots, laurent, ordered, signature, upsilon
+from . import knots, laurent
 from .errors import (
     InsufficientDataError,
     JumpEvaluationError,
@@ -101,7 +101,8 @@ def _genus_lines(report: knots.GenusReport) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns a Result
+# subcommand handlers: each returns a Result, and imports the signature,
+# upsilon and ordered layers only when it runs them
 # ---------------------------------------------------------------------------
 
 
@@ -151,6 +152,8 @@ def _cmd_factor(args):
 
 
 def _cmd_sig_jumps(args):
+    from . import signature
+
     expr = knots.parse_knot(args.expression)
     jf = signature.expression_jumps(expr)
     shown = knots.format_knot(expr)
@@ -169,6 +172,8 @@ def _cmd_sig_jumps(args):
 
 
 def _cmd_sig_certify(args):
+    from . import signature
+
     pairs = [_parse_pair(p) for p in args.pair]
     cert = signature.torus_independence_certificate(pairs, args.k)
     head = [("generators", ", ".join(f"T({p},{q})" for p, q in pairs)), ("filtration level", args.k)]
@@ -176,6 +181,8 @@ def _cmd_sig_certify(args):
 
 
 def _cmd_upsilon(args):
+    from . import upsilon
+
     expr = knots.parse_knot(args.expression)
     fn = upsilon.upsilon_of_expression(expr)
     shown = knots.format_knot(expr)
@@ -192,6 +199,8 @@ def _cmd_upsilon(args):
 
 
 def _cmd_upsilon_obstruct(args):
+    from . import upsilon
+
     if (args.expression is None) == (args.germ_index is None):
         raise ValidationError("provide exactly one of EXPRESSION or --germ-index")
     prov = ()
@@ -212,6 +221,8 @@ def _cmd_upsilon_obstruct(args):
 
 
 def _cmd_upsilon_certify(args):
+    from . import upsilon
+
     cert = upsilon.summand_certificate_upsilon(args.k, args.max)
     head = [
         ("family", f"J'_{args.k} .. J'_{args.max}"),
@@ -222,13 +233,16 @@ def _cmd_upsilon_certify(args):
 
 
 def _cmd_ordered_demo(args):
-    results = ordered.run_property_suites(rank=args.rank, cases=args.cases, seed=args.seed)
+    from . import ordered
+
+    rank = ordered.DEFAULT_RANK if args.rank is None else args.rank
+    results = ordered.run_property_suites(rank=rank, cases=args.cases, seed=args.seed)
     width = max(len(r.name) for r in results)
     lines = [f"  {r.name:<{width}}  {r.cases:>5} cases  {r.failures} failures" for r in results]
     all_ok = all(r.passed for r in results)
     lines.append(("suites", "ALL PASS" if all_ok else "FAILURES"))
     payload = {
-        "rank": args.rank,
+        "rank": rank,
         "cases": args.cases,
         "seed": args.seed,
         "suites": [r.as_dict() for r in results],
@@ -237,6 +251,8 @@ def _cmd_ordered_demo(args):
 
 
 def _cmd_eps_obstruct(args):
+    from . import ordered
+
     given = (args.label is not None, args.a1 is not None, args.a2 is not None)
     if given not in ((True, False, False), (False, True, True)):
         raise ValidationError("provide either --label or both --a1 and --a2")
@@ -257,6 +273,8 @@ def _cmd_eps_obstruct(args):
 
 
 def _cmd_eps_certify(args):
+    from . import ordered
+
     if args.family == "J":
         cert = ordered.summand_certificate_epsilon(args.k, args.max)
     else:
@@ -344,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ordered-demo", _cmd_ordered_demo, "randomized property suites for the ordered-group model")
     p.add_argument("--seed", type=int, default=2025)
     p.add_argument("--cases", type=int, default=1000)
-    p.add_argument("--rank", type=int, default=ordered.DEFAULT_RANK)
+    # None stands for ordered.DEFAULT_RANK: reading it here would load ordered for every command
+    p.add_argument("--rank", type=int)
 
     p = add("eps-obstruct", _cmd_eps_obstruct, "epsilon-class domination obstruction")
     p.add_argument("--label", help="registry record, e.g. J_5 or L_4")
@@ -399,6 +418,10 @@ def _failure(exc: Exception) -> Result:
 
 
 def _write_artifacts(args, result: Result) -> None:
+    if not any(getattr(args, kind, None) for kind in ("json", "csv", "svg")):
+        return
+    from . import artifacts
+
     if getattr(args, "json", None):
         doc = artifacts.result_envelope(
             args.command, result.status, result.payload, result.provenance

@@ -786,9 +786,10 @@ def _factor_key(p: LaurentPolynomial):
     return (p.breadth, dense)
 
 
-# Most subsets of modular factors that recombination may try, counted before
-# any lifting: 2^20 admits 21 factors.  4849845 t (t - 1) ... (t - 20) + 23,
-# irreducible with 21 linear factors mod 23, takes 3.7 s on a 2-core host.
+# Most subsets of modular factors that recombination may try, counted on the
+# factors left after the pass over single factors: 2^20 admits 21 factors.
+# 4849845 t (t - 1) ... (t - 20) + 23, irreducible with 21 linear factors
+# mod 23, takes 3.7 s on a 2-core host.
 MAX_RECOMBINATIONS = 2**20
 
 
@@ -890,17 +891,15 @@ def _irreducibles(W: list) -> list[list]:
     3. By increasing size, a subset gives lc prod g_i mod M in symmetric
        residues; if its primitive part divides W it is a factor, and the
        subset leaves the search.  A subset is skipped unformed when its
-       constant term does not divide lc W(0).
+       constant term does not divide lc W(0).  After the single factors,
+       the subsets of the factors left are counted against
+       MAX_RECOMBINATIONS before any pair is tried.
     """
     lc, dW, p = W[-1], [i * c for i, c in enumerate(W)][1:], 3
     while totient(p) < p - 1 or not lc % p or _deg(_pgcd(_pmod(W, p), _pmod(dW, p), p)):
         p += 2
     gs = _pfactor(_pmul(W, [pow(lc, -1, p)], p), p)
-    subsets = sum(math.comb(len(gs), s) for s in range(1, len(gs) // 2 + 1))
-    if subsets > MAX_RECOMBINATIONS:
-        raise FactorizationComplexityError(f"recombining {len(gs)} factors mod {p} may "
-                                           f"try {subsets} subsets, above {MAX_RECOMBINATIONS}")
-    if not subsets:
+    if len(gs) == 1:
         return [W]
     bound = abs(lc) * 2 ** _deg(W) * (math.isqrt(sum(c * c for c in W)) + 1)
     M = p
@@ -921,6 +920,12 @@ def _irreducibles(W: list) -> list[list]:
                     break
         else:
             s += 1
+            if s == 2:  # the single factors are out: count the subsets of the rest
+                subsets = sum(math.comb(len(gs), k) for k in range(1, len(gs) // 2 + 1))
+                if subsets > MAX_RECOMBINATIONS:
+                    raise FactorizationComplexityError(
+                        f"recombining {len(gs)} factors mod {p} may try {subsets} subsets, "
+                        f"above {MAX_RECOMBINATIONS}")
     return out + [W]
 
 
@@ -933,12 +938,12 @@ def factor(f: LaurentPolynomial) -> Factorization:
     2. Every cyclotomic polynomial that can divide, Phi_d with phi(d) at most
        the remaining degree, is screened in increasing d: Phi_d(x) must
        divide F(x) at x = 2 and 3 wherever F(x) != 0, with Phi_d(x) computed
-       as an integer without building Phi_d.  Only a d that passes the
-       screen is tried, by trial division through the binomial factors
-       t^e - 1 of Phi_d, each step linear in the length of F; Phi_d is built
-       only once it divides.  The longest list is F times the denominator
-       binomials, with len(F) + (d / r) (sigma(r) - phi(r)) / 2 entries for
-       r = rad d.
+       as an integer without building Phi_d.  Each division, the first and
+       every repeat, is tried only while the updated F passes the screen,
+       by trial division through the binomial factors t^e - 1 of Phi_d,
+       each step linear in the length of F; Phi_d is built only once it
+       divides.  The longest list is F times the denominator binomials,
+       with len(F) + (d / r) (sigma(r) - phi(r)) / 2 entries for r = rad d.
     3. The square-free part of the rest splits into irreducibles by
        Zassenhaus (`_irreducibles`), and each is divided out as often as it
        divides.
@@ -967,17 +972,15 @@ def factor(f: LaurentPolynomial) -> Factorization:
     for phi, d in zip(*_cyclotomic_indices(_deg(F))):
         if phi > _deg(F):
             break
-        if any(v % _cyclotomic_at(d, x) for x, v in screen_vals.items()):
-            continue
         mult = 0
-        while (q := _ddiv_cyclotomic(F, d)) is not None:
+        while not any(v % _cyclotomic_at(d, x) for x, v in screen_vals.items()):
+            if (q := _ddiv_cyclotomic(F, d)) is None:
+                break
             F, mult = q, mult + 1
+            # Phi_d(x) >= 1 at x = 2, 3: F(x) stays zero or nonzero
+            screen_vals = {x: v // _cyclotomic_at(d, x) for x, v in screen_vals.items()}
         if mult:
             record(_cyclotomic(d), mult)
-            # Phi_d(x) >= 1 at x = 2, 3: F(x) stays zero or nonzero
-            screen_vals = {
-                x: v // _cyclotomic_at(d, x) ** mult for x, v in screen_vals.items()
-            }
 
     if _deg(F) >= 1:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))

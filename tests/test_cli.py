@@ -148,13 +148,18 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_numpy_out():
+    """Importing the CLI loads no numpy, and a cold `factor` loads none of
+    the layers it does not run."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, knotobs.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    unused = ["numpy", "knotobs.ordered", "knotobs.signature", "knotobs.upsilon"]
+    for run_cli, absent in (("", unused[:1]), ("cli.run(['factor', 'T(7,13)']); ", unused)):
+        probe = (f"import sys; from knotobs import cli; {run_cli}"
+                 f"print([m for m in {absent!r} if m in sys.modules])")
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "[]", run_cli
 
 
 class TestArtifacts:
@@ -184,6 +189,11 @@ class TestArtifacts:
         validate(doc["payload"], "upsilon_certificate.schema.json")
         matrix = doc["payload"]["matrix"]
         assert len(matrix) == 5 and matrix[0][0] == "1" and matrix[1][0] == "0"
+
+    def test_upsilon_breakpoints_schema(self, tmp_path, capsys):
+        doc = run_json(tmp_path, ["upsilon", "T(3,4)"], 0)
+        validate(doc["payload"], "piecewise_linear.schema.json")
+        assert doc["payload"]["breakpoints"][1] == ["2/3", "-2"]
 
     def test_eps_certificate_schema(self, tmp_path, capsys):
         doc = run_json(tmp_path, ["eps-certify", "--k", "2", "--max", "8"], 0)

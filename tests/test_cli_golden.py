@@ -9,6 +9,7 @@ After an intended output change, rewrite the goldens with
 
 import contextlib
 import io
+import os
 import shlex
 import shutil
 import tempfile
@@ -60,9 +61,13 @@ def cases() -> dict[str, list[str]]:
 
 def outputs(argv: list[str], workdir: Path) -> dict[str, bytes]:
     """Stdout, exit code and every file the command writes into `workdir`."""
-    stdout = io.StringIO()
-    with contextlib.chdir(workdir), contextlib.redirect_stdout(stdout):
-        code = cli.run(argv)
+    stdout, cwd = io.StringIO(), os.getcwd()
+    os.chdir(workdir)  # contextlib.chdir needs Python 3.11
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = cli.run(argv)
+    finally:
+        os.chdir(cwd)
     result = {"stdout": stdout.getvalue().encode(), "exit_code": f"{code}\n".encode()}
     result.update((p.name, p.read_bytes()) for p in workdir.iterdir())
     return result

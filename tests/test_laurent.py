@@ -10,7 +10,7 @@ from itertools import takewhile
 import pytest
 
 import oracles
-from knotobs import laurent
+from knotobs import knots, laurent
 from knotobs.cli import run
 from knotobs.errors import (
     FactorizationComplexityError,
@@ -351,6 +351,23 @@ class TestBinomialKernels:
             laurent._cyclotomic.__wrapped__(n)
         assert divisors == []
 
+    def test_repeated_division_is_screened_first(self, monkeypatch):
+        # J_8's polynomial is the square of six cyclotomics: each division,
+        # repeats included, is tried only while Phi_d(2) and Phi_d(3) still
+        # divide what is left, so none of the 12 tried fails
+        delta = knots.alexander(knots.family("J", 8))
+        divide, calls = laurent._ddiv_cyclotomic, []
+
+        def recording_div(a, d):
+            q = divide(a, d)
+            calls.append((d, q is not None))
+            return q
+
+        monkeypatch.setattr(laurent, "_ddiv_cyclotomic", recording_div)
+        fac = factor(delta)
+        assert [m for _, m in fac.factors] == [2] * 6
+        assert len(calls) == 12 and all(ok for _, ok in calls), calls
+
 
 class TestDenseProduct:
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
@@ -553,6 +570,16 @@ class TestFactor:
             with pytest.raises(FactorizationComplexityError, match=f"{subsets} subsets"):
                 factor(s5)
             assert run(["factor", format_laurent(s5)]) == 1
+
+    def test_many_linear_factors_leave_no_recombination(self):
+        # 22 factors mod 23 would pass the recombination limit, but each is
+        # a true factor and leaves in the pass over single factors
+        linears = [parse_laurent(f"t - {a}") for a in range(2, 24)]
+        f = ONE
+        for p in linears:
+            f = f * p
+        with oracles.budget(2.0, "factoring (t - 2) ... (t - 23)"):
+            assert dict(factor(f).factors) == dict.fromkeys(linears, 1)
 
     def test_large_prime_content_is_refused_at_once(self, capsys):
         # 10^14 - 27 is prime and at most the bound squared: it answers
