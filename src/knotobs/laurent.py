@@ -8,19 +8,21 @@ explicit witness, and the splitting-genus lower bound read off from
 odd-multiplicity self-reciprocal factors.
 
 Factorization has three stages: strip the integer content into prime
-constants, strip cyclotomic factors by trial division over every index d
-with phi(d) at most the degree (screened by integer divisibility of
-evaluations), then split the remaining square-free part by Zassenhaus:
-factor it modulo a small prime, Hensel-lift past the Mignotte bound, and
-recombine subsets of the lifted factors.
+constants, strip cyclotomic factors (screen every index d with phi(d) at most
+the degree by integer divisibility of evaluations, then divide once by the
+product of the candidates, falling back to one index at a time when a
+candidate was false), then split the remaining square-free part by
+Zassenhaus: factor it modulo a small prime, Hensel-lift past the Mignotte
+bound, and recombine subsets of the lifted factors.
 
 The dense polynomial core works in plain integers throughout: cyclotomic
 polynomials are built, and divided out, through their Moebius factors
-t^e - 1, one linear pass per binomial; other exact division is long
-division with an early exit (reducing mod p^k in the splitter), and gcd a
-primitive pseudo-remainder sequence.  The self-checks (the
-factorization reproduces its input, the Fox-Milnor witness reproduces f)
-and the witness itself are exact products of powers by Kronecker
+t^e - 1, one linear pass per binomial (for a product of cyclotomics, per
+binomial left after the exponents of its factors cancel); other exact
+division is long division with an early exit (reducing mod p^k in the
+splitter), and gcd a primitive pseudo-remainder sequence.  The self-checks
+(the factorization reproduces its input, the Fox-Milnor witness reproduces
+f) and the witness itself are exact products of powers by Kronecker
 substitution: each coefficient list packs into one integer, wide enough for
 a bound on every coefficient of the product, and the polynomial product is
 one integer product.  Fractions appear only in `evaluate` (one division by
@@ -654,23 +656,37 @@ def _moebius_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return numer, denom
 
 
+def _ddiv_cyclotomics(a: list, pairs):
+    """Exact quotient a / prod Phi_d^m over the (d, m) in pairs, of a trimmed
+    list, or None when that product does not divide a, building no Phi_d.
+
+    The product is prod (t^e - 1)^n_e over the net Moebius exponents n_e,
+    the sums of m mu(d/e): a is multiplied by each binomial with n_e < 0,
+    then divided exactly by each with n_e > 0.  Exact division by monic
+    polynomials stays in Z[t], so when the product divides a every step
+    divides exactly, and a None from any step proves that it does not.
+    """
+    net: dict[int, int] = {}
+    for d, m in pairs:
+        numer, denom = _moebius_exponents(d)
+        for e in numer:
+            net[e] = net.get(e, 0) + m
+        for e in denom:
+            net[e] = net.get(e, 0) - m
+    for e, n in net.items():
+        for _ in range(-n):
+            a = _dtimes_binomial(a, e)
+    for e in sorted(net, reverse=True):
+        for _ in range(net[e]):
+            if (a := _ddiv_binomial(a, e)) is None:
+                return None
+    return a
+
+
 def _ddiv_cyclotomic(a: list, d: int):
     """Exact quotient a / Phi_d of a trimmed list, or None when Phi_d does
-    not divide a, without building Phi_d.
-
-    a / Phi_d = a * prod(denominator binomials) / prod(numerator binomials)
-    of the Moebius product.  Exact division by monic polynomials stays in
-    Z[t], so when Phi_d divides a every step divides exactly, and a None
-    from any step proves that Phi_d does not divide a.
-    """
-    numer, denom = _moebius_exponents(d)
-    for e in denom:
-        a = _dtimes_binomial(a, e)
-    for e in numer:
-        a = _ddiv_binomial(a, e)
-        if a is None:
-            return None
-    return a
+    not divide a."""
+    return _ddiv_cyclotomics(a, [(d, 1)])
 
 
 def cyclotomic(n: int) -> LaurentPolynomial:
@@ -704,7 +720,13 @@ def _cyclotomic(n: int) -> LaurentPolynomial:
     return _from_dense(_dstretch(poly, n // rad))
 
 
-@lru_cache(maxsize=None)
+# Phi_d(x) values kept for reuse: a warm factoring workload of torus knots
+# and J, J', L polynomials reads about 200, and a screen near the dense
+# limit reads one for each of up to 194,429 indices
+CYCLOTOMIC_VALUE_CACHE = 512
+
+
+@lru_cache(maxsize=CYCLOTOMIC_VALUE_CACHE)
 def _cyclotomic_at(n: int, x: int) -> int:
     """Phi_n(x) for an integer x >= 2, as the integer
     prod_{d | n} (x^d - 1)^mu(n/d); no polynomial is built."""
@@ -929,21 +951,53 @@ def _irreducibles(W: list) -> list[list]:
     return out + [W]
 
 
+def _cyclotomic_screen(F: list, divide: bool) -> tuple[list, list]:
+    """(F, [(d, m)...]): the indices d, in increasing (phi(d), d), whose
+    Phi_d(x)^m divide the values of F at x = 2 and 3 (where nonzero) that
+    earlier indices left, with m phi(d) within the degree they left.
+
+    Phi_d(3) is computed only once Phi_d(2) divides.  Without divide, F is
+    returned as it is and each m is the most the values and the degree
+    allow: a necessary condition, which a false candidate can pass and so
+    take another index's share.  With divide, each step also divides Phi_d
+    out of F through `_ddiv_cyclotomic`, stops at the first remainder and
+    returns the quotient: then the m are the exact multiplicities.
+    """
+    n = _deg(F)
+    vals = [(x, v) for x in (2, 3) if (v := _deval(F, x))]
+    out = []
+    for phi, d in zip(*_cyclotomic_indices(n)):
+        if phi > n:
+            break
+        m = 0
+        while phi <= n and all(v % _cyclotomic_at(d, x) == 0 for x, v in vals):
+            if divide:
+                if (q := _ddiv_cyclotomic(F, d)) is None:
+                    break
+                F = q
+            # Phi_d(x) >= 1 at x = 2, 3: a value stays zero or nonzero
+            vals = [(x, v // _cyclotomic_at(d, x)) for x, v in vals]
+            m, n = m + 1, n - phi
+        if m:
+            out.append((d, m))
+    return F, out
+
+
 def factor(f: LaurentPolynomial) -> Factorization:
     """Complete irreducible factorization over Z up to units +-t^k, in three
     stages.
 
     1. The integer content splits into prime constants, by trial division
        up to CONTENT_TRIAL_BOUND (a larger cofactor raises ValidationError).
-    2. Every cyclotomic polynomial that can divide, Phi_d with phi(d) at most
-       the remaining degree, is screened in increasing d: Phi_d(x) must
-       divide F(x) at x = 2 and 3 wherever F(x) != 0, with Phi_d(x) computed
-       as an integer without building Phi_d.  Each division, the first and
-       every repeat, is tried only while the updated F passes the screen,
-       by trial division through the binomial factors t^e - 1 of Phi_d,
-       each step linear in the length of F; Phi_d is built only once it
-       divides.  The longest list is F times the denominator binomials,
-       with len(F) + (d / r) (sigma(r) - phi(r)) / 2 entries for r = rad d.
+    2. Cyclotomic factors Phi_d with phi(d) at most the degree: one screen
+       of the integers F(2) and F(3) (`_cyclotomic_screen`) yields
+       candidates (d, m), and F is divided once by their product through
+       the net Moebius binomials (`_ddiv_cyclotomics`).  When that division
+       is exact the candidates are the whole cyclotomic part, since only a
+       false candidate could take another factor's share of the values or
+       the degree; otherwise each candidate is divided out alone, at most m
+       times, and the screen runs again on what is left, dividing as it
+       goes.  Phi_d is built only once it divides.
     3. The square-free part of the rest splits into irreducibles by
        Zassenhaus (`_irreducibles`), and each is divided out as often as it
        divides.
@@ -968,19 +1022,20 @@ def factor(f: LaurentPolynomial) -> Factorization:
         for p, e in _prime_factors(content, CONTENT_TRIAL_BOUND).items():
             record(LaurentPolynomial.constant(p), e)
 
-    screen_vals = {x: v for x in (2, 3) if (v := _deval(F, x))}
-    for phi, d in zip(*_cyclotomic_indices(_deg(F))):
-        if phi > _deg(F):
-            break
-        mult = 0
-        while not any(v % _cyclotomic_at(d, x) for x, v in screen_vals.items()):
-            if (q := _ddiv_cyclotomic(F, d)) is None:
-                break
-            F, mult = q, mult + 1
-            # Phi_d(x) >= 1 at x = 2, 3: F(x) stays zero or nonzero
-            screen_vals = {x: v // _cyclotomic_at(d, x) for x, v in screen_vals.items()}
-        if mult:
-            record(_cyclotomic(d), mult)
+    _, cands = _cyclotomic_screen(F, divide=False)
+    if (q := _ddiv_cyclotomics(F, cands)) is None:
+        # a false candidate: the true ones shrink F before it is screened again
+        for d, m in cands:
+            for _ in range(m):
+                if (q := _ddiv_cyclotomic(F, d)) is None:
+                    break
+                F = q
+                record(_cyclotomic(d))
+        F, cands = _cyclotomic_screen(F, divide=True)
+    else:
+        F = q
+    for d, m in cands:
+        record(_cyclotomic(d), m)
 
     if _deg(F) >= 1:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))

@@ -227,6 +227,14 @@ class TestIntegerCore:
             for x in (2, 3):
                 assert laurent._cyclotomic_at(n, x) == cyclotomic(n).evaluate(x), (n, x)
 
+    def test_cyclotomic_values_are_held_up_to_a_fixed_bound(self):
+        # t^5000 - 1 reads 3,896 values, more than the cache holds
+        laurent._cyclotomic_at.cache_clear()
+        assert len(factor(parse_laurent("t^5000 - 1")).factors) == 20
+        info = laurent._cyclotomic_at.cache_info()
+        assert info.maxsize == laurent.CYCLOTOMIC_VALUE_CACHE
+        assert info.misses > info.currsize == laurent.CYCLOTOMIC_VALUE_CACHE
+
     def test_t2000_minus_1_splits_into_its_cyclotomics(self):
         fac = factor(parse_laurent("t^2000 - 1"))
         divisors = [d for d in range(1, 2001) if 2000 % d == 0]
@@ -351,22 +359,57 @@ class TestBinomialKernels:
             laurent._cyclotomic.__wrapped__(n)
         assert divisors == []
 
+    def test_net_product_division_matches_dense_division(self):
+        # the binomials of different Phi_d cancel: Phi_2 Phi_3 Phi_6 = (t^6 - 1) / (t - 1)
+        rng = random.Random(6464)
+        phis = {d: dense_phi(d) for d in range(1, 61)}
+        for _ in range(60):
+            pairs = [(d, rng.randint(1, 3)) for d in rng.sample(range(1, 61), rng.randint(1, 5))]
+            divisor = laurent._dproduct([(phis[d], m) for d, m in pairs])
+            a = random_dense(rng, rng.randint(1, 40))
+            for F in (a, laurent._dproduct([(a, 1), (divisor, 1)])):
+                assert laurent._ddiv_cyclotomics(F, pairs) == laurent._dexact_div(F, divisor), pairs
+        assert laurent._ddiv_cyclotomics(phis[6], []) == phis[6]
+
     def test_repeated_division_is_screened_first(self, monkeypatch):
-        # J_8's polynomial is the square of six cyclotomics: each division,
-        # repeats included, is tried only while Phi_d(2) and Phi_d(3) still
-        # divide what is left, so none of the 12 tried fails
+        # J_8's polynomial is the square of six cyclotomics: the screen on
+        # F(2) and F(3) finds all six twice, and one division through the
+        # net binomials (t^72 - 1)^2 (t - 1)^2 / ((t^8 - 1)^2 (t^9 - 1)^2)
+        # proves them, so no single Phi_d is divided out
         delta = knots.alexander(knots.family("J", 8))
-        divide, calls = laurent._ddiv_cyclotomic, []
-
-        def recording_div(a, d):
-            q = divide(a, d)
-            calls.append((d, q is not None))
-            return q
-
-        monkeypatch.setattr(laurent, "_ddiv_cyclotomic", recording_div)
+        calls = []
+        divide = laurent._ddiv_cyclotomic
+        monkeypatch.setattr(laurent, "_ddiv_cyclotomic", lambda a, d: calls.append(d) or divide(a, d))
         fac = factor(delta)
-        assert [m for _, m in fac.factors] == [2] * 6
-        assert len(calls) == 12 and all(ok for _, ok in calls), calls
+        assert fac.factors == tuple((cyclotomic(d), 2) for d in (6, 12, 18, 24, 36, 72))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "parts, expected",
+        [
+            # F(3) = 64 passes Phi_1(3) = 2 three times, which takes the degree
+            ([("1 + t", 3)], [("1 + t", 3)]),
+            # F(2) = 0, and Phi_1(3) = 2 divides F(3) = 4 twice
+            ([("t^2 - t - 2", 1)], [("t - 2", 1), ("t + 1", 1)]),
+            # F(2) = F(3) = 0: every index passes the screen
+            ([("t - 2", 1), ("t - 3", 1), ("t^2 + 1", 1)], [("t - 2", 1), ("t - 3", 1), ("t^2 + 1", 1)]),
+            # 2^5 divides 3^1000 - 1: Phi_1^5 takes the 2s of Phi_2(3), Phi_4(3), Phi_8(3)
+            ([("t^1000 - 1", 1)], [(d, 1) for d in range(1, 1001) if 1000 % d == 0]),
+        ],
+    )
+    def test_false_screen_candidates_fall_back_to_single_divisions(self, monkeypatch, parts, expected):
+        f = ONE
+        for text, m in parts:
+            f = f * parse_laurent(text) ** m
+        calls = []
+        divide = laurent._ddiv_cyclotomic
+        monkeypatch.setattr(laurent, "_ddiv_cyclotomic", lambda a, d: calls.append(d) or divide(a, d))
+        fac = factor(f)
+        assert calls, "the net product divided exactly"
+        assert dict(fac.factors) == {
+            cyclotomic(p) if isinstance(p, int) else parse_laurent(p): m for p, m in expected
+        }
+        assert len(fac.factors) == len(expected) and fac.expand() == f
 
 
 class TestDenseProduct:
