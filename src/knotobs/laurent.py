@@ -8,26 +8,28 @@ explicit witness, and the splitting-genus lower bound read off from
 odd-multiplicity self-reciprocal factors.
 
 Factorization has three stages: strip the integer content into prime
-constants, strip cyclotomic factors (screen every index d with phi(d) at most
-the degree by integer divisibility of evaluations, then divide once by the
-product of the candidates, falling back to one index at a time when a
-candidate was false), then split the remaining square-free part by
-Zassenhaus: factor it modulo a small prime, Hensel-lift past the Mignotte
-bound, and recombine subsets of the lifted factors.
+constants, strip cyclotomic factors (Phi_1 by exact division by t - 1, then
+screen every other index d with phi(d) at most the degree by integer
+divisibility of evaluations, then divide once by the product of the
+candidates, falling back to one index at a time when a candidate was
+false), then split the remaining square-free part by Zassenhaus: factor it
+modulo a small prime, Hensel-lift past the Mignotte bound, and recombine
+subsets of the lifted factors.
 
 The dense polynomial core works in plain integers throughout: cyclotomic
-polynomials are built, and divided out, through their Moebius factors
-t^e - 1, one linear pass per binomial (for a product of cyclotomics, per
-binomial left after the exponents of its factors cancel); other exact
-division is long division with an early exit (reducing mod p^k in the
-splitter), and gcd a primitive pseudo-remainder sequence.  The self-checks
-(the factorization reproduces its input, the Fox-Milnor witness reproduces
-f) and the witness itself are exact products of powers by Kronecker
-substitution: each coefficient list packs into one integer, wide enough for
-a bound on every coefficient of the product, and the polynomial product is
-one integer product.  Fractions appear only in `evaluate` (one division by
-x^-lo when the least exponent lo is negative, or at a Fraction point) and in
-the splitting-genus bound.
+polynomials are built, divided out and multiplied back in through their
+Moebius factors t^e - 1, one linear pass per binomial (for a product of
+cyclotomics, per binomial left after the exponents of its factors cancel);
+other exact division is long division with an early exit (reducing mod p^k
+in the splitter), and gcd a primitive pseudo-remainder sequence.  The
+self-checks (the factorization reproduces its input, the Fox-Milnor witness
+reproduces f) and the witness itself take their cyclotomic part through
+those binomials, and the other factors by Kronecker substitution: each
+coefficient list packs into one integer, wide enough for a bound on every
+coefficient of the product, and the polynomial product is one integer
+product.  Fractions appear only in `evaluate` (one division by x^-lo when
+the least exponent lo is negative, or at a Fraction point) and in the
+splitting-genus bound.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ class LaurentPolynomial:
     @property
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self._coeffs.values()) if self._coeffs else 0
+        return math.gcd(*self._coeffs.values())
 
     def primitive(self) -> "LaurentPolynomial":
         c = self.content
@@ -281,9 +283,7 @@ def parse_laurent(text: str) -> LaurentPolynomial:
     # split on + and - that start a new term; "^-" keeps its minus
     terms = []
     cur = ""
-    i = 0
-    while i < len(s):
-        ch = s[i]
+    for ch in s:
         if ch == "+" and cur:
             terms.append(cur)
             cur = ""
@@ -292,7 +292,6 @@ def parse_laurent(text: str) -> LaurentPolynomial:
             cur = "-"
         else:
             cur += ch
-        i += 1
     terms.append(cur)
     coeffs: dict[int, int] = {}
     for term in terms:
@@ -448,7 +447,7 @@ def _dexact_div(a: list, b: list):
 
 
 def _dcontent(a: list) -> int:
-    return math.gcd(*[abs(x) for x in a]) if a else 0
+    return math.gcd(*a)
 
 
 def _dprimitive(a: list) -> list:
@@ -644,7 +643,13 @@ def _ddiv_binomial(a: list, e: int):
     return list(chain.from_iterable(reversed(blocks)))[pad:]
 
 
-@lru_cache(maxsize=None)
+# Moebius exponents kept for reuse: a warm workload of torus knots and J, J',
+# L polynomials reads a few hundred indices, and a screen near the dense
+# limit one for each of up to 194,429 (about 300 bytes each)
+MOEBIUS_EXPONENT_CACHE = 1024
+
+
+@lru_cache(maxsize=MOEBIUS_EXPONENT_CACHE)
 def _moebius_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exponents of Phi_n = prod (t^e - 1)^mu(n/e) over e | n with n/e
     squarefree, as (those with mu = +1, those with mu = -1), largest first."""
@@ -659,6 +664,8 @@ def _moebius_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _ddiv_cyclotomics(a: list, pairs):
     """Exact quotient a / prod Phi_d^m over the (d, m) in pairs, of a trimmed
     list, or None when that product does not divide a, building no Phi_d.
+    A negative m multiplies: with every m negated the result is the product
+    a * prod Phi_d^m, never None.
 
     The product is prod (t^e - 1)^n_e over the net Moebius exponents n_e,
     the sums of m mu(d/e): a is multiplied by each binomial with n_e < 0,
@@ -788,11 +795,7 @@ class Factorization:
         return _from_dense([self.sign * c for c in dense]).shift(self.exponent)
 
     def multiplicity(self, p: LaurentPolynomial) -> int:
-        key = p.canonical()
-        for q, m in self.factors:
-            if q == key:
-                return m
-        return 0
+        return dict(self.factors).get(p.canonical(), 0)
 
     def as_dict(self) -> dict:
         return {
@@ -952,9 +955,10 @@ def _irreducibles(W: list) -> list[list]:
 
 
 def _cyclotomic_screen(F: list, divide: bool) -> tuple[list, list]:
-    """(F, [(d, m)...]): the indices d, in increasing (phi(d), d), whose
-    Phi_d(x)^m divide the values of F at x = 2 and 3 (where nonzero) that
-    earlier indices left, with m phi(d) within the degree they left.
+    """(F, [(d, m)...]): the indices d >= 2, in increasing (phi(d), d),
+    whose Phi_d(x)^m divide the values of F at x = 2 and 3 (where nonzero)
+    that earlier indices left, with m phi(d) within the degree they left.
+    Phi_1, which `factor` divides out exactly beforehand, is skipped.
 
     Phi_d(3) is computed only once Phi_d(2) divides.  Without divide, F is
     returned as it is and each m is the most the values and the degree
@@ -970,7 +974,7 @@ def _cyclotomic_screen(F: list, divide: bool) -> tuple[list, list]:
         if phi > n:
             break
         m = 0
-        while phi <= n and all(v % _cyclotomic_at(d, x) == 0 for x, v in vals):
+        while d > 1 and phi <= n and all(v % _cyclotomic_at(d, x) == 0 for x, v in vals):
             if divide:
                 if (q := _ddiv_cyclotomic(F, d)) is None:
                     break
@@ -989,7 +993,8 @@ def factor(f: LaurentPolynomial) -> Factorization:
 
     1. The integer content splits into prime constants, by trial division
        up to CONTENT_TRIAL_BOUND (a larger cofactor raises ValidationError).
-    2. Cyclotomic factors Phi_d with phi(d) at most the degree: one screen
+    2. Cyclotomic factors Phi_d with phi(d) at most the degree.  Phi_1 is
+       divided out by t - 1 as often as it divides.  For d >= 2, one screen
        of the integers F(2) and F(3) (`_cyclotomic_screen`) yields
        candidates (d, m), and F is divided once by their product through
        the net Moebius binomials (`_ddiv_cyclotomics`).  When that division
@@ -1001,20 +1006,43 @@ def factor(f: LaurentPolynomial) -> Factorization:
     3. The square-free part of the rest splits into irreducibles by
        Zassenhaus (`_irreducibles`), and each is divided out as often as it
        divides.
+
+    The answer is checked to reproduce f (`_check_factors`).
     """
+    return _factor(f)[0]
+
+
+def _check_factors(F, sign, factors, index):
+    """Raise InternalCheckError unless sign * prod p^m over the (p, m) in
+    factors is the dense F.  Each p in index, a map from Phi_d to d, is
+    multiplied in through the net Moebius binomials (`_ddiv_cyclotomics`
+    with m negated); the sign and every other p by `_dproduct`."""
+    rest = _dproduct([([sign], 1)] + [(_dense(p), m) for p, m in factors if p not in index])
+    if _ddiv_cyclotomics(rest, [(index[p], -m) for p, m in factors if p in index]) != F:
+        raise InternalCheckError("self-check failed: factorization must reproduce the input")
+
+
+def _factor(f: LaurentPolynomial) -> tuple[Factorization, dict]:
+    """`factor`, and the map from each cyclotomic factor Phi_d to d."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     exponent = f.min_exp
-    F = _dense(f)
+    F = dense = _dense(f)
     sign = 1
     if F[-1] < 0:
         sign = -1
         F = [-x for x in F]
 
     found: dict[LaurentPolynomial, int] = {}
+    index = {}  # Phi_d -> d
 
     def record(poly: LaurentPolynomial, mult: int = 1):
         found[poly] = found.get(poly, 0) + mult
+
+    def record_cyclotomic(d, mult=1):
+        poly = _cyclotomic(d)
+        index[poly] = d
+        record(poly, mult)
 
     content = _dcontent(F)
     if content > 1:
@@ -1022,6 +1050,10 @@ def factor(f: LaurentPolynomial) -> Factorization:
         for p, e in _prime_factors(content, CONTENT_TRIAL_BOUND).items():
             record(LaurentPolynomial.constant(p), e)
 
+    # Phi_1 exactly, by synthetic division by t - 1
+    while (q := _ddiv_binomial(F, 1)) is not None:
+        F = q
+        record_cyclotomic(1)
     _, cands = _cyclotomic_screen(F, divide=False)
     if (q := _ddiv_cyclotomics(F, cands)) is None:
         # a false candidate: the true ones shrink F before it is screened again
@@ -1030,12 +1062,12 @@ def factor(f: LaurentPolynomial) -> Factorization:
                 if (q := _ddiv_cyclotomic(F, d)) is None:
                     break
                 F = q
-                record(_cyclotomic(d))
+                record_cyclotomic(d)
         F, cands = _cyclotomic_screen(F, divide=True)
     else:
         F = q
     for d, m in cands:
-        record(_cyclotomic(d), m)
+        record_cyclotomic(d, m)
 
     if _deg(F) >= 1:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))
@@ -1053,10 +1085,9 @@ def factor(f: LaurentPolynomial) -> Factorization:
             raise InternalCheckError("self-check failed: factor residue must be the unit 1")
 
     ordered = tuple(sorted(found.items(), key=lambda kv: _factor_key(kv[0])))
-    result = Factorization(sign=sign, exponent=exponent, factors=ordered)
-    if result.expand() != f:
-        raise InternalCheckError("self-check failed: factorization must reproduce the input")
-    return result
+    # the exponent is f's least one by construction; the check reads the rest
+    _check_factors(dense, sign, ordered, index)
+    return Factorization(sign=sign, exponent=exponent, factors=ordered), index
 
 
 # ---------------------------------------------------------------------------
@@ -1103,23 +1134,25 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
         raise NormalizationError(
             f"normalization required: f(1) = {f.evaluate(1)}, expected +-1"
         )
-    fac = factor(f)
-    mult = {p: m for p, m in fac.factors}
+    fac, index = _factor(f)
+    mult = dict(fac.factors)
     violations = []
-    parts = []
+    parts = []  # (dense a, k): the witness is prod a^k times prod Phi_d^h over half
+    half = []  # (d, h) for each cyclotomic factor Phi_d^(2h)
     seen = set()
     for p, m in fac.factors:
         if p in seen:
             continue
         partner = reciprocal_partner(p)
         if partner == p:
-            if m % 2 != 0:
+            if m % 2:
                 violations.append(
                     f"self-reciprocal factor {format_laurent(p)} has odd multiplicity {m}"
                 )
+            elif p in index:
+                half.append((index[p], m // 2))
             else:
                 parts.append((_dense(p), m // 2))
-            seen.add(p)
         else:
             pm = mult.get(partner, 0)
             if pm != m:
@@ -1131,14 +1164,19 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
                 # deterministic pick: the partner with the larger coefficient tuple
                 chosen = max(p, partner, key=_factor_key)
                 parts.append((_dense(chosen), m))
-            seen.add(p)
-            seen.add(partner)
+        seen.update((p, partner))
     if violations:
         return FoxMilnorResult(False, None, tuple(violations), fac)
-    # confirm the witness reproduces f up to a unit: w(t) * t^deg w * w(1/t)
-    w = _dproduct(parts)
+    # w = r C with C = prod Phi_d^h.  Phi_1 reverses to -Phi_1 and every other
+    # Phi_d is palindromic, so C reverses to +-C and w(t) * t^deg w * w(1/t)
+    # is +-r r-bar C^2: checking that w / C is r, and that r r-bar C^2 is +-f,
+    # confirms that the witness reproduces f up to a unit
+    r = _dproduct(parts)
+    w = _ddiv_cyclotomics(r, [(d, -h) for d, h in half])
     F = _dense(f)
-    if _dproduct([(w, 1), (w[::-1], 1)]) not in (F, [-c for c in F]):
+    product = _ddiv_cyclotomics(_dproduct(parts + [(a[::-1], k) for a, k in parts]),
+                                [(d, -2 * h) for d, h in half])
+    if _ddiv_cyclotomics(w, half) != r or product not in (F, [-c for c in F]):
         raise InternalCheckError("self-check failed: the Fox-Milnor witness must reproduce f")
     return FoxMilnorResult(True, _from_dense(w), (), fac)
 

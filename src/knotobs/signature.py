@@ -280,7 +280,10 @@ class SeifertMatrix:
 
 
 def _int_det(M: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant."""
+    """Bareiss fraction-free determinant.
+
+    A row with a zero below the pivot has no cross term: it is only scaled
+    by pivot / prev, exactly, and left as it is when the two are equal."""
     M = [row[:] for row in M]
     n = len(M)
     if n == 0:
@@ -295,10 +298,17 @@ def _int_det(M: list[list[int]]) -> int:
                     break
             else:
                 return 0
+        pivot_row = M[k]
+        piv = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
+            row = M[i]
+            if c := row[k]:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * piv - c * pivot_row[j]) // prev
+            elif piv != prev:
+                for j in range(k + 1, n):
+                    row[j] = row[j] * piv // prev
+        prev = piv
     return sign * M[n - 1][n - 1]
 
 

@@ -92,6 +92,25 @@ def cyclotomic_prime_by_prime(n: int) -> dict:
     return {e * stretch: c for e, c in phi.items()}
 
 
+def fraction_det(M: list) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions, swapping in the
+    first row with a nonzero entry when a pivot is zero."""
+    A = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for k in range(len(A)):
+        r = next((r for r in range(k, len(A)) if A[r][k]), None)
+        if r is None:
+            return Fraction(0)
+        if r != k:
+            A[k], A[r] = A[r], A[k]
+            det = -det
+        det *= A[k][k]
+        for i in range(k + 1, len(A)):
+            ratio = A[i][k] / A[k][k]
+            A[i] = [x - ratio * y for x, y in zip(A[i], A[k])]
+    return det
+
+
 def torus_upsilon_lines(p: int, q: int) -> list:
     """Upsilon of T(p,q) from its semigroup S = <p, q>: with g = (p-1)(q-1)/2
     it is the max over m in 0..2g of the lines -2 #(S & [0,m)) - t (g - m),

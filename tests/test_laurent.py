@@ -14,6 +14,7 @@ from knotobs import knots, laurent
 from knotobs.cli import run
 from knotobs.errors import (
     FactorizationComplexityError,
+    InternalCheckError,
     NormalizationError,
     ParseError,
     ValidationError,
@@ -384,16 +385,30 @@ class TestBinomialKernels:
         assert fac.factors == tuple((cyclotomic(d), 2) for d in (6, 12, 18, 24, 36, 72))
         assert calls == []
 
+    def test_phi_1_is_divided_out_exactly(self):
+        # 2^6 divides 3^2000 - 1, which a screen of Phi_1(3) = 2 would read
+        # as Phi_1^6; Phi_1 leaves by synthetic division by t - 1 instead
+        F = [-1] + [0] * 1999 + [1]
+        assert all(d > 1 for d, _ in laurent._cyclotomic_screen(F, divide=False)[1])
+        rng = random.Random(6565)
+        for k in range(5):
+            for _ in range(20):
+                g = oracles.random_factor_product(rng)
+                if g.evaluate(1) != 0:
+                    f = g * cyclotomic(1) ** k
+                    assert factor(f).multiplicity(cyclotomic(1)) == k
+
     @pytest.mark.parametrize(
         "parts, expected",
         [
-            # F(3) = 64 passes Phi_1(3) = 2 three times, which takes the degree
-            ([("1 + t", 3)], [("1 + t", 3)]),
-            # F(2) = 0, and Phi_1(3) = 2 divides F(3) = 4 twice
-            ([("t^2 - t - 2", 1)], [("t - 2", 1), ("t + 1", 1)]),
-            # F(2) = F(3) = 0: every index passes the screen
+            # F(2) = 135 and F(3) = 256 pass Phi_2(2) = 3 and Phi_2(3) = 4
+            # three times, which takes the degree
+            ([("t + 13", 1), ("1 + t", 2)], [("t + 13", 1), ("1 + t", 2)]),
+            # F(2) = 0, and Phi_2(3) = 4 divides F(3) = -4
+            ([("t - 2", 1), ("t - 7", 1)], [("t - 2", 1), ("t - 7", 1)]),
+            # F(2) = F(3) = 0: every index but the exact Phi_1 passes the screen
             ([("t - 2", 1), ("t - 3", 1), ("t^2 + 1", 1)], [("t - 2", 1), ("t - 3", 1), ("t^2 + 1", 1)]),
-            # 2^5 divides 3^1000 - 1: Phi_1^5 takes the 2s of Phi_2(3), Phi_4(3), Phi_8(3)
+            # 2^5 divides 3^1000 - 1: after Phi_1 and Phi_2, Phi_4(3) = 10 takes 2^2
             ([("t^1000 - 1", 1)], [(d, 1) for d in range(1, 1001) if 1000 % d == 0]),
         ],
     )
@@ -449,19 +464,118 @@ class TestDenseProduct:
             assert laurent._from_dense(laurent._dproduct(parts)) == expected
 
     def test_failed_witness_check_is_2(self, capsys, monkeypatch):
-        exact = laurent._dproduct
-
-        def corrupt_witness_check(parts):
-            out = exact(parts)
-            if len(parts) == 2 and parts[1][0] == parts[0][0][::-1]:
-                out[0] += 1
-            return out
-
+        # T(2,3) # T(2,3) has Delta = Phi_6^2 and witness w = Phi_6.  Once
+        # factor has checked its answer, one product of the witness route is
+        # corrupted: w itself (m = -1), or r r-bar Phi_6^2 (m = -2)
+        real_factor, divide = laurent._factor, laurent._ddiv_cyclotomics
         assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 0
-        monkeypatch.setattr(laurent, "_dproduct", corrupt_witness_check)
-        capsys.readouterr()
-        assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 2
-        assert "self-check failed" in capsys.readouterr().err
+        for target in (-1, -2):
+            armed = []
+
+            def factor_then_arm(f):
+                out = real_factor(f)
+                armed.append(True)
+                return out
+
+            def corrupt(a, pairs):
+                out = divide(a, pairs)
+                if armed and pairs == [(6, target)]:
+                    out = [out[0] + 1] + out[1:]
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(laurent, "_factor", factor_then_arm)
+                patch.setattr(laurent, "_ddiv_cyclotomics", corrupt)
+                capsys.readouterr()
+                assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 2, target
+            assert "self-check failed: the Fox-Milnor witness" in capsys.readouterr().err
+
+
+class TestSelfChecks:
+    """factor and fox_milnor check their answers by multiplying the
+    cyclotomic factors back in through the net Moebius binomials and the
+    others by Kronecker substitution."""
+
+    # -3 t^-3 Phi_1 Phi_6^2 (t - 2)^2 (2t^2 + t + 5)
+    MIXED = (
+        LaurentPolynomial.monomial(-3, -3)
+        * cyclotomic(1)
+        * cyclotomic(6) ** 2
+        * parse_laurent("t - 2") ** 2
+        * parse_laurent("2t^2 + t + 5")
+    )
+
+    @staticmethod
+    def replace(factors, old, new):
+        return tuple((new if p == old else p, m) for p, m in factors)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # a dropped Phi_d
+            lambda fs, sign: (tuple((p, m) for p, m in fs if p != cyclotomic(6)), sign),
+            lambda fs, sign: (tuple((p, m) for p, m in fs if p != cyclotomic(1)), sign),
+            # a wrong multiplicity
+            lambda fs, sign: (tuple((p, m + (p == cyclotomic(6))) for p, m in fs), sign),
+            lambda fs, sign: (tuple((p, m - (p == parse_laurent("t - 2"))) for p, m in fs), sign),
+            # a wrong non-cyclotomic factor
+            lambda fs, sign: (TestSelfChecks.replace(fs, parse_laurent("t - 2"), parse_laurent("t - 3")), sign),
+            lambda fs, sign: (TestSelfChecks.replace(fs, ONE * 3, ONE * 5), sign),
+            # a wrong sign
+            lambda fs, sign: (fs, -sign),
+        ],
+        ids=["drop-phi6", "drop-phi1", "phi6-mult", "linear-mult", "linear", "constant", "sign"],
+    )
+    def test_mutated_factors_fail_the_check(self, mutate):
+        fac, index = laurent._factor(self.MIXED)
+        F = laurent._dense(self.MIXED)
+        assert index == {cyclotomic(1): 1, cyclotomic(6): 6}
+        assert fac.sign == -1 and fac.exponent == -3
+        assert laurent._check_factors(F, fac.sign, fac.factors, index) is None
+        factors, sign = mutate(fac.factors, fac.sign)
+        assert (factors, sign) != (fac.factors, fac.sign)
+        with pytest.raises(InternalCheckError, match="must reproduce the input"):
+            laurent._check_factors(F, sign, factors, index)
+
+    def test_check_is_the_same_through_either_route(self):
+        # with no index every factor goes through the Kronecker product
+        rng = random.Random(7070)
+        for _ in range(100):
+            f = oracles.random_factor_product(rng)
+            for d in rng.sample(range(1, 31), 2):
+                f = f * cyclotomic(d) ** rng.randint(0, 2)
+            fac, index = laurent._factor(f)
+            assert all(p == cyclotomic(d) for p, d in index.items())
+            assert fac.expand() == f
+            laurent._check_factors(laurent._dense(f), fac.sign, fac.factors, {})
+
+    def test_factor_t30030_minus_1_within_budget(self):
+        divisors = [d for d in range(1, 30031) if 30030 % d == 0]
+        with oracles.budget(6.0, "factoring t^30030 - 1"):
+            fac = factor(parse_laurent("t^30030 - 1"))
+        assert dict(fac.factors) == {laurent._cyclotomic(d): 1 for d in divisors}
+
+    def test_families_take_no_kronecker_product_of_two_parts(self, monkeypatch):
+        # every factor of J and J' is cyclotomic: the checks and the witness
+        # multiply by binomials, and _dproduct sees at most the sign
+        deltas = [knots.alexander(knots.family(name, n))
+                  for name, n in [("J", 8), ("J", 9), ("J", 10), ("Jprime", 9), ("Jprime", 10)]]
+        lengths = []
+        product = laurent._dproduct
+        monkeypatch.setattr(laurent, "_dproduct", lambda parts: lengths.append(len(parts)) or product(parts))
+        for delta in deltas:
+            assert fox_milnor(delta).passes
+            assert gsp_lower_bound(delta) == 0
+            factor(delta)
+        assert lengths and max(lengths) <= 1
+
+    def test_moebius_exponents_are_held_up_to_a_fixed_bound(self):
+        laurent._moebius_exponents.cache_clear()
+        laurent._cyclotomic_at.cache_clear()
+        assert len(factor(parse_laurent("t^5000 - 1")).factors) == 20
+        info = laurent._moebius_exponents.cache_info()
+        assert info.maxsize == laurent.MOEBIUS_EXPONENT_CACHE
+        assert info.misses > info.currsize == laurent.MOEBIUS_EXPONENT_CACHE
 
 
 class TestFactor:
@@ -709,6 +823,20 @@ class TestFoxMilnor:
             w = res.witness
             ratio = exact_div(f * f.reciprocal(), w * w.reciprocal())
             assert ratio.breadth == 0 and abs(ratio.leading_coeff) == 1
+
+    def test_witness_with_cyclotomic_and_other_parts(self):
+        # Phi_d(1) = 1 unless d is 1 or a prime power, so f stays normalized
+        composite = [6, 10, 12, 14, 15, 18, 20, 21, 22, 24, 26, 28, 30]
+        rng = random.Random(7171)
+        for _ in range(100):
+            g = oracles.random_normalized_poly(rng, max_breadth=6)
+            f = g * g.reciprocal()
+            for d in rng.sample(composite, 2):
+                f = f * cyclotomic(d) ** (2 * rng.randint(0, 2))
+            res = fox_milnor(f)
+            assert res.passes
+            product = res.witness * res.witness.reciprocal()
+            assert product.canonical() == f.canonical()
 
     def test_asymmetric_pair_multiplicity_fails(self):
         f = parse_laurent("-1 + 2t") ** 2 * parse_laurent("-2 + t")

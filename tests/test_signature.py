@@ -34,6 +34,7 @@ from knotobs.signature import (
     torus_braid_word,
     torus_independence_certificate,
     torus_jumps,
+    _int_det,
     _numeric_signature_mp,
 )
 
@@ -294,6 +295,40 @@ class TestSeifertMatrix:
     def test_braid_letters_validated(self):
         with pytest.raises(ValidationError):
             seifert_from_braid([0, 1])
+
+
+class TestIntegerDeterminant:
+    """Bareiss elimination against Gaussian elimination over Fractions."""
+
+    @staticmethod
+    def cases(rng):
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            density = rng.choice([0.2, 0.5, 0.9])
+            M = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+            yield M
+            if n > 1:
+                # a zero pivot that a row swap mends, at the first or a later step
+                k = rng.randrange(n - 1)
+                Z = [row[:] for row in M]
+                Z[k][k] = 0
+                Z[rng.randrange(k + 1, n)][k] = rng.choice([-2, 1, 3])
+                yield Z
+                # singular: a repeated row, and a zero column
+                yield M[:-1] + [M[0][:]]
+                yield [row[:k] + [0] + row[k + 1 :] for row in M]
+
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(2424)
+        zero_pivots = singular = 0
+        for M in self.cases(rng):
+            before = [row[:] for row in M]
+            expected = oracles.fraction_det(M)
+            assert _int_det(M) == expected, M
+            assert M == before
+            zero_pivots += M[0][0] == 0 and any(row[0] for row in M)
+            singular += expected == 0
+        assert zero_pivots > 100 and singular > 300
 
 
 class TestOracleAgreement:
