@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import knots, laurent
@@ -21,6 +20,7 @@ from .errors import (
     RuleNotApplicableError,
     ValidationError,
 )
+from .reporting import Record
 
 _EXIT = {"ok": 0, "invalid": 1, "inconclusive": 1, "error": 2}
 
@@ -50,18 +50,14 @@ def _poly_or_alexander(text: str) -> tuple[laurent.LaurentPolynomial, str]:
         return laurent.parse_laurent(text), text
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(Record):
     """One subcommand's result: the rows it prints, its envelope and the data
     of its --csv and --svg artifacts.  A row is a `(key, value)` pair or a
-    string printed as it is."""
+    string printed as it is.  `csv` is `(header, rows)` and `svg` is
+    `(points, title)`."""
 
-    lines: list[str | tuple[str, object]]
-    payload: dict
-    status: str = "ok"
-    provenance: tuple[str, ...] = ()
-    csv: tuple | None = None  # (header, rows)
-    svg: tuple | None = None  # (points, title)
+    __slots__ = ("lines", "payload", "status", "provenance", "csv", "svg")
+    _defaults = {"status": "ok", "provenance": (), "csv": None, "svg": None}
 
 
 def _print(lines) -> None:

@@ -13,7 +13,6 @@ computation only through Delta = 1 and g = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Union
 
@@ -23,53 +22,45 @@ from .errors import (
     UnsupportedOrientationError,
     ValidationError,
 )
+from .reporting import Record
 
 SLICE_GENUS_SOURCE_L = "published slice-genus computation for the L-family"
 
 
-@dataclass(frozen=True)
-class TorusKnot:
-    p: int
-    q: int
+class TorusKnot(Record):
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
+    def _check(self):
         if self.p < 2 or self.q < 2:
             raise ValidationError("torus knot parameters must be >= 2")
         if math.gcd(self.p, self.q) != 1:
             raise ValidationError(f"torus knot parameters must be coprime: ({self.p},{self.q})")
 
 
-@dataclass(frozen=True)
-class Cable:
-    companion: "KnotExpression"
-    p: int
-    q: int
+class Cable(Record):
+    __slots__ = ("companion", "p", "q")
 
-    def __post_init__(self):
+    def _check(self):
         if self.p < 1:
             raise ValidationError("cable longitude winding p must be >= 1")
         if math.gcd(self.p, abs(self.q)) != 1:
             raise ValidationError(f"cable parameters must be coprime: ({self.p},{self.q})")
 
 
-@dataclass(frozen=True)
-class WhiteheadDouble:
-    companion: "KnotExpression"
+class WhiteheadDouble(Record):
+    __slots__ = ("companion",)
 
 
-@dataclass(frozen=True)
-class Mirror:
-    inner: "KnotExpression"
+class Mirror(Record):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class Sum:
-    summands: tuple["KnotExpression", ...]
+class Sum(Record):
+    __slots__ = ("summands",)  # tuple of KnotExpression
 
 
-@dataclass(frozen=True)
-class Unknot:
-    pass
+class Unknot(Record):
+    __slots__ = ()
 
 
 KnotExpression = Union[TorusKnot, Cable, WhiteheadDouble, Mirror, Sum, Unknot]
@@ -117,12 +108,12 @@ def normalize(e: KnotExpression) -> KnotExpression:
         if e.p == 1:
             return inner
         if inner is not e.companion:
-            return replace(e, companion=inner)
+            return Cable(inner, e.p, e.q)
         return e
     if isinstance(e, WhiteheadDouble):
         inner = normalize(e.companion)
         if inner is not e.companion:
-            return replace(e, companion=inner)
+            return WhiteheadDouble(inner)
         return e
     if isinstance(e, Mirror):
         inner = normalize(e.inner)
@@ -322,14 +313,11 @@ def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
     raise ValidationError(f"not a knot expression: {e!r}")
 
 
-@dataclass(frozen=True)
-class GenusReport:
-    seifert_genus: int
-    summand_max_genus: int
-    slice_genus_hint: int | None = None
-    slice_genus_source: str | None = None
+class GenusReport(Record):
+    __slots__ = ("seifert_genus", "summand_max_genus", "slice_genus_hint", "slice_genus_source")
+    _defaults = {"slice_genus_hint": None, "slice_genus_source": None}
 
-    def __post_init__(self):
+    def _check(self):
         if self.summand_max_genus > self.seifert_genus:
             raise ValidationError("summand genus cannot exceed total genus")
         if self.slice_genus_hint is not None:
@@ -337,9 +325,6 @@ class GenusReport:
                 raise ValidationError("slice genus hint cannot exceed Seifert genus")
             if self.slice_genus_source is None:
                 raise ValidationError("slice genus hints must carry a provenance tag")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _seifert_genus(e: KnotExpression) -> int:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, count, zip_longest
@@ -50,6 +49,7 @@ from .errors import (
     ValidationError,
     ZeroPolynomialError,
 )
+from .reporting import Record
 
 
 class LaurentPolynomial:
@@ -773,8 +773,7 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Complete factorization f = sign * t^exponent * prod(factors^mult).
 
     Factors are canonical irreducible representatives: prime integers
@@ -782,9 +781,7 @@ class Factorization:
     minimal exponent 0, ordered by (breadth, coefficient tuple).
     """
 
-    sign: int
-    exponent: int
-    factors: tuple[tuple[LaurentPolynomial, int], ...]
+    __slots__ = ("sign", "exponent", "factors")
 
     @property
     def unit(self) -> LaurentPolynomial:
@@ -1087,7 +1084,7 @@ def _factor(f: LaurentPolynomial) -> tuple[Factorization, dict]:
     ordered = tuple(sorted(found.items(), key=lambda kv: _factor_key(kv[0])))
     # the exponent is f's least one by construction; the check reads the rest
     _check_factors(dense, sign, ordered, index)
-    return Factorization(sign=sign, exponent=exponent, factors=ordered), index
+    return Factorization(sign, exponent, ordered), index
 
 
 # ---------------------------------------------------------------------------
@@ -1104,12 +1101,8 @@ def is_alexander_normalized(f: LaurentPolynomial) -> bool:
     return (not f.is_zero) and f.evaluate(1) in (1, -1)
 
 
-@dataclass(frozen=True)
-class FoxMilnorResult:
-    passes: bool
-    witness: LaurentPolynomial | None
-    violations: tuple[str, ...]
-    factorization: Factorization
+class FoxMilnorResult(Record):
+    __slots__ = ("passes", "witness", "violations", "factorization")
 
     def as_dict(self) -> dict:
         return {

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import zip_longest
 
@@ -31,7 +30,7 @@ from .errors import (
     RuleNotApplicableError,
     ValidationError,
 )
-from .reporting import Certificate, CertificateCheck
+from .reporting import Certificate, CertificateCheck, Record
 
 DEFAULT_RANK = 8
 MAX_RANK = 500
@@ -46,22 +45,23 @@ RULE_A2 = "a-plus rule: equal a1, strictly larger a2 dominates"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LexElement:
+class LexElement(Record):
     """Finite-support integer sequence, ordered lexicographically by the
     lowest index."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
     @staticmethod
     def of(*coords: int) -> "LexElement":
         return LexElement(coords)
 
-    def __post_init__(self):
-        end = len(self.coords)
-        while end and not self.coords[end - 1]:
+    def __init__(self, coords: tuple[int, ...]):
+        # its own __init__, for speed: one ordered-demo run builds about
+        # 43,000; trailing zeros are dropped, so equal sequences are equal
+        end = len(coords)
+        while end and not coords[end - 1]:
             end -= 1
-        object.__setattr__(self, "coords", self.coords[:end])
+        object.__setattr__(self, "coords", coords[:end])
 
     @property
     def is_zero(self) -> bool:
@@ -111,10 +111,8 @@ def lex_compare(a: LexElement, b: LexElement) -> str:
     return "<" if d.leading_coeff > 0 else ">"
 
 
-@dataclass(frozen=True)
-class DominationVerdict:
-    relation: str  # much_less | much_greater | equivalent | unknown
-    rule_used: str
+class DominationVerdict(Record):
+    __slots__ = ("relation", "rule_used")  # relation: much_less | much_greater | equivalent | unknown
 
 
 def archimedean(a: LexElement, b: LexElement) -> DominationVerdict:
@@ -149,11 +147,8 @@ def quotient_compare(a: LexElement, b: LexElement, x: LexElement) -> str:
     return "<" if d.leading_coeff > 0 else ">"
 
 
-@dataclass(frozen=True)
-class PropertyAReport:
-    holds: bool
-    counterexample: LexElement | None
-    detail: str
+class PropertyAReport(Record):
+    __slots__ = ("holds", "counterexample", "detail")
 
 
 def property_A_check(a: LexElement) -> PropertyAReport:
@@ -178,10 +173,8 @@ def property_A_check(a: LexElement) -> PropertyAReport:
     )
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
-    chain_ok: bool
-    detail: str
+class ChainVerdict(Record):
+    __slots__ = ("chain_ok", "detail")
 
     @property
     def verified(self) -> bool:
@@ -230,12 +223,9 @@ def _random_positive(rng: random.Random, rank: int, last: int) -> LexElement:
     return _random_led(rng, rank, rng.randint(0, last), rng.randint(1, 9))
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    cases: int
-    failures: int
-    detail: str = ""
+class SuiteResult(Record):
+    __slots__ = ("name", "cases", "failures", "detail")
+    _defaults = {"detail": ""}
 
     @property
     def passed(self) -> bool:
@@ -337,8 +327,7 @@ def run_property_suites(rank: int = DEFAULT_RANK, cases: int = 1000, seed: int =
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpsilonClass:
+class EpsilonClass(Record):
     """Record of an epsilon-equivalence class: sign, leading a-plus entries,
     Property A flag with provenance, optional genus and tau bounds.
 
@@ -346,17 +335,13 @@ class EpsilonClass:
     every non-derived field carries its source.
     """
 
-    label: str
-    epsilon_sign: int | None = None
-    a1: int | None = None
-    a2: int | None = None
-    property_A: bool | None = None
-    property_A_source: str | None = None
-    genus_bound: int | None = None
-    tau_bound: int | None = None
-    source: str | None = None
+    __slots__ = (
+        "label", "epsilon_sign", "a1", "a2", "property_A", "property_A_source",
+        "genus_bound", "tau_bound", "source",
+    )
+    _defaults = dict.fromkeys(__slots__[1:])
 
-    def __post_init__(self):
+    def _check(self):
         if self.epsilon_sign not in (None, -1, 0, 1):
             raise ValidationError("epsilon sign must be -1, 0, +1 or unknown")
         if self.a1 is not None and self.epsilon_sign != 1:
@@ -369,9 +354,6 @@ class EpsilonClass:
             raise ValidationError("a2 must be a positive integer")
         if self.property_A is not None and not self.property_A_source:
             raise ValidationError("Property A flags must carry a provenance tag")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def compare_aplus(K: EpsilonClass, Kp: EpsilonClass) -> DominationVerdict:
@@ -402,17 +384,12 @@ def a2_upper_bound(n: int) -> int:
     return 2 * n - 1
 
 
-@dataclass(frozen=True)
-class ObstructionOutcome:
-    status: str  # obstructs | inconclusive
-    detail: str
+class ObstructionOutcome(Record):
+    __slots__ = ("status", "detail")  # status: obstructs | inconclusive
 
     @property
     def obstructs(self) -> bool:
         return self.status == "obstructs"
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def epsilon_obstruction(J: EpsilonClass, n: int) -> ObstructionOutcome:
@@ -491,13 +468,8 @@ def registry_record(label: str) -> EpsilonClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EpsilonCertificate(Certificate):
-    family: str
-    k: int
-    n_max: int
-    kind: str  # summand | subgroup
-    provenance: tuple[str, ...]
+    __slots__ = ("family", "k", "n_max", "kind", "provenance")  # kind: summand | subgroup
 
     def as_dict(self) -> dict:
         return {
@@ -519,9 +491,9 @@ def _chain_checks(records: list[EpsilonClass]) -> list[CertificateCheck]:
     for rec in records:
         checks.append(
             CertificateCheck(
-                name=f"positive[{rec.label}]",
-                passed=rec.epsilon_sign == 1,
-                witness=f"epsilon sign {rec.epsilon_sign}",
+                f"positive[{rec.label}]",
+                rec.epsilon_sign == 1,
+                f"epsilon sign {rec.epsilon_sign}",
             )
         )
     for earlier, later in zip(records, records[1:]):
@@ -533,9 +505,9 @@ def _chain_checks(records: list[EpsilonClass]) -> list[CertificateCheck]:
             passed, witness = False, str(exc)
         checks.append(
             CertificateCheck(
-                name=f"dominates[{earlier.label}<<{later.label}]",
-                passed=passed,
-                witness=witness,
+                f"dominates[{earlier.label}<<{later.label}]",
+                passed,
+                witness,
             )
         )
     return checks
@@ -556,16 +528,16 @@ def summand_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
     for rec in records:
         checks.append(
             CertificateCheck(
-                name=f"registry_provenance[{rec.label}]",
-                passed=rec.a1 == 1 and rec.a2 is not None and rec.source is not None,
-                witness=f"a-plus = (1, {rec.a2}), source: {rec.source}",
+                f"registry_provenance[{rec.label}]",
+                rec.a1 == 1 and rec.a2 is not None and rec.source is not None,
+                f"a-plus = (1, {rec.a2}), source: {rec.source}",
             )
         )
         checks.append(
             CertificateCheck(
-                name=f"property_A[{rec.label}]",
-                passed=rec.property_A is True and rec.property_A_source is not None,
-                witness=f"flag {rec.property_A}, source: {rec.property_A_source}",
+                f"property_A[{rec.label}]",
+                rec.property_A is True and rec.property_A_source is not None,
+                f"flag {rec.property_A}, source: {rec.property_A_source}",
             )
         )
 
@@ -578,9 +550,9 @@ def summand_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
         passed, witness = False, str(exc)
     checks.append(
         CertificateCheck(
-            name=f"filtration_obstruction[genus<={level}]",
-            passed=passed,
-            witness=witness,
+            f"filtration_obstruction[genus<={level}]",
+            passed,
+            witness,
         )
     )
 
@@ -590,9 +562,9 @@ def summand_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
         verdict = compare_aplus(rec, records[0])
         checks.append(
             CertificateCheck(
-                name=f"survives_quotient[{rec.label}]",
-                passed=verdict.relation == "much_greater",
-                witness=f"{rec.label} vs {records[0].label}: {verdict.relation}",
+                f"survives_quotient[{rec.label}]",
+                verdict.relation == "much_greater",
+                f"{rec.label} vs {records[0].label}: {verdict.relation}",
             )
         )
 
@@ -633,16 +605,16 @@ def subgroup_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
     for rec in records:
         checks.append(
             CertificateCheck(
-                name=f"registry_provenance[{rec.label}]",
-                passed=rec.a1 == 1 and rec.a2 is not None and rec.source is not None,
-                witness=f"a-plus = (1, {rec.a2}), source: {rec.source}",
+                f"registry_provenance[{rec.label}]",
+                rec.a1 == 1 and rec.a2 is not None and rec.source is not None,
+                f"a-plus = (1, {rec.a2}), source: {rec.source}",
             )
         )
         checks.append(
             CertificateCheck(
-                name=f"slice_genus_one[{rec.label}]",
-                passed=rec.genus_bound == 1,
-                witness=f"published slice genus bound {rec.genus_bound}",
+                f"slice_genus_one[{rec.label}]",
+                rec.genus_bound == 1,
+                f"published slice genus bound {rec.genus_bound}",
             )
         )
     for rec in records:
@@ -654,9 +626,9 @@ def subgroup_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
             passed, witness = False, str(exc)
         checks.append(
             CertificateCheck(
-                name=f"filtration_obstruction[{rec.label},genus<={k}]",
-                passed=passed,
-                witness=witness,
+                f"filtration_obstruction[{rec.label},genus<={k}]",
+                passed,
+                witness,
             )
         )
     checks.extend(_chain_checks(records))

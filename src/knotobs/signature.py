@@ -19,7 +19,6 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import knots
@@ -31,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .laurent import MAX_DENSE_BREADTH, ONE, check_breadth, totient
-from .reporting import Certificate, CertificateCheck
+from .reporting import Certificate, CertificateCheck, Record
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +254,12 @@ def signature_at(e: knots.KnotExpression, x) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Record):
     """Integer Seifert matrix; size is even and det(V - V^T) = +-1."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.entries)
         if any(len(row) != n for row in self.entries):
             raise ValidationError("Seifert matrix must be square")
@@ -451,13 +449,11 @@ def _numeric_signature_mp(V: SeifertMatrix, x: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IndependenceCertificate(Certificate):
     """Checked hypotheses for linear independence of torus knots modulo the
     genus-k filtration subgroup."""
 
-    generators: tuple[tuple[int, int], ...]
-    filtration_level: int
+    __slots__ = ("generators", "filtration_level")
 
     def as_dict(self) -> dict:
         return {
@@ -490,9 +486,9 @@ def torus_independence_certificate(
     products = [p * q for p, q in pairs]
     checks.append(
         CertificateCheck(
-            name="distinct_products",
-            passed=len(set(products)) == len(products),
-            witness=f"products {products}",
+            "distinct_products",
+            len(set(products)) == len(products),
+            f"products {products}",
         )
     )
 
@@ -503,9 +499,9 @@ def torus_independence_certificate(
         both_prime = totient(p) == p - 1 and totient(q) == q - 1
         checks.append(
             CertificateCheck(
-                name=f"degree_bound[{p},{q}]",
-                passed=both_prime and 2 * k < degree,
-                witness=f"2k = {2 * k} < (p-1)(q-1) = {degree}: {2 * k < degree}; "
+                f"degree_bound[{p},{q}]",
+                both_prime and 2 * k < degree,
+                f"2k = {2 * k} < (p-1)(q-1) = {degree}: {2 * k < degree}; "
                 f"both prime: {both_prime}",
             )
         )
@@ -517,9 +513,9 @@ def torus_independence_certificate(
         n = next((n for n in jf._jumps if math.gcd(n, p * q) == 1), None)
         checks.append(
             CertificateCheck(
-                name=f"primitive_jump[{p},{q}]",
-                passed=n is not None,
-                witness=f"jump {jf._jumps[n]:+d} at {Fraction(n, p * q)}" if n is not None else "no primitive jump point",
+                f"primitive_jump[{p},{q}]",
+                n is not None,
+                f"jump {jf._jumps[n]:+d} at {Fraction(n, p * q)}" if n is not None else "no primitive jump point",
             )
         )
 

@@ -20,7 +20,6 @@ prefix sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import knots, laurent
@@ -30,7 +29,7 @@ from .errors import (
     UnsupportedExpressionError,
     ValidationError,
 )
-from .reporting import Certificate, CertificateCheck
+from .reporting import Certificate, CertificateCheck, Record
 from .signature import RationalJumps
 
 JPRIME_GERM_SOURCE = "published derivative-jump computation for the J' family"
@@ -123,15 +122,14 @@ class PiecewiseLinearFunction(RationalJumps):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(Record):
     """Even-index corner data of the staircase complex of an L-space-form
     polynomial: strictly monotone corners from (0,g) to (g,0), symmetric under
     (i,j) -> (j,i), within the genus band |i - j| <= g."""
 
-    corners: tuple[tuple[int, int], ...]
+    __slots__ = ("corners",)
 
-    def __post_init__(self):
+    def _check(self):
         cs = self.corners
         if not cs:
             raise ValidationError("a staircase needs at least one corner")
@@ -240,20 +238,16 @@ def upsilon_of_expression(e: knots.KnotExpression) -> PiecewiseLinearFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JumpGerm:
+class JumpGerm(Record):
     """Partial low-t record of a derivative-jump function: zero on
     (0, first_singularity) when zero_before, with jump sign * jump_value
     there (sign -1 for the mirror knot).  Nothing beyond first_singularity is
     certified."""
 
-    first_singularity: Fraction
-    jump_value: Fraction
-    zero_before: bool = True
-    source: str = "user-supplied"
-    sign: int = 1
+    __slots__ = ("first_singularity", "jump_value", "zero_before", "source", "sign")
+    _defaults = {"zero_before": True, "source": "user-supplied", "sign": 1}
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 < self.first_singularity < 2:
             raise ValidationError("first singularity must lie in (0,2)")
         if self.jump_value <= 0:
@@ -262,7 +256,7 @@ class JumpGerm:
             raise ValidationError("germ sign must be +1 or -1")
 
     def negated(self) -> "JumpGerm":
-        return replace(self, sign=-self.sign)
+        return JumpGerm(self.first_singularity, self.jump_value, self.zero_before, self.source, -self.sign)
 
     def delta_prime(self, t0) -> Fraction:
         t0 = Fraction(t0)
@@ -319,11 +313,9 @@ def min_genus_from_singularity(p: int, q: int) -> int:
     return q if p % 2 == 1 else (q + 1) // 2
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    status: str  # obstructed | not_obstructed | inconclusive
-    witness: Fraction | None = None
-    detail: str = ""
+class ObstructionVerdict(Record):
+    __slots__ = ("status", "witness", "detail")  # status: obstructed | not_obstructed | inconclusive
+    _defaults = {"witness": None, "detail": ""}
 
     def as_dict(self) -> dict:
         return {
@@ -377,15 +369,12 @@ def obstruct_Gn(source, n: int) -> ObstructionVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class UpsilonSummandCertificate(Certificate):
     """Checked hypotheses that the J' family from index k on maps onto a basis
-    of a Z^infinity summand of the concordance group modulo genus <= k-1."""
+    of a Z^infinity summand of the concordance group modulo genus <= k-1.
+    `matrix` has rows m and columns n, with None where uncertified."""
 
-    k: int
-    n_max: int
-    matrix: tuple[tuple[Fraction | None, ...], ...]  # rows m, cols n; None = uncertified
-    provenance: tuple[str, ...]
+    __slots__ = ("k", "n_max", "matrix", "provenance")
 
     def as_dict(self) -> dict:
         return {
@@ -429,9 +418,9 @@ def summand_certificate_upsilon(k: int, n_max: int) -> UpsilonSummandCertificate
         diag = matrix[a][a]
         checks.append(
             CertificateCheck(
-                name=f"unit_diagonal[{m}]",
-                passed=diag == 1,
-                witness=f"M[{m}][{m}] = {diag}",
+                f"unit_diagonal[{m}]",
+                diag == 1,
+                f"M[{m}][{m}] = {diag}",
             )
         )
     below_ok = all(
@@ -439,9 +428,9 @@ def summand_certificate_upsilon(k: int, n_max: int) -> UpsilonSummandCertificate
     )
     checks.append(
         CertificateCheck(
-            name="triangular_below_diagonal",
-            passed=below_ok,
-            witness="all germ-certified entries with m > n vanish",
+            "triangular_below_diagonal",
+            below_ok,
+            "all germ-certified entries with m > n vanish",
         )
     )
     window = Fraction(1, k - 1)
@@ -449,9 +438,9 @@ def summand_certificate_upsilon(k: int, n_max: int) -> UpsilonSummandCertificate
         t = Fraction(2, 2 * m - 1)
         checks.append(
             CertificateCheck(
-                name=f"evaluation_in_window[{m}]",
-                passed=t < window,
-                witness=f"2/(2m-1) = {t} vs 1/(k-1) = {window}",
+                f"evaluation_in_window[{m}]",
+                t < window,
+                f"2/(2m-1) = {t} vs 1/(k-1) = {window}",
             )
         )
     return UpsilonSummandCertificate(

@@ -101,6 +101,15 @@ class TestExitCodes:
         assert "nesting" in capsys.readouterr().err
         assert run(["genus", "--", "-" * 3000 + "T(2,3)"]) == 0
 
+    def test_leading_minus_after_double_dash(self, tmp_path, capsys):
+        # argparse reads a lone "-T(2,3)" as an option; "--" ends the options
+        assert run(["upsilon", "--", "-T(2,3)"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows[:4] == [["knot", "-T(2,3)"], ["t", "=", "0", "0"], ["t", "=", "1", "1"], ["t", "=", "2", "0"]]
+        out = tmp_path / "out.json"
+        assert run(["upsilon", "--json", str(out), "--", "-T(2,3)"]) == 0
+        assert json.loads(out.read_text())["payload"]["breakpoints"] == [["0", "0"], ["1", "1"], ["2", "0"]]
+
     def test_breadth_beyond_dense_limit_is_1(self, capsys):
         assert run(["factor", "t^200000 - 1"]) == 1
         assert run(["gsp-bound", "Cable(" * 100 + "T(2,3)" + ";2,1)" * 100]) == 1
@@ -152,12 +161,26 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_numpy_out():
-    """Importing the CLI loads no numpy, and a cold `factor` loads none of
-    the layers it does not run."""
+    """Importing the CLI loads no numpy, a cold `factor` loads none of the
+    layers it does not run, and no command loads `dataclasses` or the
+    `inspect` it imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    unused = ["numpy", "knotobs.ordered", "knotobs.signature", "knotobs.upsilon"]
-    for run_cli, absent in (("", unused[:1]), ("cli.run(['factor', 'T(7,13)']); ", unused)):
+    never = ["dataclasses", "inspect"]
+    lazy = ["knotobs.ordered", "knotobs.signature", "knotobs.upsilon"]
+    one_per_layer = [
+        ["upsilon", "T(3,4)"],
+        ["sig-certify", "--pair", "5,7", "--k", "2"],
+        ["eps-obstruct", "--label", "L_5", "--genus-level", "2"],
+        ["upsilon-certify", "--k", "2", "--max", "6"],
+    ]
+    cases = (
+        ([], ["numpy", *never]),
+        ([["factor", "T(7,13)"]], ["numpy", *never, *lazy]),
+        (one_per_layer, never),
+    )
+    for commands, absent in cases:
+        run_cli = "".join(f"cli.run({argv!r}); " for argv in commands)
         probe = (f"import sys; from knotobs import cli; {run_cli}"
                  f"print([m for m in {absent!r} if m in sys.modules])")
         out = subprocess.run(
