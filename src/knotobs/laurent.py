@@ -1,7 +1,9 @@
 """Exact integer Laurent polynomial arithmetic and factorization.
 
-A Laurent polynomial is stored as a sparse map from integer exponent to
-nonzero integer coefficient.  On top of the ring arithmetic this module
+A Laurent polynomial is stored dense: its least exponent and the tuple of
+its coefficients from there up, with nonzero ends, so every kernel below
+reads the stored tuple and every result is built through one trusted
+constructor.  On top of the ring arithmetic this module
 provides breadth, cyclotomic polynomials, complete irreducible factorization
 over the integers (up to units +-t^k), the Fox-Milnor slice condition with an
 explicit witness, and the splitting-genus lower bound read off from
@@ -52,28 +54,50 @@ from .errors import (
 from .reporting import Record
 
 
+# Largest breadth of a dense coefficient list; refusing larger ones keeps
+# inputs such as t^200000 - 1 from tying up memory and time.
+MAX_DENSE_BREADTH = 100_000
+
+
+def check_breadth(breadth: int, what: str) -> None:
+    """Refuse a polynomial of this breadth: ValidationError above the limit."""
+    if breadth > MAX_DENSE_BREADTH:
+        raise ValidationError(
+            f"{what} {breadth} exceeds the dense polynomial limit {MAX_DENSE_BREADTH}"
+        )
+
+
 class LaurentPolynomial:
     """Integer Laurent polynomial with finite support.
 
-    Instances are immutable; every operation returns a new object.  The
-    coefficient map never stores a zero.
+    Stored dense: the least exponent `_lo` and the coefficient tuple `_c`,
+    with `_c[i]` the coefficient of t^(_lo + i) and both ends nonzero; zero
+    is (0, ()).  Instances are immutable; every operation returns a new
+    object, and one whose breadth would pass MAX_DENSE_BREADTH is refused
+    before its coefficients are allocated.
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_lo", "_c")
 
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for e, c in dict(coeffs).items():
-                if not isinstance(e, int) or not isinstance(c, int):
-                    raise ValidationError("exponents and coefficients must be integers")
-                if c != 0:
-                    data[e] = c
-        object.__setattr__(self, "_coeffs", data)
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, coeffs=None):
+        """From a map {exponent: coefficient} of integers."""
+        items = dict(coeffs or {}).items()
+        if not all(isinstance(e, int) and isinstance(c, int) for e, c in items):
+            raise ValidationError("exponents and coefficients must be integers")
+        data = {e: c for e, c in items if c}
+        lo = min(data, default=0)
+        hi = max(data, default=lo - 1)
+        check_breadth(hi - lo, "breadth")
+        dense = [0] * (hi - lo + 1)
+        for e, c in data.items():
+            dense[e - lo] = c
+        return _poly(dense, lo)
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentPolynomial is immutable")
+
+    def __reduce__(self):
+        return _poly, (self._c, self._lo)
 
     # -- constructors -------------------------------------------------
 
@@ -89,63 +113,62 @@ class LaurentPolynomial:
 
     @property
     def coeffs(self) -> dict:
-        return dict(self._coeffs)
+        return {e: c for e, c in enumerate(self._c, self._lo) if c}
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._c)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._c
 
     def coeff(self, e: int) -> int:
-        return self._coeffs.get(e, 0)
+        i = e - self._lo
+        return self._c[i] if 0 <= i < len(self._c) else 0
 
     @property
     def min_exp(self) -> int:
-        if not self._coeffs:
+        if not self._c:
             raise ZeroPolynomialError("zero polynomial has no support")
-        return min(self._coeffs)
+        return self._lo
 
     @property
     def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ZeroPolynomialError("zero polynomial has no support")
-        return max(self._coeffs)
+        return self.min_exp + len(self._c) - 1
 
     @property
     def breadth(self) -> int:
-        return self.max_exp - self.min_exp
+        return self.max_exp - self._lo
 
     @property
     def leading_coeff(self) -> int:
-        return self._coeffs[self.max_exp]
+        return self.coeff(self.max_exp)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPolynomial.constant(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._lo == other._lo and self._c == other._c
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._coeffs.items())))
-        return self._hash
+        return hash((self._lo, self._c))
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "LaurentPolynomial":
         other = _coerce(other)
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
+        if not (self._c and other._c):
+            return other if self.is_zero else self
+        lo = min(self._lo, other._lo)
+        check_breadth(max(self.max_exp, other.max_exp) - lo, "breadth")
+        a, b = ((0,) * (p._lo - lo) + p._c for p in (self, other))
+        return _poly([x + y for x, y in zip_longest(a, b, fillvalue=0)], lo)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self._coeffs.items()})
+        return _poly([-c for c in self._c], self._lo)
 
     def __sub__(self, other) -> "LaurentPolynomial":
         return self + (-_coerce(other))
@@ -155,52 +178,38 @@ class LaurentPolynomial:
 
     def __mul__(self, other) -> "LaurentPolynomial":
         other = _coerce(other)
-        out = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(out)
+        check_breadth(len(self._c) + len(other._c) - 2, "breadth")
+        return _poly(_dproduct([(self._c, 1), (other._c, 1)]), self._lo + other._lo)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
             raise ValidationError("negative powers are not polynomials")
-        result = LaurentPolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        check_breadth((len(self._c) - 1) * n, "breadth")
+        return _poly(_dproduct([(self._c, n)]), self._lo * n)
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by the unit t^k."""
-        return LaurentPolynomial({e + k: c for e, c in self._coeffs.items()})
+        return _poly(self._c, self._lo + k)
 
     def reciprocal(self) -> "LaurentPolynomial":
         """Substitute t -> t^-1."""
-        return LaurentPolynomial({-e: c for e, c in self._coeffs.items()})
+        return _poly(self._c[::-1], 1 - self._lo - len(self._c))
 
     def substitute_power(self, p: int) -> "LaurentPolynomial":
         """Substitute t -> t^p (p >= 1)."""
         if p < 1:
             raise ValidationError("substitution power must be >= 1")
-        return LaurentPolynomial({e * p: c for e, c in self._coeffs.items()})
+        check_breadth((len(self._c) - 1) * p, "breadth")
+        return _poly(_dstretch(self._c, p), self._lo * p)
 
     def evaluate(self, x):
-        """Exact evaluation at a nonzero int or Fraction.
-
-        The sum is x^-lo * f(x), with lo the least exponent when it is
-        negative (else 0), so every power is nonnegative and one division by
-        x^-lo finishes it."""
+        """Exact evaluation at a nonzero int or Fraction: Horner's rule on the
+        coefficient tuple, times x^lo for the least exponent lo."""
         if x == 0:
             raise ValidationError("Laurent polynomials cannot be evaluated at 0")
-        lo = min(min(self._coeffs, default=0), 0)
-        value = Fraction(sum(c * x ** (e - lo) for e, c in self._coeffs.items()), x**-lo)
+        value = _deval(self._c, x) * Fraction(x) ** self._lo
         return int(value) if value.denominator == 1 else value
 
     # -- normal forms --------------------------------------------------
@@ -208,23 +217,15 @@ class LaurentPolynomial:
     @property
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self._coeffs.values())
-
-    def primitive(self) -> "LaurentPolynomial":
-        c = self.content
-        if c in (0, 1):
-            return self
-        return LaurentPolynomial({e: v // c for e, v in self._coeffs.items()})
+        return math.gcd(*self._c)
 
     def canonical(self) -> "LaurentPolynomial":
         """Representative up to units: primitive, positive leading coefficient,
         minimal exponent 0."""
         if self.is_zero:
             return self
-        f = self.primitive().shift(-self.min_exp)
-        if f.leading_coeff < 0:
-            f = -f
-        return f
+        g = self.content if self._c[-1] > 0 else -self.content
+        return _poly(self._c if g == 1 else [v // g for v in self._c])
 
     def centered(self) -> "LaurentPolynomial":
         """Shift so the support is symmetric about exponent 0 (breadth must be even)."""
@@ -236,10 +237,7 @@ class LaurentPolynomial:
 
     def is_palindromic(self) -> bool:
         """True when the coefficient vector reads the same in both directions."""
-        if self.is_zero:
-            return True
-        lo, hi = self.min_exp, self.max_exp
-        return all(self.coeff(lo + i) == self.coeff(hi - i) for i in range(self.breadth + 1))
+        return self._c == self._c[::-1]
 
     # -- text form ------------------------------------------------------
 
@@ -248,6 +246,23 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({format_laurent(self)!r})"
+
+
+def _poly(c, lo: int = 0) -> LaurentPolynomial:
+    """The polynomial sum c[i] t^(lo + i) from a sequence c of ints, with the
+    zeros at both ends trimmed: the one constructor of every polynomial,
+    which checks neither types nor breadth."""
+    c = tuple(c)
+    hi = len(c)
+    while hi and not c[hi - 1]:
+        hi -= 1
+    i = 0
+    while i < hi and not c[i]:
+        i += 1
+    f = object.__new__(LaurentPolynomial)
+    object.__setattr__(f, "_lo", lo + i if hi else 0)
+    object.__setattr__(f, "_c", c[i:hi])
+    return f
 
 
 ZERO = LaurentPolynomial()
@@ -271,7 +286,7 @@ def _coerce(x) -> LaurentPolynomial:
 def format_laurent(f: LaurentPolynomial) -> str:
     if f.is_zero:
         return "0"
-    return " + ".join(f"{c}*t^{e}" for e, c in sorted(f.coeffs.items()))
+    return " + ".join(f"{c}*t^{e}" for e, c in enumerate(f._c, f._lo) if c)
 
 
 def parse_laurent(text: str) -> LaurentPolynomial:
@@ -332,33 +347,6 @@ def parse_laurent(text: str) -> LaurentPolynomial:
 # ---------------------------------------------------------------------------
 # dense helpers (ordinary polynomials, coefficient list indexed by degree)
 # ---------------------------------------------------------------------------
-
-# Largest breadth of a dense coefficient list; refusing larger ones keeps
-# inputs such as t^200000 - 1 from tying up memory and time.
-MAX_DENSE_BREADTH = 100_000
-
-
-def check_breadth(breadth: int, what: str) -> None:
-    """Refuse a polynomial of this breadth: ValidationError above the limit."""
-    if breadth > MAX_DENSE_BREADTH:
-        raise ValidationError(
-            f"{what} {breadth} exceeds the dense polynomial limit {MAX_DENSE_BREADTH}"
-        )
-
-
-def _dense(f: LaurentPolynomial) -> list[int]:
-    """Coefficient list of f shifted to minimal exponent 0."""
-    check_breadth(f.breadth, "breadth")
-    lo = f.min_exp
-    out = [0] * (f.breadth + 1)
-    for e, c in f.coeffs.items():
-        out[e - lo] = c
-    return out
-
-
-def _from_dense(coeffs) -> LaurentPolynomial:
-    return LaurentPolynomial({i: int(c) for i, c in enumerate(coeffs) if c})
-
 
 def _trim(c: list) -> list:
     while c and c[-1] == 0:
@@ -446,12 +434,8 @@ def _dexact_div(a: list, b: list):
     return quot
 
 
-def _dcontent(a: list) -> int:
-    return math.gcd(*a)
-
-
 def _dprimitive(a: list) -> list:
-    c = _dcontent(a)
+    c = math.gcd(*a)
     if c in (0, 1):
         return a[:]
     return [x // c for x in a]
@@ -505,14 +489,10 @@ def _deval(a: list, x: int) -> int:
 
 def exact_div(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
     """Exact quotient f / g in the Laurent ring; raises if g does not divide f."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero:
-        return ZERO
-    q = _dexact_div(_dense(f), _dense(g))
+    q = _dexact_div(f._c, g._c)
     if q is None:
         raise ValidationError(f"{g} does not divide {f}")
-    return _from_dense(q).shift(f.min_exp - g.min_exp)
+    return _poly(q, f._lo - g._lo)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +704,7 @@ def _cyclotomic(n: int) -> LaurentPolynomial:
         poly = _dtimes_binomial(poly, e)
     for e in denom:
         poly = _self_checked(_ddiv_binomial(poly, e), f"t^{e} - 1 divides the Phi_{rad} numerator")
-    return _from_dense(_dstretch(poly, n // rad))
+    return _poly(_dstretch(poly, n // rad))
 
 
 # Phi_d(x) values kept for reuse: a warm factoring workload of torus knots
@@ -754,18 +734,10 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
     if math.gcd(p, q) != 1:
         raise ValidationError(f"torus knot parameters must be coprime, got ({p},{q})")
     check_breadth(p * q, "torus knot product pq")
-
-    def times_minus_1(a, b):
-        """(t^a - 1)(t^b - 1) = 1 - t^a - t^b + t^(a+b) as a dense list, a != b."""
-        c = [0] * (a + b + 1)
-        c[0] = c[a + b] = 1
-        c[a] = c[b] = -1
-        return c
-
-    num = times_minus_1(p * q, 1)
-    den = times_minus_1(p, q)
-    quot = _self_checked(_dexact_div(num, den), "(t^p - 1)(t^q - 1) divides (t^pq - 1)(t - 1)")
-    return _from_dense(quot).centered()
+    quot = _dtimes_binomial(_dtimes_binomial([1], p * q), 1)
+    for e in (p, q):
+        quot = _self_checked(_ddiv_binomial(quot, e), "(t^p - 1)(t^q - 1) divides (t^pq - 1)(t - 1)")
+    return _poly(quot).centered()
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +760,7 @@ class Factorization(Record):
         return LaurentPolynomial.monomial(self.sign, self.exponent)
 
     def expand(self) -> LaurentPolynomial:
-        dense = _dproduct([(_dense(p), m) for p, m in self.factors])
-        return _from_dense([self.sign * c for c in dense]).shift(self.exponent)
+        return _poly(_dproduct([((self.sign,), 1)] + [(p._c, m) for p, m in self.factors]), self.exponent)
 
     def multiplicity(self, p: LaurentPolynomial) -> int:
         return dict(self.factors).get(p.canonical(), 0)
@@ -804,8 +775,7 @@ class Factorization(Record):
 
 
 def _factor_key(p: LaurentPolynomial):
-    dense = tuple(_dense(p))
-    return (p.breadth, dense)
+    return len(p._c), p._c
 
 
 # Most subsets of modular factors that recombination may try, counted on the
@@ -1009,13 +979,14 @@ def factor(f: LaurentPolynomial) -> Factorization:
     return _factor(f)[0]
 
 
-def _check_factors(F, sign, factors, index):
+def _check_factors(f, sign, factors, index):
     """Raise InternalCheckError unless sign * prod p^m over the (p, m) in
-    factors is the dense F.  Each p in index, a map from Phi_d to d, is
-    multiplied in through the net Moebius binomials (`_ddiv_cyclotomics`
-    with m negated); the sign and every other p by `_dproduct`."""
-    rest = _dproduct([([sign], 1)] + [(_dense(p), m) for p, m in factors if p not in index])
-    if _ddiv_cyclotomics(rest, [(index[p], -m) for p, m in factors if p in index]) != F:
+    factors is f up to a power of t.  Each p in index, a map from Phi_d to
+    d, is multiplied in through the net Moebius binomials
+    (`_ddiv_cyclotomics` with m negated); the sign and every other p by
+    `_dproduct`."""
+    rest = _dproduct([((sign,), 1)] + [(p._c, m) for p, m in factors if p not in index])
+    if tuple(_ddiv_cyclotomics(rest, [(index[p], -m) for p, m in factors if p in index])) != f._c:
         raise InternalCheckError("self-check failed: factorization must reproduce the input")
 
 
@@ -1023,8 +994,7 @@ def _factor(f: LaurentPolynomial) -> tuple[Factorization, dict]:
     """`factor`, and the map from each cyclotomic factor Phi_d to d."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    exponent = f.min_exp
-    F = dense = _dense(f)
+    F = list(f._c)
     sign = 1
     if F[-1] < 0:
         sign = -1
@@ -1041,7 +1011,7 @@ def _factor(f: LaurentPolynomial) -> tuple[Factorization, dict]:
         index[poly] = d
         record(poly, mult)
 
-    content = _dcontent(F)
+    content = math.gcd(*F)
     if content > 1:
         F = [x // content for x in F]
         for p, e in _prime_factors(content, CONTENT_TRIAL_BOUND).items():
@@ -1070,10 +1040,9 @@ def _factor(f: LaurentPolynomial) -> tuple[Factorization, dict]:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))
         W = _dprimitive(_self_checked(_dexact_div(F, sqfree_gcd), "the square-free gcd divides F"))
         for irr in _irreducibles(W):
-            poly = _from_dense(irr).canonical()
-            dense_irr = _dense(poly)
+            poly = _poly(irr).canonical()
             mult = 0
-            while (q := _dexact_div(F, dense_irr)) is not None:
+            while (q := _dexact_div(F, poly._c)) is not None:
                 F, mult = q, mult + 1
             if mult == 0:
                 raise InternalCheckError(f"self-check failed: factor {poly} does not divide F")
@@ -1083,8 +1052,8 @@ def _factor(f: LaurentPolynomial) -> tuple[Factorization, dict]:
 
     ordered = tuple(sorted(found.items(), key=lambda kv: _factor_key(kv[0])))
     # the exponent is f's least one by construction; the check reads the rest
-    _check_factors(dense, sign, ordered, index)
-    return Factorization(sign, exponent, ordered), index
+    _check_factors(f, sign, ordered, index)
+    return Factorization(sign, f._lo, ordered), index
 
 
 # ---------------------------------------------------------------------------
@@ -1145,7 +1114,7 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
             elif p in index:
                 half.append((index[p], m // 2))
             else:
-                parts.append((_dense(p), m // 2))
+                parts.append((p._c, m // 2))
         else:
             pm = mult.get(partner, 0)
             if pm != m:
@@ -1156,7 +1125,7 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
             else:
                 # deterministic pick: the partner with the larger coefficient tuple
                 chosen = max(p, partner, key=_factor_key)
-                parts.append((_dense(chosen), m))
+                parts.append((chosen._c, m))
         seen.update((p, partner))
     if violations:
         return FoxMilnorResult(False, None, tuple(violations), fac)
@@ -1166,12 +1135,12 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
     # confirms that the witness reproduces f up to a unit
     r = _dproduct(parts)
     w = _ddiv_cyclotomics(r, [(d, -h) for d, h in half])
-    F = _dense(f)
+    F = list(f._c)
     product = _ddiv_cyclotomics(_dproduct(parts + [(a[::-1], k) for a, k in parts]),
                                 [(d, -2 * h) for d, h in half])
     if _ddiv_cyclotomics(w, half) != r or product not in (F, [-c for c in F]):
         raise InternalCheckError("self-check failed: the Fox-Milnor witness must reproduce f")
-    return FoxMilnorResult(True, _from_dense(w), (), fac)
+    return FoxMilnorResult(True, _poly(w), (), fac)
 
 
 def gsp_lower_bound(f: LaurentPolynomial) -> Fraction:

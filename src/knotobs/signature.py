@@ -100,6 +100,9 @@ class RationalJumps:
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return self._over, (self._den, self._jumps)
+
     def _located(self):
         """(location, jump) pairs with each location as a Fraction."""
         return ((Fraction(n, self._den), j) for n, j in self._jumps.items())

@@ -62,23 +62,19 @@ class TestArithmetic:
             assert (f * g).coeffs == oracles.convolve(f.coeffs, g.coeffs)
 
     def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # the power is one Kronecker product, a single integer power (which
+        # squares only while bits remain); no polynomial product is formed
         calls = []
-        sparse_mul = LaurentPolynomial.__mul__
-
-        def counting_mul(self, other):
-            calls.append(1)
-            return sparse_mul(self, other)
-
+        product = laurent._dproduct
         for m in range(10):
             expected = ONE
             for _ in range(m):
                 expected = expected * TREFOIL
             calls.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(LaurentPolynomial, "__mul__", counting_mul)
+                patch.setattr(laurent, "_dproduct", lambda parts: calls.append(parts) or product(parts))
                 assert TREFOIL**m == expected
-            # one product per set bit, one squaring per bit after the first
-            assert len(calls) == bin(m).count("1") + max(m.bit_length() - 1, 0), m
+            assert calls == [[(TREFOIL._c, m)]], m
 
     def test_int_and_fraction_points_match_oracle(self):
         rng = random.Random(4242)
@@ -121,7 +117,28 @@ class TestBreadth:
 class TestDenseLimit:
     def test_breadth_at_limit_is_dense(self):
         f = parse_laurent(f"t^{MAX_DENSE_BREADTH} - 1")
-        assert len(laurent._dense(f)) == MAX_DENSE_BREADTH + 1
+        assert f._lo == 0 and len(f._c) == MAX_DENSE_BREADTH + 1
+
+    def test_dense_storage_refuses_before_allocating(self, capsys):
+        # each result would be a coefficient tuple past the limit (10^12
+        # entries for the dict); its breadth is refused before any allocation
+        over = MAX_DENSE_BREADTH + 1
+        builds = [
+            lambda: parse_laurent(f"t^{over} - 1"),
+            lambda: LaurentPolynomial({0: 1, 10**12: 1}),
+            lambda: (laurent.T - 1) ** over,
+            lambda: TREFOIL.substitute_power(over // 2 + 1),
+            lambda: parse_laurent("t^60000 - 1") * parse_laurent("t^-60000 + 1"),
+            lambda: laurent.T.shift(10**12) + 1,
+        ]
+        with oracles.budget(2.0, "refusing polynomials past the dense limit"):
+            for build in builds:
+                with pytest.raises(ValidationError, match="exceeds the dense polynomial limit"):
+                    build()
+            # a monomial has breadth 0 whatever its exponent: one entry
+            assert laurent.T**over == LaurentPolynomial.monomial(1, over)
+            assert run(["fox-milnor", "t^200000 - 1"]) == 1
+        assert "invalid: breadth 200000 exceeds the dense polynomial limit" in capsys.readouterr().err
 
     def test_beyond_limit_refused(self):
         with pytest.raises(ValidationError, match="dense polynomial limit"):
@@ -278,7 +295,7 @@ class TestBinomialKernels:
             a = random_dense(rng, rng.randint(1, 30))
             e = rng.randint(1, 40)
             expected = oracles.convolve(dict(enumerate(a)), {0: -1, e: 1})
-            assert laurent._from_dense(laurent._dtimes_binomial(a, e)).coeffs == expected
+            assert laurent._poly(laurent._dtimes_binomial(a, e)).coeffs == expected
 
     @pytest.mark.parametrize("e", [1, 2, 3, 5, 8, 12])
     def test_binomial_division_edge_cases(self, e):
@@ -344,7 +361,7 @@ class TestBinomialKernels:
         for _ in range(40):
             f = ONE
             for d in rng.sample(range(1, 61), 4):
-                f = f * laurent._from_dense(dense_phi(d)) ** rng.randint(1, 3)
+                f = f * laurent._poly(dense_phi(d)) ** rng.randint(1, 3)
             inputs.append(f.shift(rng.randint(-3, 3)))
         divisors = []
         dense_div = laurent._dexact_div
@@ -454,14 +471,15 @@ class TestDenseProduct:
         big = 10**30
         for _ in range(300):
             parts = []
-            expected = ONE
+            expected = {0: 1}
             for _ in range(rng.randint(0, 4)):
                 width = rng.randint(1, 6)
                 a = [rng.randint(-big, big) if rng.random() < 0.8 else 0 for _ in range(width)]
                 m = rng.randint(0, 3)
                 parts.append((a, m))
-                expected = expected * laurent._from_dense(a) ** m
-            assert laurent._from_dense(laurent._dproduct(parts)) == expected
+                for _ in range(m):
+                    expected = oracles.convolve(expected, dict(enumerate(a)))
+            assert laurent._poly(laurent._dproduct(parts)).coeffs == expected
 
     def test_failed_witness_check_is_2(self, capsys, monkeypatch):
         # T(2,3) # T(2,3) has Delta = Phi_6^2 and witness w = Phi_6.  Once
@@ -528,14 +546,13 @@ class TestSelfChecks:
     )
     def test_mutated_factors_fail_the_check(self, mutate):
         fac, index = laurent._factor(self.MIXED)
-        F = laurent._dense(self.MIXED)
         assert index == {cyclotomic(1): 1, cyclotomic(6): 6}
         assert fac.sign == -1 and fac.exponent == -3
-        assert laurent._check_factors(F, fac.sign, fac.factors, index) is None
+        assert laurent._check_factors(self.MIXED, fac.sign, fac.factors, index) is None
         factors, sign = mutate(fac.factors, fac.sign)
         assert (factors, sign) != (fac.factors, fac.sign)
         with pytest.raises(InternalCheckError, match="must reproduce the input"):
-            laurent._check_factors(F, sign, factors, index)
+            laurent._check_factors(self.MIXED, sign, factors, index)
 
     def test_check_is_the_same_through_either_route(self):
         # with no index every factor goes through the Kronecker product
@@ -547,7 +564,7 @@ class TestSelfChecks:
             fac, index = laurent._factor(f)
             assert all(p == cyclotomic(d) for p, d in index.items())
             assert fac.expand() == f
-            laurent._check_factors(laurent._dense(f), fac.sign, fac.factors, {})
+            laurent._check_factors(f, fac.sign, fac.factors, {})
 
     def test_factor_t30030_minus_1_within_budget(self):
         divisors = [d for d in range(1, 30031) if 30030 % d == 0]

@@ -151,9 +151,30 @@ class TestEveryRecord:
         record = make()
         assert type(record)(**dict(zip(record._fields, record._values()))) == record
         assert copy.copy(record) == record
-        if not isinstance(record, (laurent.Factorization, laurent.FoxMilnorResult)):
-            # LaurentPolynomial, which these two hold, does not pickle
-            assert pickle.loads(pickle.dumps(record)) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: laurent.parse_laurent("t - 2"),
+        lambda: laurent.parse_laurent("3t^-4 - t^7"),
+        lambda: laurent.ZERO,
+        lambda: signature.torus_jumps(2, 3),
+        lambda: signature.EMPTY_JUMPS,
+        lambda: upsilon.upsilon_from_staircase(upsilon.staircase_from_alexander(laurent.torus_alexander(3, 4))),
+    ],
+    ids=["linear", "laurent", "zero", "jumps", "no-jumps", "upsilon"],
+)
+def test_immutable_values_copy_and_pickle(make):
+    # LaurentPolynomial and RationalJumps block __setattr__, so they rebuild
+    # through __reduce__ rather than the default slot restore
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+        with pytest.raises(AttributeError, match="immutable"):
+            twin._c = ()
 
 
 def test_types_with_the_same_fields_differ():

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 import knotobs
@@ -32,3 +33,22 @@ def test_cli_prints_only_through_its_printers():
             ):
                 offenders.append(f"{owner}:{node.lineno}")
     assert offenders == []
+
+
+# CPython 3.11's parser holds a module's tokens in an array that starts at
+# 8,192 entries; one more token doubles it and allocates 8,192 more token
+# structs at once, raising the compile peak by about 0.5 MB.  Every cold CLI
+# call compiles knotobs from source when bytecode is not written
+# (PYTHONDONTWRITEBYTECODE=1), so each module stays below that size.
+PARSER_TOKEN_ARRAY = 8192
+
+
+def test_modules_fit_the_parser_token_array():
+    """Count tokens as the parser sees them: no comments, blank or
+    continuation lines (NL), or encoding marker."""
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    sizes = {}
+    for path in sorted(Path(knotobs.__file__).parent.rglob("*.py")):
+        with path.open("rb") as fh:
+            sizes[path.name] = sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))
+    assert {name: n for name, n in sizes.items() if n >= PARSER_TOKEN_ARRAY} == {}
