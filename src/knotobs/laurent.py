@@ -88,10 +88,7 @@ class LaurentPolynomial:
         lo = min(data, default=0)
         hi = max(data, default=lo - 1)
         check_breadth(hi - lo, "breadth")
-        dense = [0] * (hi - lo + 1)
-        for e, c in data.items():
-            dense[e - lo] = c
-        return _poly(dense, lo)
+        return _poly((data.get(e, 0) for e in range(lo, hi + 1)), lo)
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentPolynomial is immutable")

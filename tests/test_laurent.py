@@ -120,16 +120,17 @@ class TestDenseLimit:
         assert f._lo == 0 and len(f._c) == MAX_DENSE_BREADTH + 1
 
     def test_dense_storage_refuses_before_allocating(self, capsys):
-        # each result would be a coefficient tuple past the limit (10^12
+        # each result would be a coefficient tuple just past the limit (10^12
         # entries for the dict); its breadth is refused before any allocation
         over = MAX_DENSE_BREADTH + 1
+        half = parse_laurent(f"1 + t^{over // 2 + 1}")
         builds = [
             lambda: parse_laurent(f"t^{over} - 1"),
             lambda: LaurentPolynomial({0: 1, 10**12: 1}),
-            lambda: (laurent.T - 1) ** over,
+            lambda: half**2,
+            lambda: half * half,
             lambda: TREFOIL.substitute_power(over // 2 + 1),
-            lambda: parse_laurent("t^60000 - 1") * parse_laurent("t^-60000 + 1"),
-            lambda: laurent.T.shift(10**12) + 1,
+            lambda: laurent.T.shift(over) + 1,
         ]
         with oracles.budget(2.0, "refusing polynomials past the dense limit"):
             for build in builds:
