@@ -23,21 +23,23 @@ polynomials are built, divided out and multiplied back in through their
 Moebius factors t^e - 1, one linear pass per binomial (for a product of
 cyclotomics, per binomial left after the exponents of its factors cancel);
 other exact division is long division with an early exit (reducing mod p^k
-in the splitter), and gcd a primitive pseudo-remainder sequence.  The
-self-checks (the factorization reproduces its input, the Fox-Milnor witness
-reproduces f) and the witness itself take their cyclotomic part through
-those binomials, and the other factors by Kronecker substitution: each
-coefficient list packs into one integer, wide enough for a bound on every
-coefficient of the product, and the polynomial product is one integer
-product.  Fractions appear only in `evaluate` (one division by x^-lo when
-the least exponent lo is negative, or at a Fraction point) and in the
-splitting-genus bound.
+in the splitter), and gcd a primitive pseudo-remainder sequence.  Phi_d is
+a `Cyclotomic`, which carries d, so `Factorization.expand` takes the
+cyclotomic part through those binomials and the other factors by Kronecker
+substitution: each coefficient list packs into one integer, wide enough for
+a bound on every coefficient of the product, and the polynomial product is
+one integer product.  `factor`'s self-check is that `expand()` reproduces
+the input; the Fox-Milnor witness is built and checked the same way.
+Fractions appear only in `evaluate` (one division by x^-lo when the least
+exponent lo is negative, or at a Fraction point) and in the splitting-genus
+bound.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, count, zip_longest
@@ -81,14 +83,10 @@ class LaurentPolynomial:
 
     def __new__(cls, coeffs=None):
         """From a map {exponent: coefficient} of integers."""
-        items = dict(coeffs or {}).items()
-        if not all(isinstance(e, int) and isinstance(c, int) for e, c in items):
+        coeffs = dict(coeffs or {})
+        if not all(isinstance(e, int) and isinstance(c, int) for e, c in coeffs.items()):
             raise ValidationError("exponents and coefficients must be integers")
-        data = {e: c for e, c in items if c}
-        lo = min(data, default=0)
-        hi = max(data, default=lo - 1)
-        check_breadth(hi - lo, "breadth")
-        return _poly((data.get(e, 0) for e in range(lo, hi + 1)), lo)
+        return _terms(coeffs)
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -100,11 +98,13 @@ class LaurentPolynomial:
 
     @staticmethod
     def constant(c: int) -> "LaurentPolynomial":
-        return LaurentPolynomial({0: c})
+        return LaurentPolynomial.monomial(c, 0)
 
     @staticmethod
     def monomial(c: int, e: int) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: c})
+        if not (isinstance(c, int) and isinstance(e, int)):
+            raise ValidationError("exponents and coefficients must be integers")
+        return _poly((c,), e)
 
     # -- structure ----------------------------------------------------
 
@@ -143,7 +143,7 @@ class LaurentPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentPolynomial.constant(other)
+            other = _poly((other,))
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self._lo == other._lo and self._c == other._c
@@ -245,7 +245,7 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({format_laurent(self)!r})"
 
 
-def _poly(c, lo: int = 0) -> LaurentPolynomial:
+def _poly(c, lo: int = 0, cls=LaurentPolynomial) -> LaurentPolynomial:
     """The polynomial sum c[i] t^(lo + i) from a sequence c of ints, with the
     zeros at both ends trimmed: the one constructor of every polynomial,
     which checks neither types nor breadth."""
@@ -256,10 +256,23 @@ def _poly(c, lo: int = 0) -> LaurentPolynomial:
     i = 0
     while i < hi and not c[i]:
         i += 1
-    f = object.__new__(LaurentPolynomial)
+    f = object.__new__(cls)
     object.__setattr__(f, "_lo", lo + i if hi else 0)
     object.__setattr__(f, "_c", c[i:hi])
     return f
+
+
+def _terms(coeffs: dict) -> LaurentPolynomial:
+    """The polynomial sum c t^e over a map {e: c} of ints, whose types are
+    not checked; a breadth above the limit is refused before allocating."""
+    data = {e: c for e, c in coeffs.items() if c}
+    lo = min(data, default=0)
+    hi = max(data, default=lo - 1)
+    check_breadth(hi - lo, "breadth")
+    c = [0] * (hi - lo + 1)
+    for e, v in data.items():
+        c[e - lo] = v
+    return _poly(c, lo)
 
 
 ZERO = LaurentPolynomial()
@@ -271,7 +284,7 @@ def _coerce(x) -> LaurentPolynomial:
     if isinstance(x, LaurentPolynomial):
         return x
     if isinstance(x, int):
-        return LaurentPolynomial.constant(x)
+        return _poly((x,))
     raise ValidationError(f"cannot treat {x!r} as a Laurent polynomial")
 
 
@@ -338,7 +351,7 @@ def parse_laurent(text: str) -> LaurentPolynomial:
             else:
                 raise ParseError(f"malformed term {term!r}")
         coeffs[e] = coeffs.get(e, 0) + c
-    return LaurentPolynomial(coeffs)
+    return _terms(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -638,42 +651,50 @@ def _moebius_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return numer, denom
 
 
+def _dbinomials(a: list, times, over):
+    """a * prod (t^e - 1) over the e in times, divided exactly by each
+    t^e - 1 for the e in over, in that order, of a trimmed list; None when a
+    division leaves a remainder.  Every step is linear in the length, and
+    exact division by monic polynomials stays in Z[t], so a None proves that
+    the whole quotient is not a polynomial."""
+    for e in times:
+        a = _dtimes_binomial(a, e)
+    for e in over:
+        if (a := _ddiv_binomial(a, e)) is None:
+            return None
+    return a
+
+
 def _ddiv_cyclotomics(a: list, pairs):
     """Exact quotient a / prod Phi_d^m over the (d, m) in pairs, of a trimmed
     list, or None when that product does not divide a, building no Phi_d.
     A negative m multiplies: with every m negated the result is the product
-    a * prod Phi_d^m, never None.
-
-    The product is prod (t^e - 1)^n_e over the net Moebius exponents n_e,
-    the sums of m mu(d/e): a is multiplied by each binomial with n_e < 0,
-    then divided exactly by each with n_e > 0.  Exact division by monic
-    polynomials stays in Z[t], so when the product divides a every step
-    divides exactly, and a None from any step proves that it does not.
-    """
+    a * prod Phi_d^m, never None.  The product is prod (t^e - 1)^n_e over
+    the net Moebius exponents n_e, the sums of m mu(d/e): `_dbinomials`
+    multiplies a by each binomial with n_e < 0, then divides by each with
+    n_e > 0, largest first."""
     net: dict[int, int] = {}
     for d, m in pairs:
-        numer, denom = _moebius_exponents(d)
-        for e in numer:
-            net[e] = net.get(e, 0) + m
-        for e in denom:
-            net[e] = net.get(e, 0) - m
-    for e, n in net.items():
-        for _ in range(-n):
-            a = _dtimes_binomial(a, e)
-    for e in sorted(net, reverse=True):
-        for _ in range(net[e]):
-            if (a := _ddiv_binomial(a, e)) is None:
-                return None
-    return a
+        for exponents, n in zip(_moebius_exponents(d), (m, -m)):
+            for e in exponents:
+                net[e] = net.get(e, 0) + n
+    times = [e for e, n in net.items() for _ in range(-n)]
+    over = sorted((e for e, n in net.items() for _ in range(n)), reverse=True)
+    return _dbinomials(a, times, over)
 
 
-def _ddiv_cyclotomic(a: list, d: int):
-    """Exact quotient a / Phi_d of a trimmed list, or None when Phi_d does
-    not divide a."""
-    return _ddiv_cyclotomics(a, [(d, 1)])
+class Cyclotomic(LaurentPolynomial):
+    """Phi_d, which carries its index d, built only by `_cyclotomic`.  It
+    equals and hashes like the plain polynomial; `Factorization.expand`
+    multiplies it back in through the binomials of d."""
+
+    __slots__ = ("d",)
+
+    def __reduce__(self):
+        return _cyclotomic, (self.d,)
 
 
-def cyclotomic(n: int) -> LaurentPolynomial:
+def cyclotomic(n: int) -> Cyclotomic:
     """The n-th cyclotomic polynomial, for an index within the dense limit."""
     if n < 1:
         raise ValidationError("cyclotomic requires n >= 1")
@@ -682,26 +703,24 @@ def cyclotomic(n: int) -> LaurentPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> LaurentPolynomial:
+def _cyclotomic(n: int) -> Cyclotomic:
     """Phi_n for any n >= 1, with no index check: factor builds a Phi_d that
     divides its input, whose index may pass the dense limit.
 
-    Phi_r for r = rad n is the Moebius product of binomials t^e - 1: [1]
-    times each numerator binomial, then divided exactly by each denominator
-    binomial, every step linear in the length.  Phi_n(t) = Phi_r(t^{n / r})
-    finishes it.  The longest intermediate list is the numerator product,
-    with 1 + (sigma(r) + phi(r)) / 2 entries: 2 for n = 1, at most 1.71 n
-    below the dense limit (51,265 entries at n = 30030), and 916,993 at
-    n = 510510, the largest index with phi(n) within it.
+    Phi_r for r = rad n is [1] times its Moebius binomials t^e - 1
+    (`_ddiv_cyclotomics` with m = -1): each numerator binomial multiplies,
+    then each denominator binomial divides exactly.  Phi_n(t) =
+    Phi_r(t^{n / r}) finishes it.  The longest intermediate list is the
+    numerator product, with 1 + (sigma(r) + phi(r)) / 2 entries: 2 for
+    n = 1, at most 1.71 n below the dense limit (51,265 entries at
+    n = 30030), and 916,993 at n = 510510, the largest index with phi(n)
+    within it.
     """
     rad = math.prod(_prime_factors(n))
-    numer, denom = _moebius_exponents(rad)
-    poly = [1]
-    for e in numer:
-        poly = _dtimes_binomial(poly, e)
-    for e in denom:
-        poly = _self_checked(_ddiv_binomial(poly, e), f"t^{e} - 1 divides the Phi_{rad} numerator")
-    return _poly(_dstretch(poly, n // rad))
+    poly = _self_checked(_ddiv_cyclotomics([1], [(rad, -1)]), f"the binomials of Phi_{rad} divide")
+    phi = _poly(_dstretch(poly, n // rad), 0, Cyclotomic)
+    object.__setattr__(phi, "d", n)
+    return phi
 
 
 # Phi_d(x) values kept for reuse: a warm factoring workload of torus knots
@@ -731,10 +750,9 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
     if math.gcd(p, q) != 1:
         raise ValidationError(f"torus knot parameters must be coprime, got ({p},{q})")
     check_breadth(p * q, "torus knot product pq")
-    quot = _dtimes_binomial(_dtimes_binomial([1], p * q), 1)
-    for e in (p, q):
-        quot = _self_checked(_ddiv_binomial(quot, e), "(t^p - 1)(t^q - 1) divides (t^pq - 1)(t - 1)")
-    return _poly(quot).centered()
+    quot = _self_checked(_dbinomials([1], (p * q, 1), (p, q)), "(t^p - 1)(t^q - 1) divides (t^pq - 1)(t - 1)")
+    # the breadth (p - 1)(q - 1) is even; centered, the least exponent is minus half of it
+    return _poly(quot, (1 - len(quot)) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +775,12 @@ class Factorization(Record):
         return LaurentPolynomial.monomial(self.sign, self.exponent)
 
     def expand(self) -> LaurentPolynomial:
-        return _poly(_dproduct([((self.sign,), 1)] + [(p._c, m) for p, m in self.factors]), self.exponent)
+        """The product: each `Cyclotomic` factor multiplied in through the
+        net Moebius binomials, the sign and every other factor by
+        `_dproduct`."""
+        cyc = [(p.d, -m) for p, m in self.factors if isinstance(p, Cyclotomic)]
+        rest = [(p._c, m) for p, m in self.factors if not isinstance(p, Cyclotomic)]
+        return _poly(_ddiv_cyclotomics(_dproduct([((self.sign,), 1), *rest]), cyc), self.exponent)
 
     def multiplicity(self, p: LaurentPolynomial) -> int:
         return dict(self.factors).get(p.canonical(), 0)
@@ -928,7 +951,7 @@ def _cyclotomic_screen(F: list, divide: bool) -> tuple[list, list]:
     returned as it is and each m is the most the values and the degree
     allow: a necessary condition, which a false candidate can pass and so
     take another index's share.  With divide, each step also divides Phi_d
-    out of F through `_ddiv_cyclotomic`, stops at the first remainder and
+    out of F through `_ddiv_cyclotomics`, stops at the first remainder and
     returns the quotient: then the m are the exact multiplicities.
     """
     n = _deg(F)
@@ -940,7 +963,7 @@ def _cyclotomic_screen(F: list, divide: bool) -> tuple[list, list]:
         m = 0
         while d > 1 and phi <= n and all(v % _cyclotomic_at(d, x) == 0 for x, v in vals):
             if divide:
-                if (q := _ddiv_cyclotomic(F, d)) is None:
+                if (q := _ddiv_cyclotomics(F, [(d, 1)])) is None:
                     break
                 F = q
             # Phi_d(x) >= 1 at x = 2, 3: a value stays zero or nonzero
@@ -971,24 +994,8 @@ def factor(f: LaurentPolynomial) -> Factorization:
        Zassenhaus (`_irreducibles`), and each is divided out as often as it
        divides.
 
-    The answer is checked to reproduce f (`_check_factors`).
+    The answer is checked to reproduce f: its `expand()` must equal f.
     """
-    return _factor(f)[0]
-
-
-def _check_factors(f, sign, factors, index):
-    """Raise InternalCheckError unless sign * prod p^m over the (p, m) in
-    factors is f up to a power of t.  Each p in index, a map from Phi_d to
-    d, is multiplied in through the net Moebius binomials
-    (`_ddiv_cyclotomics` with m negated); the sign and every other p by
-    `_dproduct`."""
-    rest = _dproduct([((sign,), 1)] + [(p._c, m) for p, m in factors if p not in index])
-    if tuple(_ddiv_cyclotomics(rest, [(index[p], -m) for p, m in factors if p in index])) != f._c:
-        raise InternalCheckError("self-check failed: factorization must reproduce the input")
-
-
-def _factor(f: LaurentPolynomial) -> tuple[Factorization, dict]:
-    """`factor`, and the map from each cyclotomic factor Phi_d to d."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     F = list(f._c)
@@ -997,41 +1004,32 @@ def _factor(f: LaurentPolynomial) -> tuple[Factorization, dict]:
         sign = -1
         F = [-x for x in F]
 
-    found: dict[LaurentPolynomial, int] = {}
-    index = {}  # Phi_d -> d
-
-    def record(poly: LaurentPolynomial, mult: int = 1):
-        found[poly] = found.get(poly, 0) + mult
-
-    def record_cyclotomic(d, mult=1):
-        poly = _cyclotomic(d)
-        index[poly] = d
-        record(poly, mult)
+    found = Counter()
 
     content = math.gcd(*F)
     if content > 1:
         F = [x // content for x in F]
         for p, e in _prime_factors(content, CONTENT_TRIAL_BOUND).items():
-            record(LaurentPolynomial.constant(p), e)
+            found[LaurentPolynomial.constant(p)] += e
 
     # Phi_1 exactly, by synthetic division by t - 1
     while (q := _ddiv_binomial(F, 1)) is not None:
         F = q
-        record_cyclotomic(1)
+        found[_cyclotomic(1)] += 1
     _, cands = _cyclotomic_screen(F, divide=False)
     if (q := _ddiv_cyclotomics(F, cands)) is None:
         # a false candidate: the true ones shrink F before it is screened again
         for d, m in cands:
             for _ in range(m):
-                if (q := _ddiv_cyclotomic(F, d)) is None:
+                if (q := _ddiv_cyclotomics(F, [(d, 1)])) is None:
                     break
                 F = q
-                record_cyclotomic(d)
+                found[_cyclotomic(d)] += 1
         F, cands = _cyclotomic_screen(F, divide=True)
     else:
         F = q
     for d, m in cands:
-        record_cyclotomic(d, m)
+        found[_cyclotomic(d)] += m
 
     if _deg(F) >= 1:
         sqfree_gcd = _dgcd(F, _trim([i * c for i, c in enumerate(F)][1:]))
@@ -1043,14 +1041,15 @@ def _factor(f: LaurentPolynomial) -> tuple[Factorization, dict]:
                 F, mult = q, mult + 1
             if mult == 0:
                 raise InternalCheckError(f"self-check failed: factor {poly} does not divide F")
-            record(poly, mult)
+            found[poly] += mult
         if not (_deg(F) < 1 and F and F[0] == 1):
             raise InternalCheckError("self-check failed: factor residue must be the unit 1")
 
     ordered = tuple(sorted(found.items(), key=lambda kv: _factor_key(kv[0])))
-    # the exponent is f's least one by construction; the check reads the rest
-    _check_factors(f, sign, ordered, index)
-    return Factorization(sign, f._lo, ordered), index
+    result = Factorization(sign, f._lo, ordered)
+    if result.expand() != f:
+        raise InternalCheckError("self-check failed: factorization must reproduce the input")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1093,7 +1092,7 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
         raise NormalizationError(
             f"normalization required: f(1) = {f.evaluate(1)}, expected +-1"
         )
-    fac, index = _factor(f)
+    fac = factor(f)
     mult = dict(fac.factors)
     violations = []
     parts = []  # (dense a, k): the witness is prod a^k times prod Phi_d^h over half
@@ -1108,8 +1107,8 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
                 violations.append(
                     f"self-reciprocal factor {format_laurent(p)} has odd multiplicity {m}"
                 )
-            elif p in index:
-                half.append((index[p], m // 2))
+            elif isinstance(p, Cyclotomic):
+                half.append((p.d, m // 2))
             else:
                 parts.append((p._c, m // 2))
         else:

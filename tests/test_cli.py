@@ -9,6 +9,7 @@ import time
 from importlib import resources
 
 import jsonschema
+import pytest
 
 import oracles
 from knotobs import cli, knots, laurent
@@ -87,10 +88,11 @@ class TestExitCodes:
         assert "error: RuntimeError: boom" in capsys.readouterr().err
 
     def test_failed_self_check_is_2(self, capsys, monkeypatch):
-        # the final check is handed the factors with Phi_1 = t - 1 dropped
-        check = laurent._check_factors
+        # the final check expands the factors with Phi_1 = t - 1 dropped
+        expand = laurent.Factorization.expand
         monkeypatch.setattr(
-            laurent, "_check_factors", lambda F, sign, factors, index: check(F, sign, factors[1:], index)
+            laurent.Factorization, "expand",
+            lambda fac: expand(laurent.Factorization(fac.sign, fac.exponent, fac.factors[1:])),
         )
         assert run(["factor", "t^2 - 1"]) == 2
         assert "self-check failed" in capsys.readouterr().err
@@ -109,6 +111,39 @@ class TestExitCodes:
         out = tmp_path / "out.json"
         assert run(["upsilon", "--json", str(out), "--", "-T(2,3)"]) == 0
         assert json.loads(out.read_text())["payload"]["breakpoints"] == [["0", "0"], ["1", "1"], ["2", "0"]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["upsilon", "-T(2,3)"],
+            ["genus", "-T(2,3)"],
+            ["factor", "-t"],
+            ["upsilon", "-T(2,3)", "--csv", "u.csv"],
+        ],
+        ids=["upsilon", "genus", "factor", "upsilon-csv"],
+    )
+    def test_leading_minus_without_double_dash(self, tmp_path, capsys, monkeypatch, argv):
+        # a lone argument that starts with "-" and names no option of its
+        # command is its expression, as it is after "--"
+        monkeypatch.chdir(tmp_path)
+        expression = argv[1]
+        options = argv[2:]
+        outputs = []
+        for form in (argv, [argv[0], *options, "--", expression]):
+            assert run(form) == 0, form
+            artifacts = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            for p in tmp_path.iterdir():
+                p.unlink()
+            outputs.append((capsys.readouterr().out, artifacts))
+        assert outputs[0] == outputs[1]
+        assert expression in outputs[0][0]
+        assert list(outputs[0][1]) == (["u.csv"] if options else [])
+
+    def test_unknown_option_is_still_a_usage_error(self, capsys):
+        assert run(["upsilon", "--nope", "T(2,3)"]) == 2
+        assert "unrecognized arguments: --nope" in capsys.readouterr().err
+        assert run(["upsilon", "-h"]) == 0
+        assert "usage: knotobs upsilon" in capsys.readouterr().out
 
     def test_breadth_beyond_dense_limit_is_1(self, capsys):
         assert run(["factor", "t^200000 - 1"]) == 1

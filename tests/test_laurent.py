@@ -329,7 +329,7 @@ class TestBinomialKernels:
             for _ in range(6):
                 a = random_dense(rng, rng.randint(1, 80))
                 for F in (a, laurent._dproduct([(a, 1), (phi, 1)])):
-                    assert laurent._ddiv_cyclotomic(F, d) == laurent._dexact_div(F, phi), d
+                    assert laurent._ddiv_cyclotomics(F, [(d, 1)]) == laurent._dexact_div(F, phi), d
 
     def test_known_multiplicities_of_cyclotomic_products(self):
         rng = random.Random(6262)
@@ -339,7 +339,7 @@ class TestBinomialKernels:
             F = laurent._dproduct([(phis[d], m) for d, m in mults.items()])
             for d, phi in phis.items():
                 G, m = F, 0
-                while (q := laurent._ddiv_cyclotomic(G, d)) is not None:
+                while (q := laurent._ddiv_cyclotomics(G, [(d, 1)])) is not None:
                     assert q == laurent._dexact_div(G, phi)
                     G, m = q, m + 1
                 assert laurent._dexact_div(G, phi) is None
@@ -351,9 +351,9 @@ class TestBinomialKernels:
         F = [-1] + [0] * 30029 + [1]
         with oracles.budget(10.0, "stripping the cyclotomic factors of t^30030 - 1"):
             for d in divisors:
-                F = laurent._ddiv_cyclotomic(F, d)
+                F = laurent._ddiv_cyclotomics(F, [(d, 1)])
                 assert F is not None, d
-                assert laurent._ddiv_cyclotomic(F, d) is None, d
+                assert laurent._ddiv_cyclotomics(F, [(d, 1)]) is None, d
         assert F == [1]
 
     def test_cyclotomic_products_use_no_dense_division(self, monkeypatch):
@@ -394,14 +394,16 @@ class TestBinomialKernels:
         # J_8's polynomial is the square of six cyclotomics: the screen on
         # F(2) and F(3) finds all six twice, and one division through the
         # net binomials (t^72 - 1)^2 (t - 1)^2 / ((t^8 - 1)^2 (t^9 - 1)^2)
-        # proves them, so no single Phi_d is divided out
+        # proves them, so no single Phi_d is divided out; the only other
+        # product of cyclotomics is the self-check multiplying them back in
         delta = knots.alexander(knots.family("J", 8))
         calls = []
-        divide = laurent._ddiv_cyclotomic
-        monkeypatch.setattr(laurent, "_ddiv_cyclotomic", lambda a, d: calls.append(d) or divide(a, d))
+        divide = laurent._ddiv_cyclotomics
+        monkeypatch.setattr(laurent, "_ddiv_cyclotomics", lambda a, pairs: calls.append(list(pairs)) or divide(a, pairs))
         fac = factor(delta)
-        assert fac.factors == tuple((cyclotomic(d), 2) for d in (6, 12, 18, 24, 36, 72))
-        assert calls == []
+        indices = (6, 12, 18, 24, 36, 72)
+        assert fac.factors == tuple((cyclotomic(d), 2) for d in indices)
+        assert calls == [[(d, 2) for d in indices], [(d, -2) for d in indices]]
 
     def test_phi_1_is_divided_out_exactly(self):
         # 2^6 divides 3^2000 - 1, which a screen of Phi_1(3) = 2 would read
@@ -434,11 +436,19 @@ class TestBinomialKernels:
         f = ONE
         for text, m in parts:
             f = f * parse_laurent(text) ** m
-        calls = []
-        divide = laurent._ddiv_cyclotomic
-        monkeypatch.setattr(laurent, "_ddiv_cyclotomic", lambda a, d: calls.append(d) or divide(a, d))
+        calls = []  # (pairs, quotient) of each product of cyclotomics
+        divide = laurent._ddiv_cyclotomics
+
+        def recording(a, pairs):
+            calls.append((list(pairs), divide(a, pairs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(laurent, "_ddiv_cyclotomics", recording)
         fac = factor(f)
-        assert calls, "the net product divided exactly"
+        # the first product divides by every candidate at once; it fails,
+        # and divisions by a single Phi_d follow
+        assert calls[0][1] is None, "the net product divided exactly"
+        assert any(len(pairs) == 1 and pairs[0][1] == 1 for pairs, _ in calls[1:])
         assert dict(fac.factors) == {
             cyclotomic(p) if isinstance(p, int) else parse_laurent(p): m for p, m in expected
         }
@@ -486,7 +496,7 @@ class TestDenseProduct:
         # T(2,3) # T(2,3) has Delta = Phi_6^2 and witness w = Phi_6.  Once
         # factor has checked its answer, one product of the witness route is
         # corrupted: w itself (m = -1), or r r-bar Phi_6^2 (m = -2)
-        real_factor, divide = laurent._factor, laurent._ddiv_cyclotomics
+        real_factor, divide = laurent.factor, laurent._ddiv_cyclotomics
         assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 0
         for target in (-1, -2):
             armed = []
@@ -503,7 +513,7 @@ class TestDenseProduct:
                 return out
 
             with monkeypatch.context() as patch:
-                patch.setattr(laurent, "_factor", factor_then_arm)
+                patch.setattr(laurent, "factor", factor_then_arm)
                 patch.setattr(laurent, "_ddiv_cyclotomics", corrupt)
                 capsys.readouterr()
                 assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 2, target
@@ -511,9 +521,10 @@ class TestDenseProduct:
 
 
 class TestSelfChecks:
-    """factor and fox_milnor check their answers by multiplying the
-    cyclotomic factors back in through the net Moebius binomials and the
-    others by Kronecker substitution."""
+    """factor checks that its answer expands back to the input, and
+    fox_milnor checks its witness; both multiply the cyclotomic factors
+    back in through the net Moebius binomials and the others by Kronecker
+    substitution."""
 
     # -3 t^-3 Phi_1 Phi_6^2 (t - 2)^2 (2t^2 + t + 5)
     MIXED = (
@@ -545,33 +556,52 @@ class TestSelfChecks:
         ],
         ids=["drop-phi6", "drop-phi1", "phi6-mult", "linear-mult", "linear", "constant", "sign"],
     )
-    def test_mutated_factors_fail_the_check(self, mutate):
-        fac, index = laurent._factor(self.MIXED)
-        assert index == {cyclotomic(1): 1, cyclotomic(6): 6}
+    def test_mutated_factors_fail_the_check(self, monkeypatch, mutate):
+        fac = factor(self.MIXED)
+        assert {p.d for p, _ in fac.factors if isinstance(p, laurent.Cyclotomic)} == {1, 6}
         assert fac.sign == -1 and fac.exponent == -3
-        assert laurent._check_factors(self.MIXED, fac.sign, fac.factors, index) is None
+        assert fac.expand() == self.MIXED
         factors, sign = mutate(fac.factors, fac.sign)
         assert (factors, sign) != (fac.factors, fac.sign)
+        assert laurent.Factorization(sign, fac.exponent, factors).expand() != self.MIXED
+
+        # factor's own check, handed the mutated answer
+        class Mutated(laurent.Factorization):
+            def __init__(self, sign, exponent, factors):
+                factors, sign = mutate(factors, sign)
+                super().__init__(sign, exponent, factors)
+
+        monkeypatch.setattr(laurent, "Factorization", Mutated)
         with pytest.raises(InternalCheckError, match="must reproduce the input"):
-            laurent._check_factors(self.MIXED, sign, factors, index)
+            factor(self.MIXED)
 
     def test_check_is_the_same_through_either_route(self):
-        # with no index every factor goes through the Kronecker product
+        # the same factors as plain polynomials all go through the Kronecker
+        # product, and expand to the same polynomial
         rng = random.Random(7070)
         for _ in range(100):
             f = oracles.random_factor_product(rng)
             for d in rng.sample(range(1, 31), 2):
                 f = f * cyclotomic(d) ** rng.randint(0, 2)
-            fac, index = laurent._factor(f)
-            assert all(p == cyclotomic(d) for p, d in index.items())
-            assert fac.expand() == f
-            laurent._check_factors(f, fac.sign, fac.factors, {})
+            fac = factor(f)
+            assert all(p == cyclotomic(p.d) for p, _ in fac.factors if isinstance(p, laurent.Cyclotomic))
+            plain = tuple((laurent._poly(p._c), m) for p, m in fac.factors)
+            assert not any(isinstance(p, laurent.Cyclotomic) for p, _ in plain)
+            assert fac.expand() == laurent.Factorization(fac.sign, fac.exponent, plain).expand() == f
 
     def test_factor_t30030_minus_1_within_budget(self):
         divisors = [d for d in range(1, 30031) if 30030 % d == 0]
         with oracles.budget(6.0, "factoring t^30030 - 1"):
             fac = factor(parse_laurent("t^30030 - 1"))
         assert dict(fac.factors) == {laurent._cyclotomic(d): 1 for d in divisors}
+
+    def test_expand_t30030_minus_1_within_budget(self):
+        # its 64 cyclotomic factors multiply back through the binomials, where
+        # one Kronecker product of all of them took seconds
+        f = parse_laurent("t^30030 - 1")
+        fac = factor(f)
+        with oracles.budget(0.5, "expanding the factorization of t^30030 - 1"):
+            assert fac.expand() == f
 
     def test_families_take_no_kronecker_product_of_two_parts(self, monkeypatch):
         # every factor of J and J' is cyclotomic: the checks and the witness

@@ -160,18 +160,21 @@ class TestEveryRecord:
         lambda: laurent.parse_laurent("t - 2"),
         lambda: laurent.parse_laurent("3t^-4 - t^7"),
         lambda: laurent.ZERO,
+        lambda: laurent.cyclotomic(12),
         lambda: signature.torus_jumps(2, 3),
         lambda: signature.EMPTY_JUMPS,
         lambda: upsilon.upsilon_from_staircase(upsilon.staircase_from_alexander(laurent.torus_alexander(3, 4))),
     ],
-    ids=["linear", "laurent", "zero", "jumps", "no-jumps", "upsilon"],
+    ids=["linear", "laurent", "zero", "cyclotomic", "jumps", "no-jumps", "upsilon"],
 )
 def test_immutable_values_copy_and_pickle(make):
     # LaurentPolynomial and RationalJumps block __setattr__, so they rebuild
-    # through __reduce__ rather than the default slot restore
+    # through __reduce__ rather than the default slot restore; a Cyclotomic
+    # rebuilds from its index d
     value = make()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert getattr(twin, "d", None) == getattr(value, "d", None)
         assert repr(twin) == repr(value)
         with pytest.raises(AttributeError, match="immutable"):
             twin._c = ()
