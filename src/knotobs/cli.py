@@ -8,6 +8,7 @@ are written on request via --json / --csv / --svg.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -311,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        # a lone "-T(2,3)" or "-t" names no option, so it is read as positional
+        p._negative_number_matcher = re.compile(r"-[^-]")
         p.set_defaults(handler=handler)
         p.add_argument("--json", metavar="PATH", help="write the JSON result envelope")
         return p
@@ -379,36 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _leading_dash_last(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """argv with a lone argument such as "-T(2,3)" or "-t", which argparse
-    would read as an unknown option, moved after a "--" so that it fills the
-    command's expression or input.  It moves only when it starts with one
-    "-", names no option of the command and is not the value of the option
-    before it, and only when the command takes an expression or input and
-    argv holds no "--"."""
-    commands = next(a.choices for a in parser._actions if a.dest == "command")
-    command = commands.get(argv[0]) if argv else None
-    if command is None or "--" in argv or not any(a.dest in ("expression", "input") for a in command._actions):
-        return argv
-    takes_value = {o: a.nargs != 0 for a in command._actions for o in a.option_strings}
-
-    def named(arg: str) -> list[bool]:
-        # as argparse matches options: exactly, "-h" with a value attached,
-        # "--opt=value", or an abbreviation
-        return [v for o, v in takes_value.items() if o == arg[:2] or o.startswith(arg.split("=")[0])]
-
-    for i in range(1, len(argv)):
-        arg, before = argv[i], argv[i - 1]
-        is_value = before[:1] == "-" and "=" not in before and any(named(before))
-        if arg[:1] == "-" and arg[1:2] not in ("", "-") and not named(arg) and not is_value:
-            return argv[:i] + argv[i + 1:] + ["--", arg]
-    return argv
-
-
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_leading_dash_last(parser, argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -29,7 +29,8 @@ cyclotomic part through those binomials and the other factors by Kronecker
 substitution: each coefficient list packs into one integer, wide enough for
 a bound on every coefficient of the product, and the polynomial product is
 one integer product.  `factor`'s self-check is that `expand()` reproduces
-the input; the Fox-Milnor witness is built and checked the same way.
+the input; the Fox-Milnor witness w is `expand()` of the halved factors,
+checked by w(t) w(1/t) = +-t^k f.
 Fractions appear only in `evaluate` (one division by x^-lo when the least
 exponent lo is negative, or at a Fraction point) and in the splitting-genus
 bound.
@@ -175,8 +176,12 @@ class LaurentPolynomial:
 
     def __mul__(self, other) -> "LaurentPolynomial":
         other = _coerce(other)
-        check_breadth(len(self._c) + len(other._c) - 2, "breadth")
-        return _poly(_dproduct([(self._c, 1), (other._c, 1)]), self._lo + other._lo)
+        lo = self._lo + other._lo
+        a, b = sorted((self._c, other._c), key=len)
+        if len(a) == 1:  # c t^k scales and shifts the other tuple
+            return _poly([a[0] * x for x in b], lo)
+        check_breadth(len(a) + len(b) - 2, "breadth")
+        return _poly(_dproduct([(a, 1), (b, 1)]), lo)
 
     __rmul__ = __mul__
 
@@ -1084,7 +1089,9 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
 
     Every self-reciprocal irreducible factor must occur with even
     multiplicity, and every other factor with the same multiplicity as its
-    reciprocal partner.
+    reciprocal partner.  Then w is `expand()` of the halved factors (p^(m/2)
+    for each self-reciprocal p, one partner of each pair to its full
+    multiplicity), checked by w(t) w(1/t) = +-t^k f.
     """
     if f.is_zero:
         raise ZeroPolynomialError("Fox-Milnor is undefined for the zero polynomial")
@@ -1095,8 +1102,7 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
     fac = factor(f)
     mult = dict(fac.factors)
     violations = []
-    parts = []  # (dense a, k): the witness is prod a^k times prod Phi_d^h over half
-    half = []  # (d, h) for each cyclotomic factor Phi_d^(2h)
+    half = []
     seen = set()
     for p, m in fac.factors:
         if p in seen:
@@ -1107,10 +1113,8 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
                 violations.append(
                     f"self-reciprocal factor {format_laurent(p)} has odd multiplicity {m}"
                 )
-            elif isinstance(p, Cyclotomic):
-                half.append((p.d, m // 2))
             else:
-                parts.append((p._c, m // 2))
+                half.append((p, m // 2))
         else:
             pm = mult.get(partner, 0)
             if pm != m:
@@ -1120,23 +1124,15 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
                 )
             else:
                 # deterministic pick: the partner with the larger coefficient tuple
-                chosen = max(p, partner, key=_factor_key)
-                parts.append((chosen._c, m))
+                half.append((max(p, partner, key=_factor_key), m))
         seen.update((p, partner))
     if violations:
         return FoxMilnorResult(False, None, tuple(violations), fac)
-    # w = r C with C = prod Phi_d^h.  Phi_1 reverses to -Phi_1 and every other
-    # Phi_d is palindromic, so C reverses to +-C and w(t) * t^deg w * w(1/t)
-    # is +-r r-bar C^2: checking that w / C is r, and that r r-bar C^2 is +-f,
-    # confirms that the witness reproduces f up to a unit
-    r = _dproduct(parts)
-    w = _ddiv_cyclotomics(r, [(d, -h) for d, h in half])
-    F = list(f._c)
-    product = _ddiv_cyclotomics(_dproduct(parts + [(a[::-1], k) for a, k in parts]),
-                                [(d, -2 * h) for d, h in half])
-    if _ddiv_cyclotomics(w, half) != r or product not in (F, [-c for c in F]):
+    w = Factorization(1, 0, tuple(half)).expand()
+    g = w * w.reciprocal()
+    if g.shift(f._lo - g._lo) not in (f, -f):
         raise InternalCheckError("self-check failed: the Fox-Milnor witness must reproduce f")
-    return FoxMilnorResult(True, _poly(w), (), fac)
+    return FoxMilnorResult(True, w, (), fac)
 
 
 def gsp_lower_bound(f: LaurentPolynomial) -> Fraction:

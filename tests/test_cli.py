@@ -104,7 +104,7 @@ class TestExitCodes:
         assert run(["genus", "--", "-" * 3000 + "T(2,3)"]) == 0
 
     def test_leading_minus_after_double_dash(self, tmp_path, capsys):
-        # argparse reads a lone "-T(2,3)" as an option; "--" ends the options
+        # "--" ends the options, so every argument after it is positional
         assert run(["upsilon", "--", "-T(2,3)"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert rows[:4] == [["knot", "-T(2,3)"], ["t", "=", "0", "0"], ["t", "=", "1", "1"], ["t", "=", "2", "0"]]
@@ -144,6 +144,11 @@ class TestExitCodes:
         assert "unrecognized arguments: --nope" in capsys.readouterr().err
         assert run(["upsilon", "-h"]) == 0
         assert "usage: knotobs upsilon" in capsys.readouterr().out
+
+    def test_option_value_may_start_with_minus(self, capsys):
+        # the argument after an option that takes a value is that value
+        assert run(["sig-jumps", "T(3,4)", "--at", "-1/2"]) == 1
+        assert "invalid: evaluation point -1/2 outside (0,1)" in capsys.readouterr().err
 
     def test_breadth_beyond_dense_limit_is_1(self, capsys):
         assert run(["factor", "t^200000 - 1"]) == 1

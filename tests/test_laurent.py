@@ -492,13 +492,27 @@ class TestDenseProduct:
                     expected = oracles.convolve(expected, dict(enumerate(a)))
             assert laurent._poly(laurent._dproduct(parts)).coeffs == expected
 
+    def test_one_entry_operand_scales_and_shifts(self):
+        # an int, a +-constant or c t^k on either side gives the Kronecker product
+        f = parse_laurent("t^-2 - 3 + 5t^4")
+        for c in (3, -1, 0, ONE, -ONE, LaurentPolynomial.monomial(-7, 3), LaurentPolynomial.monomial(2, -5)):
+            g = laurent._coerce(c)
+            expected = laurent._poly(laurent._dproduct([(f._c, 1), (g._c, 1)]), f._lo + g._lo)
+            assert f * c == c * f == expected
+
     def test_failed_witness_check_is_2(self, capsys, monkeypatch):
         # T(2,3) # T(2,3) has Delta = Phi_6^2 and witness w = Phi_6.  Once
         # factor has checked its answer, one product of the witness route is
-        # corrupted: w itself (m = -1), or r r-bar Phi_6^2 (m = -2)
-        real_factor, divide = laurent.factor, laurent._ddiv_cyclotomics
+        # corrupted: w itself, from the binomials of Phi_6, or w * w-bar, the
+        # one Kronecker product of two parts
+        real_factor, divide, product = laurent.factor, laurent._ddiv_cyclotomics, laurent._dproduct
+        bumped = lambda out: [out[0] + 1] + out[1:]
+        corruptions = {
+            "_ddiv_cyclotomics": lambda a, pairs: bumped(divide(a, pairs)) if pairs == [(6, -1)] else divide(a, pairs),
+            "_dproduct": lambda parts: bumped(product(parts)) if len(parts) == 2 else product(parts),
+        }
         assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 0
-        for target in (-1, -2):
+        for name, corrupt in corruptions.items():
             armed = []
 
             def factor_then_arm(f):
@@ -506,25 +520,21 @@ class TestDenseProduct:
                 armed.append(True)
                 return out
 
-            def corrupt(a, pairs):
-                out = divide(a, pairs)
-                if armed and pairs == [(6, target)]:
-                    out = [out[0] + 1] + out[1:]
-                return out
-
+            real = getattr(laurent, name)
             with monkeypatch.context() as patch:
                 patch.setattr(laurent, "factor", factor_then_arm)
-                patch.setattr(laurent, "_ddiv_cyclotomics", corrupt)
+                patch.setattr(laurent, name, lambda *args: (corrupt if armed else real)(*args))
                 capsys.readouterr()
-                assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 2, target
+                assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 2, name
             assert "self-check failed: the Fox-Milnor witness" in capsys.readouterr().err
 
 
 class TestSelfChecks:
-    """factor checks that its answer expands back to the input, and
-    fox_milnor checks its witness; both multiply the cyclotomic factors
-    back in through the net Moebius binomials and the others by Kronecker
-    substitution."""
+    """factor checks that its answer expands back to the input.  fox_milnor
+    builds its witness w as `expand()` of the halved factors and checks that
+    w(t) w(1/t) is +-t^k f, one Kronecker product.  `expand()` multiplies the
+    cyclotomic factors back in through the net Moebius binomials and the
+    others by Kronecker substitution."""
 
     # -3 t^-3 Phi_1 Phi_6^2 (t - 2)^2 (2t^2 + t + 5)
     MIXED = (
@@ -604,18 +614,22 @@ class TestSelfChecks:
             assert fac.expand() == f
 
     def test_families_take_no_kronecker_product_of_two_parts(self, monkeypatch):
-        # every factor of J and J' is cyclotomic: the checks and the witness
-        # multiply by binomials, and _dproduct sees at most the sign
+        # every factor of J and J' is cyclotomic: factor, its check and the
+        # bound multiply by binomials, and _dproduct sees at most the sign;
+        # fox_milnor forms one product of two parts, w * w-bar
         deltas = [knots.alexander(knots.family(name, n))
                   for name, n in [("J", 8), ("J", 9), ("J", 10), ("Jprime", 9), ("Jprime", 10)]]
         lengths = []
         product = laurent._dproduct
         monkeypatch.setattr(laurent, "_dproduct", lambda parts: lengths.append(len(parts)) or product(parts))
         for delta in deltas:
-            assert fox_milnor(delta).passes
+            lengths.clear()
             assert gsp_lower_bound(delta) == 0
             factor(delta)
-        assert lengths and max(lengths) <= 1
+            assert lengths and max(lengths) <= 1
+            lengths.clear()
+            assert fox_milnor(delta).passes
+            assert max(lengths) == 2 and lengths.count(2) == 1
 
     def test_moebius_exponents_are_held_up_to_a_fixed_bound(self):
         laurent._moebius_exponents.cache_clear()
