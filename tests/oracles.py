@@ -280,6 +280,28 @@ def random_factor_product(rng: random.Random, max_breadth: int = 10) -> LaurentP
     return f.shift(rng.randint(-3, 3))
 
 
+# Cyclotomic indices with at least two distinct prime factors: Phi_d(1) = 1.
+UNIT_CYCLOTOMIC_INDICES = [6, 10, 12, 14, 15, 18, 20, 21]
+
+
+def random_slice_product(rng: random.Random, max_breadth: int = 6) -> LaurentPolynomial:
+    """g(t) g(1/t) Phi_d^2 with g from `random_normalized_poly`, so g(1) = +-1
+    and the product passes Fox-Milnor; each factor of g that is not
+    self-reciprocal meets its reciprocal partner in g(1/t)."""
+    g = random_normalized_poly(rng, max_breadth)
+    g_of_inverse = LaurentPolynomial({-e: c for e, c in g.coeffs.items()})
+    phi = LaurentPolynomial(cyclotomic_oracle(rng.choice(UNIT_CYCLOTOMIC_INDICES)))
+    return g * g_of_inverse * phi * phi
+
+
+def random_torus_sum(rng: random.Random, pairs) -> str:
+    """Text of a #-sum of two to four torus knots T(p,q), (p, q) drawn from
+    `pairs`, each mirrored or not."""
+    return " # ".join(
+        rng.choice(["", "-"]) + "T(%d,%d)" % rng.choice(pairs) for _ in range(rng.randint(2, 4))
+    )
+
+
 def random_laurent(rng: random.Random, max_breadth: int = 8) -> LaurentPolynomial:
     lo = rng.randint(-4, 2)
     width = rng.randint(0, max_breadth)

@@ -1,6 +1,7 @@
-"""The committed answer corpus of the polynomial layer: for each input in
-tests/answers.tsv, a short hash of its canonical answer, so that a change to
-any answer names the inputs that moved.
+"""The committed answer corpus: for each input, a short hash of its canonical
+answer, so that a change to any answer names the inputs that moved.
+
+tests/answers.tsv holds the polynomial layer.
 
 The answer of an input is its `factor` payload, its `fox_milnor` verdict,
 witness and violations, and its `gsp_lower_bound`; a call that raises gives
@@ -8,9 +9,17 @@ the error's type and message instead.  An input is a knot expression,
 resolved through its Alexander polynomial, or polynomial text.  The corpus
 holds J, J' and L for n = 2..12, every coprime T(p,q) with p < 14 and
 q < 30 and T(p,q) # T(p,q), the `factor` polynomial inputs of the
-`cli-obstruct-cold` benchmark workload for seeds 1-59, and 400 products
+`cli-obstruct-cold` benchmark workload for seeds 1-59, 400 products
 `oracles.random_factor_product(random.Random(2121))` in `format_laurent`
-text, each input once.
+text, and the 58 distinct of 60 products
+`oracles.random_slice_product(random.Random(2222))`, which all pass
+Fox-Milnor, 53 with a non-cyclotomic factor in the witness; each input once.
+
+tests/jump_answers.tsv holds the jump functions.  The answer of a knot
+expression is its Upsilon breakpoints and its signature jumps, each as the
+CLI's JSON payload writes them, or the error.  The corpus holds every
+coprime T(p,q) with p < 14 and q < 30, and 20 sums
+`oracles.random_torus_sum(random.Random(2223), pairs)` over those (p, q).
 
 After an intended answer change, rewrite the hashes with
 
@@ -21,10 +30,11 @@ import hashlib
 import json
 from pathlib import Path
 
-from knotobs import knots, laurent
+from knotobs import knots, laurent, signature, upsilon
 from knotobs.errors import ParseError
 
 ANSWERS = Path(__file__).parent / "answers.tsv"
+JUMP_ANSWERS = Path(__file__).parent / "jump_answers.tsv"
 
 
 def polynomial(text: str) -> laurent.LaurentPolynomial:
@@ -55,13 +65,28 @@ def answer(text: str) -> dict:
     }
 
 
-def digest(text: str) -> str:
-    canonical = json.dumps(answer(text), sort_keys=True, separators=(",", ":"))
+def jump_answer(text: str) -> dict:
+    expr = knots.parse_knot(text)
+
+    def breakpoints():
+        return [[str(t), str(v)] for t, v in upsilon.upsilon_of_expression(expr).breakpoints()]
+
+    return {
+        "upsilon": _outcome(breakpoints),
+        "jumps": _outcome(lambda: signature.expression_jumps(expr).as_rows()),
+    }
+
+
+CORPORA = {ANSWERS: answer, JUMP_ANSWERS: jump_answer}
+
+
+def digest(text: str, path=ANSWERS) -> str:
+    canonical = json.dumps(CORPORA[path](text), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def stored() -> dict[str, str]:
-    lines = ANSWERS.read_text().splitlines()
+def stored(path=ANSWERS) -> dict[str, str]:
+    lines = path.read_text().splitlines()
     return dict(line.split("\t") for line in lines)
 
 
@@ -70,9 +95,16 @@ def test_answers_are_unchanged():
     assert not moved, f"{len(moved)} answers moved: {moved}"
 
 
+def test_jump_answers_are_unchanged():
+    moved = [text for text, h in stored(JUMP_ANSWERS).items() if digest(text, JUMP_ANSWERS) != h]
+    assert not moved, f"{len(moved)} answers moved: {moved}"
+
+
 def test_corpus_size():
     assert len(stored()) > 900
+    assert len(stored(JUMP_ANSWERS)) > 180
 
 
 if __name__ == "__main__":
-    ANSWERS.write_text("".join(f"{text}\t{digest(text)}\n" for text in stored()))
+    for path in CORPORA:
+        path.write_text("".join(f"{text}\t{digest(text, path)}\n" for text in stored(path)))
