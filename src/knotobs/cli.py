@@ -7,12 +7,12 @@ are written on request via --json / --csv / --svg.
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import re
 import sys
 from fractions import Fraction
+from itertools import takewhile
 
-from . import knots, laurent
 from .errors import (
     InsufficientDataError,
     JumpEvaluationError,
@@ -44,6 +44,8 @@ def _parse_pair(text: str) -> tuple[int, int]:
 def _poly_or_alexander(text: str) -> tuple[laurent.LaurentPolynomial, str]:
     """Inputs that look like knot expressions are resolved through their
     Alexander polynomial; anything else must parse as polynomial text."""
+    from . import knots, laurent
+
     try:
         expr = knots.parse_knot(text)
         return knots.alexander(expr), f"alexander({knots.format_knot(expr)})"
@@ -80,6 +82,8 @@ def _certificate(cert, head: list, provenance=()) -> Result:
 
 
 def _fox_milnor_lines(fm: laurent.FoxMilnorResult) -> list:
+    from . import laurent
+
     lines = [("fox-milnor", "passes" if fm.passes else "fails")]
     if fm.witness is not None:
         lines.append(("witness", laurent.format_laurent(fm.witness)))
@@ -98,12 +102,14 @@ def _genus_lines(report: knots.GenusReport) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns a Result, and imports the signature,
-# upsilon and ordered layers only when it runs them
+# subcommand handlers: each returns a Result and imports the layers it runs,
+# which COMMANDS lists so that run() loads them before any parser is built
 # ---------------------------------------------------------------------------
 
 
 def _cmd_alexander(args):
+    from . import knots, laurent
+
     expr = knots.parse_knot(args.expression)
     delta = knots.alexander(expr)
     shown, poly = knots.format_knot(expr), laurent.format_laurent(delta)
@@ -117,6 +123,8 @@ def _cmd_alexander(args):
 
 
 def _cmd_genus(args):
+    from . import knots
+
     expr = knots.parse_knot(args.expression)
     report = knots.genus(expr)
     shown = knots.format_knot(expr)
@@ -126,6 +134,8 @@ def _cmd_genus(args):
 
 
 def _cmd_gsp_bound(args):
+    from . import knots
+
     expr = knots.parse_knot(args.expression)
     lower, upper = knots.gsp_bound_of_knot(expr)
     shown = knots.format_knot(expr)
@@ -134,6 +144,8 @@ def _cmd_gsp_bound(args):
 
 
 def _cmd_fox_milnor(args):
+    from . import laurent
+
     poly, shown = _poly_or_alexander(args.input)
     fm = laurent.fox_milnor(poly)
     lines = [("input", shown), ("polynomial", laurent.format_laurent(poly)), *_fox_milnor_lines(fm)]
@@ -141,6 +153,8 @@ def _cmd_fox_milnor(args):
 
 
 def _cmd_factor(args):
+    from . import laurent
+
     poly, shown = _poly_or_alexander(args.input)
     fac = laurent.factor(poly)
     lines = [("input", shown), ("unit", laurent.format_laurent(fac.unit))]
@@ -149,7 +163,7 @@ def _cmd_factor(args):
 
 
 def _cmd_sig_jumps(args):
-    from . import signature
+    from . import knots, signature
 
     expr = knots.parse_knot(args.expression)
     jf = signature.expression_jumps(expr)
@@ -178,7 +192,7 @@ def _cmd_sig_certify(args):
 
 
 def _cmd_upsilon(args):
-    from . import upsilon
+    from . import knots, upsilon
 
     expr = knots.parse_knot(args.expression)
     fn = upsilon.upsilon_of_expression(expr)
@@ -206,6 +220,8 @@ def _cmd_upsilon_obstruct(args):
         shown = f"Jprime_{args.germ_index} (germ)"
         prov = (source.source,)
     else:
+        from . import knots
+
         expr = knots.parse_knot(args.expression)
         source = upsilon.upsilon_of_expression(expr)
         shown = knots.format_knot(expr)
@@ -280,6 +296,8 @@ def _cmd_eps_certify(args):
 
 
 def _cmd_family(args):
+    from . import knots, laurent
+
     expr = knots.family(args.name, args.n)
     report = knots.genus(expr)
     delta = knots.alexander(expr)
@@ -302,90 +320,144 @@ def _cmd_family(args):
 # ---------------------------------------------------------------------------
 
 
+def _arg(flag: str, **options) -> tuple[str, dict]:
+    return flag, options
+
+
+# name: (help, the knotobs layers its handler imports, arguments); the
+# handler of "x-y" is _cmd_x_y, looked up when its parser is built
+COMMANDS = {
+    "alexander": ("Alexander polynomial of a knot expression", ("knots", "laurent"), [
+        _arg("expression"),
+        _arg("--fox-milnor", action="store_true", help="run the slice condition"),
+    ]),
+    "genus": ("Seifert genus report of a knot expression", ("knots",), [
+        _arg("expression"),
+    ]),
+    "gsp-bound": ("splitting concordance genus bounds", ("knots",), [
+        _arg("expression"),
+    ]),
+    "fox-milnor": ("Fox-Milnor slice condition of a polynomial or knot", ("knots", "laurent"), [
+        _arg("input"),
+    ]),
+    "factor": ("irreducible factorization of a polynomial or knot's Alexander polynomial",
+               ("knots", "laurent"), [
+        _arg("input"),
+    ]),
+    "sig-jumps": ("Tristram-Levine signature jumps of an expression", ("knots", "signature"), [
+        _arg("expression"),
+        _arg("--at", metavar="X", help="also evaluate the signature at rational X"),
+        _arg("--csv", metavar="PATH", help="write x,jump rows"),
+    ]),
+    "sig-certify": ("independence certificate for torus knots modulo genus k", ("signature",), [
+        _arg("--pair", action="append", required=True, metavar="P,Q", help="torus knot parameters, repeatable"),
+        _arg("--k", type=int, required=True, help="filtration level"),
+    ]),
+    "upsilon": ("Upsilon function of a torus-knot expression", ("knots", "upsilon"), [
+        _arg("expression"),
+        _arg("--csv", metavar="PATH", help="write t,value breakpoint rows"),
+        _arg("--svg", metavar="PATH", help="write a polyline plot"),
+    ]),
+    # an EXPRESSION also loads knots, in the handler, so --germ-index loads no polynomial code
+    "upsilon-obstruct": ("derivative-jump obstruction against genus-level sums", ("upsilon",), [
+        _arg("expression", nargs="?", help="torus-knot expression"),
+        _arg("--germ-index", type=int, help="use the published J' germ of this index"),
+        _arg("--genus-level", type=int, required=True),
+    ]),
+    "upsilon-certify": ("triangular summand certificate from the J' germs", ("upsilon",), [
+        _arg("--k", type=int, required=True),
+        _arg("--max", type=int, required=True),
+    ]),
+    "ordered-demo": ("randomized property suites for the ordered-group model", ("ordered",), [
+        _arg("--seed", type=int, default=2025),
+        _arg("--cases", type=int, default=1000),
+        # None stands for ordered.DEFAULT_RANK: reading it here would load ordered for every command
+        _arg("--rank", type=int),
+    ]),
+    "eps-obstruct": ("epsilon-class domination obstruction", ("ordered",), [
+        _arg("--label", help="registry record, e.g. J_5 or L_4"),
+        _arg("--a1", type=int),
+        _arg("--a2", type=int),
+        _arg("--genus-level", type=int, required=True),
+    ]),
+    "eps-certify": ("epsilon summand/subgroup certificate from the registry", ("ordered",), [
+        _arg("--k", type=int, required=True),
+        _arg("--max", type=int, required=True),
+        _arg("--family", choices=["J", "L"], default="J"),
+    ]),
+    "family": ("construct a family member J/Jprime/L", ("knots", "laurent"), [
+        _arg("name", choices=["J", "Jprime", "L"]),
+        _arg("n", type=int),
+    ]),
+}
+
+
+def _add_arguments(parser, name: str):
+    """Give `parser` the arguments of command `name`; returns it."""
+    _, _, arguments = COMMANDS[name]
+    # a lone "-T(2,3)" or "-t" names no option, so it is read as positional
+    parser._negative_number_matcher = re.compile(r"-[^-]")
+    parser.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
+    parser.add_argument("--json", metavar="PATH", help="write the JSON result envelope")
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="knotobs",
         description="Exact knot concordance obstructions: polynomial bounds, "
         "signature certificates, Upsilon calculus, ordered-group obstructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        # a lone "-T(2,3)" or "-t" names no option, so it is read as positional
-        p._negative_number_matcher = re.compile(r"-[^-]")
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", metavar="PATH", help="write the JSON result envelope")
-        return p
-
-    p = add("alexander", _cmd_alexander, "Alexander polynomial of a knot expression")
-    p.add_argument("expression")
-    p.add_argument("--fox-milnor", action="store_true", help="run the slice condition")
-
-    p = add("genus", _cmd_genus, "Seifert genus report of a knot expression")
-    p.add_argument("expression")
-
-    p = add("gsp-bound", _cmd_gsp_bound, "splitting concordance genus bounds")
-    p.add_argument("expression")
-
-    p = add("fox-milnor", _cmd_fox_milnor, "Fox-Milnor slice condition of a polynomial or knot")
-    p.add_argument("input")
-
-    p = add("factor", _cmd_factor, "irreducible factorization of a polynomial or knot's Alexander polynomial")
-    p.add_argument("input")
-
-    p = add("sig-jumps", _cmd_sig_jumps, "Tristram-Levine signature jumps of an expression")
-    p.add_argument("expression")
-    p.add_argument("--at", metavar="X", help="also evaluate the signature at rational X")
-    p.add_argument("--csv", metavar="PATH", help="write x,jump rows")
-
-    p = add("sig-certify", _cmd_sig_certify, "independence certificate for torus knots modulo genus k")
-    p.add_argument("--pair", action="append", required=True, metavar="P,Q",
-                   help="torus knot parameters, repeatable")
-    p.add_argument("--k", type=int, required=True, help="filtration level")
-
-    p = add("upsilon", _cmd_upsilon, "Upsilon function of a torus-knot expression")
-    p.add_argument("expression")
-    p.add_argument("--csv", metavar="PATH", help="write t,value breakpoint rows")
-    p.add_argument("--svg", metavar="PATH", help="write a polyline plot")
-
-    p = add("upsilon-obstruct", _cmd_upsilon_obstruct, "derivative-jump obstruction against genus-level sums")
-    p.add_argument("expression", nargs="?", help="torus-knot expression")
-    p.add_argument("--germ-index", type=int, help="use the published J' germ of this index")
-    p.add_argument("--genus-level", type=int, required=True)
-
-    p = add("upsilon-certify", _cmd_upsilon_certify, "triangular summand certificate from the J' germs")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
-
-    p = add("ordered-demo", _cmd_ordered_demo, "randomized property suites for the ordered-group model")
-    p.add_argument("--seed", type=int, default=2025)
-    p.add_argument("--cases", type=int, default=1000)
-    # None stands for ordered.DEFAULT_RANK: reading it here would load ordered for every command
-    p.add_argument("--rank", type=int)
-
-    p = add("eps-obstruct", _cmd_eps_obstruct, "epsilon-class domination obstruction")
-    p.add_argument("--label", help="registry record, e.g. J_5 or L_4")
-    p.add_argument("--a1", type=int)
-    p.add_argument("--a2", type=int)
-    p.add_argument("--genus-level", type=int, required=True)
-
-    p = add("eps-certify", _cmd_eps_certify, "epsilon summand/subgroup certificate from the registry")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--family", choices=["J", "L"], default="J")
-
-    p = add("family", _cmd_family, "construct a family member J/Jprime/L")
-    p.add_argument("name", choices=["J", "Jprime", "L"])
-    p.add_argument("n", type=int)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-def run(argv: list[str]) -> int:
+def _refuse_attached_help(parser, options) -> None:
+    """Make "-h" with text attached, such as "-hT(2,3)", a usage error on
+    every Python version: 3.13 would print help and drop the text, and
+    earlier versions refuse it in these words."""
+    for arg in options:
+        attached = arg[1:].lstrip("h") if arg[:2] == "-h" else ""
+        if attached and attached[0] not in "-=":
+            parser.error(f"argument -h/--help: ignored explicit argument {attached!r}")
+
+
+def _parse_args(argv: list[str]):
+    """The parsed arguments of `argv`; SystemExit on help or a usage error.
+
+    When argv[0] names a command, its layers are imported first, so that they
+    compile before argparse is loaded, and only its parser is built: the
+    parser that `build_parser` gives it as a subcommand.  Arguments that
+    parser leaves over, and every argv that names no command, go through
+    the parser of every command, which words each usage error."""
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is not None:
+        for layer in spec[1]:
+            importlib.import_module(f"{__package__}.{layer}")
+        import argparse
+
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"knotobs {argv[0]}"), argv[0])
+        _refuse_attached_help(parser, takewhile(lambda a: a != "--", argv[1:]))
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
     parser = build_parser()
+    # the options before the command name are the top-level parser's
+    _refuse_attached_help(parser, takewhile(lambda a: a[:1] == "-" and a != "--", argv))
+    return parser.parse_args(argv)
+
+
+def run(argv: list[str]) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the dense polynomial limit
+that `laurent`, `signature` and `jumps` enforce."""
 
 
 class KnotObsError(Exception):
@@ -63,3 +64,16 @@ class FactorizationComplexityError(ValidationError):
 
 class InternalCheckError(KnotObsError):
     """A self-check of a computed result failed: a defect in this package."""
+
+
+# Largest breadth of a dense coefficient list; refusing larger ones keeps
+# inputs such as t^200000 - 1 from tying up memory and time.
+MAX_DENSE_BREADTH = 100_000
+
+
+def check_breadth(breadth: int, what: str) -> None:
+    """Refuse a polynomial of this breadth: ValidationError above the limit."""
+    if breadth > MAX_DENSE_BREADTH:
+        raise ValidationError(
+            f"{what} {breadth} exceeds the dense polynomial limit {MAX_DENSE_BREADTH}"
+        )

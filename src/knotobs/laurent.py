@@ -53,21 +53,12 @@ from .errors import (
     ParseError,
     ValidationError,
     ZeroPolynomialError,
+    check_breadth,
 )
+
+# the dense limit keeps its documented name laurent.MAX_DENSE_BREADTH
+from .errors import MAX_DENSE_BREADTH
 from .reporting import Record
-
-
-# Largest breadth of a dense coefficient list; refusing larger ones keeps
-# inputs such as t^200000 - 1 from tying up memory and time.
-MAX_DENSE_BREADTH = 100_000
-
-
-def check_breadth(breadth: int, what: str) -> None:
-    """Refuse a polynomial of this breadth: ValidationError above the limit."""
-    if breadth > MAX_DENSE_BREADTH:
-        raise ValidationError(
-            f"{what} {breadth} exceeds the dense polynomial limit {MAX_DENSE_BREADTH}"
-        )
 
 
 class LaurentPolynomial:

@@ -12,9 +12,11 @@ derivative-jump germ (zero before 2/(2n-1), jump 2n-1 there); queries beyond
 the certified range are refused rather than defaulted.
 
 A PL function is held by its integer slope jumps over one common denominator,
-in the form it shares with signature jumps (``signature.RationalJumps``): a
+in the form it shares with signature jumps (``jumps.RationalJumps``): a
 sum is one merge, a derivative jump is a lookup, and breakpoints are integer
-prefix sums.
+prefix sums.  The knot and polynomial layers are imported only where a
+torus knot's Upsilon is computed, so the germ obstruction and the summand
+certificate load neither.
 """
 
 from __future__ import annotations
@@ -22,15 +24,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import knots, laurent
 from .errors import (
     InsufficientDataError,
     NotLSpaceFormError,
     UnsupportedExpressionError,
     ValidationError,
 )
+from .jumps import RationalJumps
 from .reporting import Certificate, CertificateCheck, Record
-from .signature import RationalJumps
 
 JPRIME_GERM_SOURCE = "published derivative-jump computation for the J' family"
 # Largest side n_max - k + 1 of the summand certificate's matrix, which holds
@@ -211,6 +212,8 @@ def upsilon_from_staircase(s: Staircase) -> PiecewiseLinearFunction:
 
 
 def upsilon_torus(p: int, q: int) -> PiecewiseLinearFunction:
+    from . import laurent
+
     return upsilon_from_staircase(staircase_from_alexander(laurent.torus_alexander(p, q)))
 
 
@@ -218,19 +221,24 @@ def upsilon_of_expression(e: knots.KnotExpression) -> PiecewiseLinearFunction:
     """Upsilon of sums and mirrors of torus knots, via additivity and
     negation under mirroring; other constructors are outside the computable
     class."""
-    e = knots.normalize(e)
-    if isinstance(e, knots.Unknot):
-        return PiecewiseLinearFunction.zero()
-    if isinstance(e, knots.TorusKnot):
-        return upsilon_torus(e.p, e.q)
-    if isinstance(e, knots.Mirror):
-        return -upsilon_of_expression(e.inner)
-    if isinstance(e, knots.Sum):
-        return PiecewiseLinearFunction._sum(upsilon_of_expression(s) for s in e.summands)
-    raise UnsupportedExpressionError(
-        "Upsilon is only computed for sums and mirrors of torus knots; "
-        "cabled and doubled summands enter through published germ data"
-    )
+    from . import knots
+
+    def of(e):
+        # the parts of a normalized expression are normalized
+        if isinstance(e, knots.Unknot):
+            return PiecewiseLinearFunction.zero()
+        if isinstance(e, knots.TorusKnot):
+            return upsilon_torus(e.p, e.q)
+        if isinstance(e, knots.Mirror):
+            return -of(e.inner)
+        if isinstance(e, knots.Sum):
+            return PiecewiseLinearFunction._sum(of(s) for s in e.summands)
+        raise UnsupportedExpressionError(
+            "Upsilon is only computed for sums and mirrors of torus knots; "
+            "cabled and doubled summands enter through published germ data"
+        )
+
+    return of(knots.normalize(e))
 
 
 # ---------------------------------------------------------------------------

@@ -201,13 +201,23 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_numpy_out():
-    """Importing the CLI loads no numpy, a cold `factor` loads none of the
-    layers it does not run, and no command loads `dataclasses` or the
-    `inspect` it imports."""
+    """Importing the CLI loads no numpy and no polynomial code, a cold
+    command loads none of the layers it does not run, and no command loads
+    `dataclasses` or the `inspect` it imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     never = ["dataclasses", "inspect"]
+    polynomial = ["knotobs.knots", "knotobs.laurent"]
     lazy = ["knotobs.ordered", "knotobs.signature", "knotobs.upsilon"]
+    ordered = [
+        ["eps-obstruct", "--label", "L_5", "--genus-level", "2"],
+        ["eps-certify", "--k", "2", "--max", "8"],
+        ["ordered-demo", "--cases", "10"],
+    ]
+    germs = [
+        ["upsilon-certify", "--k", "2", "--max", "6"],
+        ["upsilon-obstruct", "--germ-index", "5", "--genus-level", "2"],
+    ]
     one_per_layer = [
         ["upsilon", "T(3,4)"],
         ["sig-certify", "--pair", "5,7", "--k", "2"],
@@ -215,8 +225,11 @@ def test_cli_import_leaves_numpy_out():
         ["upsilon-certify", "--k", "2", "--max", "6"],
     ]
     cases = (
-        ([], ["numpy", *never]),
+        ([], ["numpy", *never, *polynomial]),
         ([["factor", "T(7,13)"]], ["numpy", *never, *lazy]),
+        (ordered, [*never, *polynomial]),
+        (germs, [*never, *polynomial, "knotobs.signature"]),
+        ([["upsilon", "T(3,4)"]], [*never, "knotobs.signature"]),
         (one_per_layer, never),
     )
     for commands, absent in cases:
@@ -227,6 +240,56 @@ def test_cli_import_leaves_numpy_out():
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.splitlines()[-1] == "[]", run_cli
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["factor", "-h"],
+        ["factor"],
+        ["nope"],
+        [],
+        ["upsilon", "--nope", "T(2,3)"],
+        ["upsilon", "T(2,3)", "extra"],
+        ["eps-certify", "--k", "2", "--max", "8", "--family", "X"],
+        ["family", "Q", "3"],
+        ["sig-jumps", "T(3,4)", "--at", "-1/2"],
+        ["upsilon", "-T(2,3)"],
+        ["factor", "-t"],
+        ["--json", "x", "factor", "t"],
+        ["upsilon", "--", "-T(2,3)"],
+        ["upsilon-obstruct", "--germ-index", "x", "--genus-level", "2"],
+        ["sig-certify", "--pair", "5,7", "--pair", "11,13", "--k", "4", "--json", "c.json"],
+        ["upsilon", "--cs", "u.csv", "T(3,4)"],
+    ],
+)
+def test_one_command_parser_reads_as_the_full_parser(argv, capsys):
+    """The parser `run` builds for the command in argv[0] gives the same
+    arguments, help, usage errors and exit codes as the parser of every
+    command."""
+
+    def outcome(parse):
+        try:
+            parsed = vars(parse(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+        captured = capsys.readouterr()
+        return parsed, captured.out, captured.err
+
+    assert outcome(cli._parse_args) == outcome(cli.build_parser().parse_args)
+
+
+@pytest.mark.parametrize("argv", [["upsilon", "-hT(2,3)"], ["-hT(2,3)"], ["factor", "-hht"]])
+def test_help_with_text_attached_is_a_usage_error(argv, capsys):
+    # Python 3.13 alone would print help for these and exit 0
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    attached = argv[-1][1:].lstrip("h")
+    prog = " ".join(["knotobs", *argv[:-1]])
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {prog} ")
+    assert captured.err.endswith(f"{prog}: error: argument -h/--help: ignored explicit argument {attached!r}\n")
 
 
 class TestArtifacts:

@@ -10,7 +10,7 @@ from itertools import takewhile
 import pytest
 
 import oracles
-from knotobs import knots, laurent
+from knotobs import errors, knots, laurent
 from knotobs.cli import run
 from knotobs.errors import (
     FactorizationComplexityError,
@@ -833,7 +833,7 @@ class TestFactor:
     def test_cyclotomic_factor_above_the_dense_limit(self, monkeypatch):
         # factor builds a Phi_d that divides its input without the index check
         phi = cyclotomic(105)
-        monkeypatch.setattr(laurent, "MAX_DENSE_BREADTH", 100)
+        monkeypatch.setattr(errors, "MAX_DENSE_BREADTH", 100)
         assert phi.breadth == 48
         assert factor(phi).factors == ((phi, 1),)
         with pytest.raises(ValidationError):
