@@ -21,7 +21,7 @@ from .errors import (
     RuleNotApplicableError,
     ValidationError,
 )
-from .reporting import Record
+from .reporting import Record, plain
 
 _EXIT = {"ok": 0, "invalid": 1, "inconclusive": 1, "error": 2}
 
@@ -198,12 +198,12 @@ def _cmd_upsilon(args):
     fn = upsilon.upsilon_of_expression(expr)
     shown = knots.format_knot(expr)
     points = fn.breakpoints()
-    sing = [str(t) for t in fn.singularities()]
+    sing = plain(fn.singularities())
     lines = [("knot", shown), *((f"  t = {t}", v) for t, v in points)]
     lines.append(("singularities", ", ".join(sing) if sing else "none"))
     payload = {
         "expression": shown,
-        "breakpoints": [[str(t), str(v)] for t, v in points],
+        "breakpoints": plain(points),
         "singularities": sing,
     }
     return Result(lines, payload, csv=(("t", "value"), points), svg=(points, f"Upsilon of {shown}"))
@@ -248,17 +248,16 @@ def _cmd_upsilon_certify(args):
 def _cmd_ordered_demo(args):
     from . import ordered
 
-    rank = ordered.DEFAULT_RANK if args.rank is None else args.rank
-    results = ordered.run_property_suites(rank=rank, cases=args.cases, seed=args.seed)
+    results = ordered.run_property_suites(cases=args.cases, seed=args.seed)
     width = max(len(r.name) for r in results)
     lines = [f"  {r.name:<{width}}  {r.cases:>5} cases  {r.failures} failures" for r in results]
     all_ok = all(r.passed for r in results)
     lines.append(("suites", "ALL PASS" if all_ok else "FAILURES"))
     payload = {
-        "rank": rank,
+        "rank": ordered.DEFAULT_RANK,
         "cases": args.cases,
         "seed": args.seed,
-        "suites": [r.as_dict() for r in results],
+        "suites": plain(results),
     }
     return Result(lines, payload, "ok" if all_ok else "invalid")
 
@@ -371,8 +370,6 @@ COMMANDS = {
     "ordered-demo": ("randomized property suites for the ordered-group model", ("ordered",), [
         _arg("--seed", type=int, default=2025),
         _arg("--cases", type=int, default=1000),
-        # None stands for ordered.DEFAULT_RANK: reading it here would load ordered for every command
-        _arg("--rank", type=int),
     ]),
     "eps-obstruct": ("epsilon-class domination obstruction", ("ordered",), [
         _arg("--label", help="registry record, e.g. J_5 or L_4"),

@@ -55,7 +55,8 @@ class JumpEvaluationError(KnotObsError):
 
 
 class AmbiguousSignatureError(KnotObsError):
-    """Numeric signature could not be certified even at escalated precision."""
+    """An eigenvalue lies within the float error bound of the numeric
+    signature, as at a jump point."""
 
 
 class FactorizationComplexityError(ValidationError):

@@ -783,10 +783,8 @@ class Factorization(Record):
 
     def as_dict(self) -> dict:
         return {
-            "unit": format_laurent(self.unit),
-            "factors": [
-                {"factor": format_laurent(p), "multiplicity": m} for p, m in self.factors
-            ],
+            "unit": str(self.unit),
+            "factors": [{"factor": str(p), "multiplicity": m} for p, m in self.factors],
         }
 
 
@@ -1064,14 +1062,6 @@ def is_alexander_normalized(f: LaurentPolynomial) -> bool:
 
 class FoxMilnorResult(Record):
     __slots__ = ("passes", "witness", "violations", "factorization")
-
-    def as_dict(self) -> dict:
-        return {
-            "passes": self.passes,
-            "witness": format_laurent(self.witness) if self.witness else None,
-            "violations": list(self.violations),
-            "factorization": self.factorization.as_dict(),
-        }
 
 
 def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:

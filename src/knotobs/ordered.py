@@ -471,16 +471,6 @@ def registry_record(label: str) -> EpsilonClass:
 class EpsilonCertificate(Certificate):
     __slots__ = ("family", "k", "n_max", "kind", "provenance")  # kind: summand | subgroup
 
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "k": self.k,
-            "n_max": self.n_max,
-            "kind": self.kind,
-            **self.verdict_dict(),
-            "provenance": list(self.provenance),
-        }
-
 
 def _family_records(family: str, start: int, n_max: int) -> list[EpsilonClass]:
     return [registry_record(f"{family}_{n}") for n in range(start, n_max + 1)]

@@ -1,5 +1,5 @@
-"""Immutable records, named certificate checks and the verdict shared by every
-certificate."""
+"""Immutable records, their JSON form, named certificate checks and the
+verdict shared by every certificate."""
 
 from __future__ import annotations
 
@@ -72,7 +72,20 @@ class Record:
         return type(self), self._values()
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._fields}
+        return {name: plain(getattr(self, name)) for name in self._fields}
+
+
+def plain(value):
+    """JSON form of a field value: a record as its `as_dict()`, a tuple or list
+    as a list, None, bools, ints and strings as they are, and anything else
+    (a `Fraction`, a `LaurentPolynomial`) as its `str`."""
+    if isinstance(value, Record):
+        return value.as_dict()
+    if isinstance(value, (tuple, list)):
+        return [plain(v) for v in value]
+    if value is None or isinstance(value, (int, str)):
+        return value
+    return str(value)
 
 
 class CertificateCheck(Record):
@@ -96,9 +109,12 @@ class Certificate(Record):
         failed = ", ".join(c.name for c in self.checks if not c.passed)
         return f"certificate invalid; failed checks: {failed}"
 
-    def verdict_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "checks": [c.as_dict() for c in self.checks],
-            "conclusion": self.conclusion,
-        }
+    def as_dict(self) -> dict:
+        """The subclass's own fields, the verdict, then `provenance` if the
+        certificate has that field."""
+        fields = super().as_dict()
+        checks = fields.pop("checks")
+        del fields["conclusion_if_valid"]
+        tail = {"provenance": fields.pop("provenance")} if "provenance" in fields else {}
+        verdict = {"valid": self.valid, "checks": checks, "conclusion": self.conclusion}
+        return {**fields, **verdict, **tail}

@@ -306,14 +306,11 @@ def torus_braid_word(p: int, q: int) -> list[int]:
     return [i for _ in range(q) for i in range(1, p)]
 
 
-_ESCALATION_DPS = (60, 140)
-
-
 def numeric_signature(V: SeifertMatrix, x) -> int:
     """Matrix signature of (1-w)V + (1-conj w)V^T at w = e^{2 pi i x}.
 
-    Eigenvalues are counted by sign with an explicit error bound; ambiguous
-    gaps escalate to high-precision arithmetic and finally raise.
+    Eigenvalues are counted by sign with an explicit error bound; an
+    eigenvalue inside the bound raises `AmbiguousSignatureError`.
     """
     import numpy as np  # only this oracle needs numpy; importing it costs every CLI call
 
@@ -330,26 +327,6 @@ def numeric_signature(V: SeifertMatrix, x) -> int:
     bound = 64 * n * np.finfo(float).eps * max(1.0, float(np.linalg.norm(M)))
     if min(abs(e) for e in ev) > bound:
         return int((ev > 0).sum() - (ev < 0).sum())
-    return _numeric_signature_mp(V, x)
-
-
-def _numeric_signature_mp(V: SeifertMatrix, x: Fraction) -> int:
-    import mpmath as mp
-
-    n = V.size
-    for dps in _ESCALATION_DPS:
-        with mp.workdps(dps):
-            theta = 2 * mp.pi * mp.mpf(x.numerator) / mp.mpf(x.denominator)
-            w = mp.cos(theta) + 1j * mp.sin(theta)
-            M = mp.matrix(n, n)
-            for i in range(n):
-                for j in range(n):
-                    M[i, j] = (1 - w) * V.entries[i][j] + (1 - mp.conj(w)) * V.entries[j][i]
-            ev = mp.eigh(M, eigvals_only=True)
-            norm = max(mp.mpf(1), max(abs(M[i, j]) for i in range(n) for j in range(n)) * n)
-            bound = norm * mp.mpf(10) ** (-(dps - 10))
-            if min(abs(e) for e in ev) > bound:
-                return int(sum(1 for e in ev if e > 0) - sum(1 for e in ev if e < 0))
     raise AmbiguousSignatureError(
         f"cannot certify eigenvalue signs at x = {x}; likely a jump point"
     )
@@ -365,13 +342,6 @@ class IndependenceCertificate(Certificate):
     genus-k filtration subgroup."""
 
     __slots__ = ("generators", "filtration_level")
-
-    def as_dict(self) -> dict:
-        return {
-            "generators": [list(g) for g in self.generators],
-            "filtration_level": self.filtration_level,
-            **self.verdict_dict(),
-        }
 
 
 def torus_independence_certificate(

@@ -325,13 +325,6 @@ class ObstructionVerdict(Record):
     __slots__ = ("status", "witness", "detail")  # status: obstructed | not_obstructed | inconclusive
     _defaults = {"witness": None, "detail": ""}
 
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": str(self.witness) if self.witness is not None else None,
-            "detail": self.detail,
-        }
-
 
 def obstruct_Gn(source, n: int) -> ObstructionVerdict:
     """Membership obstruction against sums of genus <= n knots: any nonzero
@@ -385,16 +378,9 @@ class UpsilonSummandCertificate(Certificate):
     __slots__ = ("k", "n_max", "matrix", "provenance")
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n_max": self.n_max,
-            "rows": list(range(self.k, self.n_max + 1)),
-            "matrix": [
-                [str(v) if v is not None else None for v in row] for row in self.matrix
-            ],
-            **self.verdict_dict(),
-            "provenance": list(self.provenance),
-        }
+        # the derived rows follow n_max; a repeated key keeps its first place
+        rows = list(range(self.k, self.n_max + 1))
+        return {"k": self.k, "n_max": self.n_max, "rows": rows, **super().as_dict()}
 
 
 def summand_certificate_upsilon(k: int, n_max: int) -> UpsilonSummandCertificate:

@@ -1,6 +1,7 @@
 """Semantics of the immutable record base shared by every result type."""
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 
@@ -20,7 +21,11 @@ FAC_REPR = "Factorization(sign=1, exponent=0, factors=((LaurentPolynomial('-2*t^
 # dataclass printed it, and the keys of its as_dict where it had one
 EXAMPLES = [
     (lambda: CertificateCheck("c", False, "w"), CHECK_REPR, ["name", "passed", "witness"]),
-    (lambda: Certificate((CHECK,), "ok"), f"Certificate(checks=({CHECK_REPR},), conclusion_if_valid='ok')", None),
+    (
+        lambda: Certificate((CHECK,), "ok"),
+        f"Certificate(checks=({CHECK_REPR},), conclusion_if_valid='ok')",
+        ["valid", "checks", "conclusion"],
+    ),
     (lambda: knots.TorusKnot(2, 3), "TorusKnot(p=2, q=3)", None),
     (lambda: knots.Cable(T23, 2, 13), "Cable(companion=TorusKnot(p=2, q=3), p=2, q=13)", None),
     (lambda: knots.WhiteheadDouble(T23), "WhiteheadDouble(companion=TorusKnot(p=2, q=3))", None),
@@ -146,6 +151,7 @@ class TestEveryRecord:
         record = make()
         expected = keys if keys is not None else list(record._fields)
         assert list(record.as_dict()) == expected
+        assert json.loads(json.dumps(record.as_dict())) == record.as_dict()
 
     def test_keyword_construction_and_copies(self, make, shown, keys):
         record = make()

@@ -35,7 +35,6 @@ from knotobs.signature import (
     torus_independence_certificate,
     torus_jumps,
     _int_det,
-    _numeric_signature_mp,
 )
 
 
@@ -355,18 +354,12 @@ class TestOracleAgreement:
             for probe in (x - eps, x + eps):
                 assert jf.step_at(probe) == numeric_signature(V, probe)
 
-    def test_jump_point_escalates_and_raises(self):
-        # the form is singular at the T(3,4) jump 1/12: float and mpmath both
-        # see a zero eigenvalue, and no precision certifies a sign
+    def test_jump_point_raises(self):
+        # the form is singular at the T(3,4) jump 1/12: an eigenvalue is zero,
+        # so no sign can be certified
         V = seifert_from_braid(torus_braid_word(3, 4))
         with pytest.raises(AmbiguousSignatureError):
             numeric_signature(V, Fraction(1, 12))
-
-    def test_mpmath_oracle_matches_jumps(self):
-        jf = torus_jumps(3, 4)
-        V = seifert_from_braid(torus_braid_word(3, 4))
-        for x in (Fraction(1, 24), Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)):
-            assert _numeric_signature_mp(V, x) == jf.step_at(x), x
 
 
 class TestIndependenceCertificate:
