@@ -21,6 +21,16 @@ CLI's JSON payload writes them, or the error.  The corpus holds every
 coprime T(p,q) with p < 14 and q < 30, and 20 sums
 `oracles.random_torus_sum(random.Random(2223), pairs)` over those (p, q).
 
+tests/certificate_answers.tsv holds the certificates.  An input is a call,
+written as its function name and integer arguments, and its answer is the
+result's `as_dict()` or the error.  The corpus holds
+`summand_certificate_epsilon(k, n)` for 2 <= k <= n <= 17,
+`subgroup_certificate_epsilon(k, n)` for 1 <= k <= 8 and 2k <= n <= 17,
+`epsilon_obstruction(registry_record(label), g)` for every registry label
+and g = 1..9, and `summand_certificate_upsilon(k, n)` for
+2 <= k <= n <= 20.  n = 17 has no record, and the J' records carry no
+a-plus data, so those inputs answer with the error.
+
 After an intended answer change, rewrite the hashes with
 
     PYTHONPATH=src python tests/test_answers.py
@@ -30,11 +40,12 @@ import hashlib
 import json
 from pathlib import Path
 
-from knotobs import knots, laurent, signature, upsilon
+from knotobs import knots, laurent, ordered, signature, upsilon
 from knotobs.errors import ParseError
 
 ANSWERS = Path(__file__).parent / "answers.tsv"
 JUMP_ANSWERS = Path(__file__).parent / "jump_answers.tsv"
+CERTIFICATE_ANSWERS = Path(__file__).parent / "certificate_answers.tsv"
 
 
 def polynomial(text: str) -> laurent.LaurentPolynomial:
@@ -77,7 +88,23 @@ def jump_answer(text: str) -> dict:
     }
 
 
-CORPORA = {ANSWERS: answer, JUMP_ANSWERS: jump_answer}
+CERTIFIERS = {
+    "summand_certificate_epsilon": ordered.summand_certificate_epsilon,
+    "subgroup_certificate_epsilon": ordered.subgroup_certificate_epsilon,
+    "epsilon_obstruction": lambda label, g: ordered.epsilon_obstruction(ordered.registry_record(label), g),
+    "summand_certificate_upsilon": upsilon.summand_certificate_upsilon,
+}
+
+
+def certificate_answer(text: str) -> dict:
+    """`text` is a call: the function name, then its arguments; an argument
+    that is not an integer is a registry label."""
+    name, *args = text.split()
+    args = [int(a) if a.isdigit() else a for a in args]
+    return _outcome(lambda: CERTIFIERS[name](*args).as_dict())
+
+
+CORPORA = {ANSWERS: answer, JUMP_ANSWERS: jump_answer, CERTIFICATE_ANSWERS: certificate_answer}
 
 
 def digest(text: str, path=ANSWERS) -> str:
@@ -100,9 +127,15 @@ def test_jump_answers_are_unchanged():
     assert not moved, f"{len(moved)} answers moved: {moved}"
 
 
+def test_certificate_answers_are_unchanged():
+    moved = [text for text, h in stored(CERTIFICATE_ANSWERS).items() if digest(text, CERTIFICATE_ANSWERS) != h]
+    assert not moved, f"{len(moved)} answers moved: {moved}"
+
+
 def test_corpus_size():
     assert len(stored()) > 900
     assert len(stored(JUMP_ANSWERS)) > 180
+    assert len(stored(CERTIFICATE_ANSWERS)) > 800
 
 
 if __name__ == "__main__":
