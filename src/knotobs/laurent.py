@@ -220,14 +220,6 @@ class LaurentPolynomial:
         g = self.content if self._c[-1] > 0 else -self.content
         return _poly(self._c if g == 1 else [v // g for v in self._c])
 
-    def centered(self) -> "LaurentPolynomial":
-        """Shift so the support is symmetric about exponent 0 (breadth must be even)."""
-        if self.is_zero:
-            return self
-        if self.breadth % 2 != 0:
-            raise ValidationError("cannot center a polynomial of odd breadth")
-        return self.shift(-(self.min_exp + self.max_exp) // 2)
-
     def is_palindromic(self) -> bool:
         """True when the coefficient vector reads the same in both directions."""
         return self._c == self._c[::-1]

@@ -423,37 +423,25 @@ def epsilon_obstruction(J: EpsilonClass, n: int) -> ObstructionOutcome:
 # ---------------------------------------------------------------------------
 
 
-_REGISTRY = None
+_REGISTRY = None  # (records by label, chain source by family), read once
 
 
 def load_registry() -> dict[str, EpsilonClass]:
-    """Epsilon-class records shipped with the package, keyed by label."""
+    """Epsilon-class records shipped with the package, keyed by label.  A row
+    is read by the record's own field names; a field it lacks is None."""
     global _REGISTRY
     if _REGISTRY is None:
         raw = json.loads(
             resources.files("knotobs.data").joinpath("epsilon_registry.json").read_text()
         )
-        records = {}
-        for row in raw["records"]:
-            rec = EpsilonClass(
-                label=row["label"],
-                epsilon_sign=row.get("epsilon_sign"),
-                a1=row.get("a1"),
-                a2=row.get("a2"),
-                property_A=row.get("property_A"),
-                property_A_source=row.get("property_A_source"),
-                genus_bound=row.get("genus_bound"),
-                tau_bound=row.get("tau_bound"),
-                source=row.get("source"),
-            )
-            records[rec.label] = rec
-        _REGISTRY = {"records": records, "chain_sources": raw.get("chain_sources", {})}
-    return _REGISTRY["records"]
+        records = (EpsilonClass(*map(row.get, EpsilonClass._fields)) for row in raw["records"])
+        _REGISTRY = {rec.label: rec for rec in records}, raw.get("chain_sources", {})
+    return _REGISTRY[0]
 
 
 def registry_chain_source(family: str) -> str | None:
     load_registry()
-    return _REGISTRY["chain_sources"].get(family)
+    return _REGISTRY[1].get(family)
 
 
 def registry_record(label: str) -> EpsilonClass:
@@ -476,6 +464,38 @@ def _family_records(family: str, start: int, n_max: int) -> list[EpsilonClass]:
     return [registry_record(f"{family}_{n}") for n in range(start, n_max + 1)]
 
 
+def _rule_check(name: str, rule, *args) -> CertificateCheck:
+    """Check `name` by `rule(*args)`, which returns (passed, witness).  A rule
+    that refuses its records fails the check, with the refusal as witness."""
+    try:
+        passed, witness = rule(*args)
+    except (InsufficientDataError, RuleNotApplicableError) as exc:
+        passed, witness = False, str(exc)
+    return CertificateCheck(name, passed, witness)
+
+
+def _obstructs(rec: EpsilonClass, n: int) -> tuple[bool, str]:
+    outcome = epsilon_obstruction(rec, n)
+    return outcome.obstructs, outcome.detail
+
+
+def _dominates(later: EpsilonClass, earlier: EpsilonClass, cite_rule: bool) -> tuple[bool, str]:
+    verdict = compare_aplus(later, earlier)
+    witness = f"{later.label} vs {earlier.label}: {verdict.relation}"
+    if cite_rule:
+        witness += f" ({verdict.rule_used})"
+    return verdict.relation == "much_greater", witness
+
+
+def _registry_check(rec: EpsilonClass) -> CertificateCheck:
+    """The published a-plus = (1, a2) of a record, with its source."""
+    return CertificateCheck(
+        f"registry_provenance[{rec.label}]",
+        rec.a1 == 1 and rec.a2 is not None and rec.source is not None,
+        f"a-plus = (1, {rec.a2}), source: {rec.source}",
+    )
+
+
 def _chain_checks(records: list[EpsilonClass]) -> list[CertificateCheck]:
     checks = []
     for rec in records:
@@ -487,20 +507,13 @@ def _chain_checks(records: list[EpsilonClass]) -> list[CertificateCheck]:
             )
         )
     for earlier, later in zip(records, records[1:]):
-        try:
-            verdict = compare_aplus(later, earlier)
-            passed = verdict.relation == "much_greater"
-            witness = f"{later.label} vs {earlier.label}: {verdict.relation} ({verdict.rule_used})"
-        except (InsufficientDataError, RuleNotApplicableError) as exc:
-            passed, witness = False, str(exc)
-        checks.append(
-            CertificateCheck(
-                f"dominates[{earlier.label}<<{later.label}]",
-                passed,
-                witness,
-            )
-        )
+        checks.append(_rule_check(f"dominates[{earlier.label}<<{later.label}]", _dominates, later, earlier, True))
     return checks
+
+
+def _provenance(family: str, sources: list[str | None]) -> tuple[str, ...]:
+    """The sources a certificate consumed and its family's chain source, sorted."""
+    return tuple(sorted({source for source in (*sources, registry_chain_source(family)) if source}))
 
 
 def summand_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
@@ -514,15 +527,8 @@ def summand_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
         raise ValidationError(f"n_max must be >= k, got {n_max} < {k}")
     records = _family_records("J", k, n_max)
     checks: list[CertificateCheck] = []
-
     for rec in records:
-        checks.append(
-            CertificateCheck(
-                f"registry_provenance[{rec.label}]",
-                rec.a1 == 1 and rec.a2 is not None and rec.source is not None,
-                f"a-plus = (1, {rec.a2}), source: {rec.source}",
-            )
-        )
+        checks.append(_registry_check(rec))
         checks.append(
             CertificateCheck(
                 f"property_A[{rec.label}]",
@@ -530,41 +536,11 @@ def summand_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
                 f"flag {rec.property_A}, source: {rec.property_A_source}",
             )
         )
-
     level = k // 2
-    try:
-        outcome = epsilon_obstruction(records[0], level)
-        passed = outcome.obstructs
-        witness = outcome.detail
-    except (InsufficientDataError, RuleNotApplicableError) as exc:
-        passed, witness = False, str(exc)
-    checks.append(
-        CertificateCheck(
-            f"filtration_obstruction[genus<={level}]",
-            passed,
-            witness,
-        )
-    )
-
+    checks.append(_rule_check(f"filtration_obstruction[genus<={level}]", _obstructs, records[0], level))
     checks.extend(_chain_checks(records))
-
     for rec in records[1:]:
-        verdict = compare_aplus(rec, records[0])
-        checks.append(
-            CertificateCheck(
-                f"survives_quotient[{rec.label}]",
-                verdict.relation == "much_greater",
-                f"{rec.label} vs {records[0].label}: {verdict.relation}",
-            )
-        )
-
-    provenance = tuple(
-        sorted(
-            {rec.source for rec in records if rec.source}
-            | {rec.property_A_source for rec in records if rec.property_A_source}
-            | ({registry_chain_source("J")} if registry_chain_source("J") else set())
-        )
-    )
+        checks.append(_rule_check(f"survives_quotient[{rec.label}]", _dominates, rec, records[0], False))
     conclusion = (
         f"J_{k} .. J_{n_max} map to part of a basis of a Z^inf direct summand "
         f"of the concordance group modulo knots of genus <= {level}"
@@ -575,7 +551,7 @@ def summand_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
         n_max=n_max,
         kind="summand",
         checks=tuple(checks),
-        provenance=provenance,
+        provenance=_provenance("J", [s for rec in records for s in (rec.source, rec.property_A_source)]),
         conclusion_if_valid=conclusion,
     )
 
@@ -593,13 +569,7 @@ def subgroup_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
     records = _family_records("L", start, n_max)
     checks: list[CertificateCheck] = []
     for rec in records:
-        checks.append(
-            CertificateCheck(
-                f"registry_provenance[{rec.label}]",
-                rec.a1 == 1 and rec.a2 is not None and rec.source is not None,
-                f"a-plus = (1, {rec.a2}), source: {rec.source}",
-            )
-        )
+        checks.append(_registry_check(rec))
         checks.append(
             CertificateCheck(
                 f"slice_genus_one[{rec.label}]",
@@ -608,26 +578,8 @@ def subgroup_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
             )
         )
     for rec in records:
-        try:
-            outcome = epsilon_obstruction(rec, k)
-            passed = outcome.obstructs
-            witness = outcome.detail
-        except (InsufficientDataError, RuleNotApplicableError) as exc:
-            passed, witness = False, str(exc)
-        checks.append(
-            CertificateCheck(
-                f"filtration_obstruction[{rec.label},genus<={k}]",
-                passed,
-                witness,
-            )
-        )
+        checks.append(_rule_check(f"filtration_obstruction[{rec.label},genus<={k}]", _obstructs, rec, k))
     checks.extend(_chain_checks(records))
-    provenance = tuple(
-        sorted(
-            {rec.source for rec in records if rec.source}
-            | ({registry_chain_source("L")} if registry_chain_source("L") else set())
-        )
-    )
     conclusion = (
         f"L_{start} .. L_{n_max} are linearly independent modulo knots of genus "
         f"<= {k}, with slice genus 1"
@@ -638,6 +590,6 @@ def subgroup_certificate_epsilon(k: int, n_max: int) -> EpsilonCertificate:
         n_max=n_max,
         kind="subgroup",
         checks=tuple(checks),
-        provenance=provenance,
+        provenance=_provenance("L", [rec.source for rec in records]),
         conclusion_if_valid=conclusion,
     )

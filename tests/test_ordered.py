@@ -286,6 +286,37 @@ class TestCertificates:
         with pytest.raises(InsufficientDataError):
             summand_certificate_epsilon(2, 64)
 
+    @pytest.mark.parametrize(
+        "certify, k, n_max, label, changes, failed",
+        [
+            (
+                summand_certificate_epsilon, 2, 8, "J_4", {"a1": None, "a2": None},
+                {"registry_provenance[J_4]", "dominates[J_3<<J_4]", "dominates[J_4<<J_5]", "survives_quotient[J_4]"},
+            ),
+            (
+                summand_certificate_epsilon, 2, 8, "J_2", {"a1": 2},
+                {"registry_provenance[J_2]", "filtration_obstruction[genus<=1]"},
+            ),
+            (summand_certificate_epsilon, 2, 8, "J_3", {"property_A": False}, {"property_A[J_3]"}),
+            (
+                summand_certificate_epsilon, 2, 8, "J_3", {"property_A": None, "property_A_source": None},
+                {"property_A[J_3]"},
+            ),
+            (summand_certificate_epsilon, 2, 8, "J_5", {"source": None}, {"registry_provenance[J_5]"}),
+            (subgroup_certificate_epsilon, 2, 12, "L_6", {"genus_bound": 2}, {"slice_genus_one[L_6]"}),
+        ],
+        ids=["J-no-aplus", "J-a1-2", "J-property-A-false", "J-property-A-unsourced", "J-unsourced", "L-genus-2"],
+    )
+    def test_mutated_record_fails_its_checks(self, monkeypatch, certify, k, n_max, label, changes, failed):
+        """A registry record the rules cannot read, or whose data break the
+        argument, gives an INVALID certificate naming the checks it feeds."""
+        mutated = EpsilonClass(**{**registry_record(label).as_dict(), **changes})
+        monkeypatch.setitem(load_registry(), label, mutated)
+        cert = certify(k, n_max)
+        assert not cert.valid
+        assert failed <= {c.name for c in cert.checks if not c.passed}
+        assert all(name in cert.conclusion for name in failed)
+
     def test_serialization(self):
         doc = summand_certificate_epsilon(2, 4).as_dict()
         assert doc["valid"] is True
