@@ -39,6 +39,7 @@ bound.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -356,13 +357,44 @@ def _deg(c: list) -> int:
     return len(c) - 1
 
 
-def _kpack(a: list, w: int) -> int:
-    """a(2^(8w)) for coefficients of absolute value below 2^(8w-1): the
-    positive and the negative coefficients each joined as w-byte digits."""
-    zero = bytes(w)
-    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in a)
-    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in a)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+# array typecodes by item size: the machine integers of 1, 2, 4 and 8 bytes
+_MACHINE_INTS = {array(code).itemsize: code for code in "bhilq"}
+
+
+def _kbias(w: int, n: int) -> int:
+    """D: the integer of n w-byte digits, each 2^(8w-1)."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _kpack(a, w: int) -> int:
+    """a(2^(8w)) for coefficients in [-2^(8w-1), 2^(8w-1)): their w-byte
+    two's-complement digits, through a machine-integer `array` at a machine
+    width (byteswapped on a big-endian host), read as one integer; XORed
+    with D they are the nonnegative digits c + 2^(8w-1), so a(2^(8w)) is
+    that integer minus D."""
+    if code := _MACHINE_INTS.get(w):
+        digits = array(code, a)
+        if sys.byteorder == "big":
+            digits.byteswap()
+        raw = digits.tobytes()
+    else:
+        raw = b"".join(c.to_bytes(w, "little", signed=True) for c in a)
+    D = _kbias(w, len(a))
+    return (int.from_bytes(raw, "little") ^ D) - D
+
+
+def _kunpack(value: int, w: int, n: int) -> list:
+    """The n coefficients c, each in [-2^(8w-1), 2^(8w-1)), of the integer
+    value = sum c_i 2^(8wi): value + D has the digits c + 2^(8w-1), and
+    XORed with D their two's complements, read back as `_kpack` writes them."""
+    D = _kbias(w, n)
+    raw = ((value + D) ^ D).to_bytes(w * n, "little")
+    if not (code := _MACHINE_INTS.get(w)):
+        return [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, len(raw), w)]
+    digits = array(code, raw)
+    if sys.byteorder == "big":
+        digits.byteswap()
+    return digits.tolist()
 
 
 def _dproduct(parts) -> list:
@@ -370,10 +402,10 @@ def _dproduct(parts) -> list:
 
     Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
     Algebra, 8.4): B = prod ||a||_1^m bounds every coefficient of the
-    product, so with the smallest byte width w where B < 2^(8w-1) each list
-    packs into the integer a(2^(8w)), the product is one integer product,
-    and adding 2^(8w-1) to every w-byte digit makes all digits nonnegative
-    so the coefficients read back exactly.
+    product, so with the smallest byte width w where B < 2^(8w-1), raised
+    to 1, 2, 4 or 8 bytes when it fits a machine integer, each list packs
+    into the integer a(2^(8w)) (`_kpack`), the product is one integer
+    product, and its coefficients read back exactly (`_kunpack`).
     """
     # a zeroth power is left out of B, so its list may not fit the width
     parts = [(a, m) for a, m in parts if m]
@@ -383,17 +415,13 @@ def _dproduct(parts) -> list:
     if not bound:
         return []
     w = (bound.bit_length() + 8) // 8
+    w = next((v for v in sorted(_MACHINE_INTS) if v >= w), w)
     value = 1
     length = 1
     for a, m in parts:
         value *= _kpack(a, w) ** m
         length += (len(a) - 1) * m
-    half = 1 << (8 * w - 1)
-    offset = int.from_bytes(half.to_bytes(w, "little") * length, "little")
-    raw = (value + offset).to_bytes(w * length, "little")
-    return _trim(
-        [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, len(raw), w)]
-    )
+    return _trim(_kunpack(value, w, length))
 
 
 def _dexact_div(a: list, b: list):
@@ -1049,7 +1077,8 @@ def reciprocal_partner(p: LaurentPolynomial) -> LaurentPolynomial:
 
 
 def is_alexander_normalized(f: LaurentPolynomial) -> bool:
-    return (not f.is_zero) and f.evaluate(1) in (1, -1)
+    """f(1) = +-1, read as the sum of the coefficients (0 for zero)."""
+    return sum(f._c) in (1, -1)
 
 
 class FoxMilnorResult(Record):

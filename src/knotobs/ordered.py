@@ -425,16 +425,30 @@ def epsilon_obstruction(J: EpsilonClass, n: int) -> ObstructionOutcome:
 
 _REGISTRY = None  # (records by label, chain source by family), read once
 
+# keys a registry row may carry beside the EpsilonClass fields; nothing reads them
+_REGISTRY_METADATA = ("family", "index")
+
+
+def _registry_record(row: dict) -> EpsilonClass:
+    """The record of one registry row, by the record's own field names; a
+    field the row lacks is None, and a key that is neither a field nor
+    metadata (a misspelled field, say) is refused."""
+    unknown = sorted(row.keys() - {*EpsilonClass._fields, *_REGISTRY_METADATA})
+    if unknown:
+        raise ValidationError(
+            f"registry row {row.get('label')!r} has unknown keys {', '.join(map(repr, unknown))}"
+        )
+    return EpsilonClass(*map(row.get, EpsilonClass._fields))
+
 
 def load_registry() -> dict[str, EpsilonClass]:
-    """Epsilon-class records shipped with the package, keyed by label.  A row
-    is read by the record's own field names; a field it lacks is None."""
+    """Epsilon-class records shipped with the package, keyed by label."""
     global _REGISTRY
     if _REGISTRY is None:
         raw = json.loads(
             resources.files("knotobs.data").joinpath("epsilon_registry.json").read_text()
         )
-        records = (EpsilonClass(*map(row.get, EpsilonClass._fields)) for row in raw["records"])
+        records = map(_registry_record, raw["records"])
         _REGISTRY = {rec.label: rec for rec in records}, raw.get("chain_sources", {})
     return _REGISTRY[0]
 

@@ -166,17 +166,19 @@ def signature_at(e: knots.KnotExpression, x) -> int:
 
 
 class SeifertMatrix(Record):
-    """Integer Seifert matrix; size is even and det(V - V^T) = +-1."""
+    """Integer Seifert matrix; size is even and det(V - V^T) = +-1, checked
+    as Pf(V - V^T) = +-1."""
 
     __slots__ = ("entries",)
 
     def _check(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+        V = self.entries
+        n = len(V)
+        if any(len(row) != n for row in V):
             raise ValidationError("Seifert matrix must be square")
         if n % 2 != 0:
             raise ValidationError("Seifert matrix of a knot has even size")
-        if n and abs(_int_det([[self.entries[i][j] - self.entries[j][i] for j in range(n)] for i in range(n)])) != 1:
+        if not _pfaffian_is_unit([[V[i][j] - V[j][i] for j in range(n)] for i in range(n)]):
             raise ValidationError("V - V^T must be unimodular")
 
     @property
@@ -186,6 +188,48 @@ class SeifertMatrix(Record):
     @property
     def genus(self) -> int:
         return self.size // 2
+
+
+def _pfaffian_is_unit(A: list[list[int]]) -> bool:
+    """|Pf A| = 1, that is |det A| = 1, for a skew-symmetric integer A.
+
+    Skew-symmetric elimination with 2x2 pivots (Bunch, "A note on the
+    stable decomposition of skew-symmetric matrices", Math. Comp. 38, 1982):
+    a pivot (a, b) with p = A[a][b] != 0 leaves Pf A = +-p Pf S, where the
+    Schur complement S on the other indices is A[i][j] + (u[j] v[i] -
+    u[i] v[j]) / p for the rows u = A[a], v = A[b].  It differs from A only
+    where u or v has an entry, so the rows are kept sparse and only those
+    entries are touched.  A unit pivot p = +-1 anywhere among the live
+    indices keeps every entry an integer; without one the step divides
+    exactly, in Fractions.  A live row of zeros makes A singular.
+    """
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(A)}
+    pf = 1  # |Pf| of the eliminated block
+    while rows:
+        a, b = next(((a, b) for a, row in rows.items() for b, x in row.items() if x in (1, -1)), (None, None))
+        if a is None:
+            a = next(iter(rows))
+            if not rows[a]:
+                return False
+            b = next(iter(rows[a]))
+        u, v = rows.pop(a), rows.pop(b)
+        p = u.pop(b)
+        del v[a]
+        pf *= abs(p)
+        inv = p if p in (1, -1) else Fraction(1, p)
+        touched = sorted(u.keys() | v.keys())
+        for i in touched:
+            rows[i].pop(a, None)
+            rows[i].pop(b, None)
+        for k, i in enumerate(touched):
+            row, ui, vi = rows[i], u.get(i, 0), v.get(i, 0)
+            for j in touched[k + 1 :]:
+                if x := (u.get(j, 0) * vi - ui * v.get(j, 0)) * inv:
+                    if x := row.get(j, 0) + x:
+                        row[j], rows[j][i] = x, -x
+                    else:
+                        del row[j], rows[j][i]
+    return pf == 1
 
 
 def _int_det(M: list[list[int]]) -> int:

@@ -456,13 +456,15 @@ class TestBinomialKernels:
 
 
 class TestDenseProduct:
-    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 8, 9, 16])
     def test_constants_at_the_byte_width_boundary(self, j):
         # 2^(8j-1) - 1 is the largest bound of width j; 2^(8j-1) needs j + 1
         for c in (2 ** (8 * j - 1) - 1, 2 ** (8 * j - 1)):
             for signed in (c, -c):
                 assert laurent._dproduct([([signed], 1)]) == [signed]
                 assert laurent._dproduct([([signed], 1), ([1], 3)]) == [signed]
+                assert laurent._dproduct([([signed], 1), ([-1], 3), ([5, -7], 0)]) == [-signed]
+                assert laurent._dproduct([([signed], 2)]) == [c * c]
 
     @pytest.mark.parametrize("k", [1, 64, 257, 1000])
     def test_binomial_powers(self, k):
@@ -477,20 +479,61 @@ class TestDenseProduct:
         assert laurent._dproduct([([3, 1], 0), ([1, 1], 2)]) == [1, 2, 1]
         assert laurent._dproduct([([0], 1), ([1, 1], 2)]) == []
 
+    @staticmethod
+    def matches_sparse_product(parts) -> bool:
+        expected = {0: 1}
+        for a, m in parts:
+            for _ in range(m):
+                expected = oracles.convolve(expected, dict(enumerate(a)))
+        return laurent._poly(laurent._dproduct(parts)).coeffs == expected
+
     def test_random_parts_match_sparse_product(self):
         rng = random.Random(8080)
         big = 10**30
         for _ in range(300):
             parts = []
-            expected = {0: 1}
             for _ in range(rng.randint(0, 4)):
                 width = rng.randint(1, 6)
                 a = [rng.randint(-big, big) if rng.random() < 0.8 else 0 for _ in range(width)]
-                m = rng.randint(0, 3)
-                parts.append((a, m))
-                for _ in range(m):
-                    expected = oracles.convolve(expected, dict(enumerate(a)))
-            assert laurent._poly(laurent._dproduct(parts)).coeffs == expected
+                parts.append((a, rng.randint(0, 3)))
+            assert self.matches_sparse_product(parts)
+
+    @staticmethod
+    def with_norm(rng, norm: int, length: int) -> list:
+        """A random list of the given length whose absolute values sum to norm."""
+        cuts = sorted(rng.randint(0, norm) for _ in range(length - 1))
+        return [rng.choice((1, -1)) * (hi - lo) for lo, hi in zip([0] + cuts, cuts + [norm])]
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
+    def test_random_lists_at_each_width_edge(self, monkeypatch, w):
+        """The bound B = prod ||a||_1^m lands just below 2^(8w-1), where the
+        width is w, and at it, where a machine width rounds up to the next
+        one and a wider one grows by a byte; every product matches the
+        product of `oracles.convolve`, packed through the widths it names."""
+        rng = random.Random(5150 + w)
+        pack, widths = laurent._kpack, set()
+        monkeypatch.setattr(laurent, "_kpack", lambda a, width: widths.add(width) or pack(a, width))
+        edge = 2 ** (8 * w - 1)
+        for bound in (edge - 1, edge):
+            for _ in range(40):
+                # split the bound as x * y^m (2^(8w-1) - 1 by a small odd
+                # divisor, when it has one), then add a zeroth power and a unit list
+                m = rng.choice([1, 1, 2, 3]) if bound == edge else 1
+                if bound == edge:
+                    y = 2 ** rng.randint(0, (8 * w - 1) // (2 * m))
+                else:
+                    y = next((d for d in range(3, 1000, 2) if bound % d == 0), 1)
+                x = bound // y**m
+                parts = [(self.with_norm(rng, x, rng.randint(1, 6)), 1)]
+                if y > 1:
+                    parts.append((self.with_norm(rng, y, rng.randint(1, 4)), m))
+                if rng.random() < 0.5:
+                    parts.append((self.with_norm(rng, rng.randint(1, 2**70), rng.randint(1, 5)), 0))
+                if rng.random() < 0.5:
+                    parts.append(([rng.choice((1, -1))], rng.randint(1, 3)))
+                rng.shuffle(parts)
+                assert self.matches_sparse_product(parts), parts
+        assert widths == {w, {1: 2, 2: 4, 4: 8}.get(w, w + 1)}
 
     def test_one_entry_operand_scales_and_shifts(self):
         # an int, a +-constant or c t^k on either side gives the Kronecker product
@@ -869,8 +912,11 @@ class TestFoxMilnor:
         assert res.witness == parse_laurent("-1 + 2t")
 
     def test_normalization_required(self):
-        with pytest.raises(NormalizationError):
-            fox_milnor(parse_laurent("1 + t"))  # value 2 at t = 1
+        # f(1) is the sum of the coefficients, whatever the least exponent
+        for text, value in [("1 + t", 2), ("t^-2 - t^3", 0), ("-2t^-1 - 1", -3)]:
+            with pytest.raises(NormalizationError) as exc:
+                fox_milnor(parse_laurent(text))
+            assert str(exc.value) == f"normalization required: f(1) = {value}, expected +-1"
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):

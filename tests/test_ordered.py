@@ -2,6 +2,8 @@
 
 import random
 import time
+from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
@@ -246,6 +248,25 @@ class TestRegistry:
             assert (l.a1, l.a2, l.genus_bound) == (1, n, 1)
             jp = records[f"Jprime_{n}"]
             assert jp.a1 is None and jp.epsilon_sign is None
+
+    @pytest.mark.parametrize(
+        "old, new, label, keys",
+        [
+            ('"a2": 4,', '"a_2": 4,', "J_4", "'a_2'"),
+            ('"label": "L_7",', '"label": "L_7", "genus": 1, "Source": "x",', "L_7", "'Source', 'genus'"),
+        ],
+    )
+    def test_unknown_row_key_refused(self, monkeypatch, tmp_path, old, new, label, keys):
+        """A row key that is neither an EpsilonClass field nor the metadata
+        `family` or `index` fails the load, naming the row and the key."""
+        shipped = resources.files("knotobs.data").joinpath("epsilon_registry.json").read_text()
+        (tmp_path / "epsilon_registry.json").write_text(shipped.replace(old, new, 1))
+        assert old in shipped
+        monkeypatch.setattr(ordered, "_REGISTRY", None)
+        monkeypatch.setattr(ordered, "resources", SimpleNamespace(files=lambda package: tmp_path))
+        with pytest.raises(ValidationError) as exc:
+            load_registry()
+        assert str(exc.value) == f"registry row {label!r} has unknown keys {keys}"
 
     def test_jprime_records_refused_by_comparisons(self):
         with pytest.raises(InsufficientDataError):

@@ -26,6 +26,7 @@ from knotobs.signature import (
     EMPTY_JUMPS,
     MAX_JUMPS,
     JumpFunction,
+    SeifertMatrix,
     closes_to_knot,
     expression_jumps,
     numeric_signature,
@@ -35,6 +36,7 @@ from knotobs.signature import (
     torus_independence_certificate,
     torus_jumps,
     _int_det,
+    _pfaffian_is_unit,
 )
 
 
@@ -328,6 +330,70 @@ class TestIntegerDeterminant:
             zero_pivots += M[0][0] == 0 and any(row[0] for row in M)
             singular += expected == 0
         assert zero_pivots > 100 and singular > 300
+
+
+class TestPfaffianCheck:
+    """The unimodularity check |Pf(V - V^T)| = 1 against |det| = 1 by Bareiss."""
+
+    @staticmethod
+    def skew(n: int, entries: dict) -> list:
+        A = [[0] * n for _ in range(n)]
+        for (i, j), x in entries.items():
+            A[i][j], A[j][i] = x, -x
+        return A
+
+    def test_matches_bareiss_on_random_skew_matrices(self):
+        rng = random.Random(2525)
+        seen = {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randint(0, 12)
+            density = rng.choice([0.15, 0.3, 0.6, 1.0])
+            A = self.skew(n, {(i, j): rng.randint(-3, 3) for i in range(n) for j in range(i + 1, n) if rng.random() < density})
+            before = [row[:] for row in A]
+            unit = _pfaffian_is_unit(A)
+            assert unit == (abs(_int_det(A)) == 1), A
+            assert A == before
+            seen[unit] += 1
+        assert seen[True] > 300 and seen[False] > 1000
+
+    def test_no_unit_entry(self):
+        # Pf = a12 a34 - a13 a24 + a14 a23 = 4 - 9 + 6 = 1, with no entry +-1
+        A = self.skew(4, {(0, 1): 2, (0, 2): 3, (0, 3): 2, (1, 2): 3, (1, 3): 3, (2, 3): 2})
+        assert not any(x in (1, -1) for row in A for x in row)
+        assert _int_det(A) == 1 and _pfaffian_is_unit(A)
+        # a12 = 4 makes Pf = 8 - 9 + 6 = 5
+        five = self.skew(4, {(0, 1): 4, (0, 2): 3, (0, 3): 2, (1, 2): 3, (1, 3): 3, (2, 3): 2})
+        assert _int_det(five) == 25 and not _pfaffian_is_unit(five)
+
+    def test_singular(self):
+        # Pf = 1 * 1 - 1 * 1 + 0 = 0 with unit pivots everywhere; a zero row
+        A = self.skew(4, {(0, 1): 1, (2, 3): 1, (0, 2): 1, (1, 3): 1})
+        assert _int_det(A) == 0 and not _pfaffian_is_unit(A)
+        Z = self.skew(4, {(0, 1): 1, (0, 2): -1, (1, 2): 1})
+        assert _int_det(Z) == 0 and not _pfaffian_is_unit(Z)
+        assert _pfaffian_is_unit([]) and not _pfaffian_is_unit([[0]])
+
+    def test_torus_9_10_build(self):
+        V = seifert_from_braid(torus_braid_word(9, 10))
+        n = V.size
+        assert n == 72
+        A = [[V.entries[i][j] - V.entries[j][i] for j in range(n)] for i in range(n)]
+        assert abs(_int_det(A)) == 1 and _pfaffian_is_unit(A)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((0, 1),), "Seifert matrix must be square"),
+            (((0,),), "Seifert matrix of a knot has even size"),
+            (((0, 0), (0, 0)), "V - V^T must be unimodular"),
+            (((1, 2), (2, 1)), "V - V^T must be unimodular"),
+            (((0, 3), (1, 0)), "V - V^T must be unimodular"),
+        ],
+    )
+    def test_refusal_messages(self, entries, message):
+        with pytest.raises(ValidationError) as exc:
+            SeifertMatrix(entries)
+        assert str(exc.value) == message
 
 
 class TestOracleAgreement:
