@@ -228,9 +228,8 @@ def _cmd_upsilon_obstruct(args):
     verdict = upsilon.obstruct_Gn(source, args.genus_level)
     lines = [("source", shown), ("genus level", args.genus_level),
              ("verdict", verdict.status), ("detail", verdict.detail)]
-    status = "ok" if verdict.status in ("obstructed", "not_obstructed") else "inconclusive"
     payload = {"source": shown, "genus_level": args.genus_level, **verdict.as_dict()}
-    return Result(lines, payload, status, prov)
+    return Result(lines, payload, provenance=prov)
 
 
 def _cmd_upsilon_certify(args):

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the dense polynomial limit
-that `laurent`, `signature` and `jumps` enforce."""
+"""Exception types shared across the package, the dense polynomial limit
+that `laurent`, `signature` and `jumps` enforce, and the torus knot
+parameter rule."""
+
+import math
 
 
 class KnotObsError(Exception):
@@ -28,10 +31,6 @@ class NotLSpaceFormError(ValidationError):
 
 class UnsupportedExpressionError(ValidationError):
     """Knot expression lies outside the class supported by the requested invariant."""
-
-
-class UnsupportedOrientationError(ValidationError):
-    """Cable with non-positive meridian winding; no verified convention for these."""
 
 
 class InsufficientDataError(KnotObsError):
@@ -78,3 +77,12 @@ def check_breadth(breadth: int, what: str) -> None:
         raise ValidationError(
             f"{what} {breadth} exceeds the dense polynomial limit {MAX_DENSE_BREADTH}"
         )
+
+
+def check_torus(p: int, q: int) -> None:
+    """Refuse (p, q) unless both are >= 2 and coprime: the parameters of a
+    torus knot T(p,q)."""
+    if p < 2 or q < 2:
+        raise ValidationError("torus knot parameters must be >= 2")
+    if math.gcd(p, q) != 1:
+        raise ValidationError(f"torus knot parameters must be coprime: ({p},{q})")

@@ -19,8 +19,9 @@ from typing import Union
 from . import laurent
 from .errors import (
     ParseError,
-    UnsupportedOrientationError,
+    UnsupportedExpressionError,
     ValidationError,
+    check_torus,
 )
 from .reporting import Record
 
@@ -31,10 +32,7 @@ class TorusKnot(Record):
     __slots__ = ("p", "q")
 
     def _check(self):
-        if self.p < 2 or self.q < 2:
-            raise ValidationError("torus knot parameters must be >= 2")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValidationError(f"torus knot parameters must be coprime: ({self.p},{self.q})")
+        check_torus(self.p, self.q)
 
 
 class Cable(Record):
@@ -80,10 +78,7 @@ def torus(p: int, q: int) -> TorusKnot:
 
 
 def cable(companion: KnotExpression, p: int, q: int) -> KnotExpression:
-    if p == 1:
-        # the (1,q) pattern is the core curve, so the cable is the companion
-        return companion
-    return Cable(normalize(companion), p, q)
+    return normalize(Cable(companion, p, q))
 
 
 def wh(companion: KnotExpression) -> WhiteheadDouble:
@@ -106,6 +101,7 @@ def normalize(e: KnotExpression) -> KnotExpression:
     if isinstance(e, Cable):
         inner = normalize(e.companion)
         if e.p == 1:
+            # the (1,q) pattern is the core curve, so the cable is the companion
             return inner
         if inner is not e.companion:
             return Cable(inner, e.p, e.q)
@@ -248,7 +244,7 @@ class _Parser:
             self.take(",")
             q = self.integer()
             self.take(")")
-            return Cable(inner, p, q) if p > 1 else inner
+            return Cable(inner, p, q)
         if self.peek() == "U":
             self.i += 1
             return UNKNOT
@@ -280,7 +276,7 @@ def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
     doubles have trivial Alexander polynomial.
 
     Each product and substitution checks its breadth against
-    laurent.MAX_DENSE_BREADTH before it allocates, so nested cables fail
+    errors.MAX_DENSE_BREADTH before it allocates, so nested cables fail
     fast.
     """
     e = normalize(e)
@@ -296,7 +292,7 @@ def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
         return math.prod([alexander(s) for s in e.summands], start=laurent.ONE)
     if isinstance(e, Cable):
         if e.q <= -2:
-            raise UnsupportedOrientationError(
+            raise UnsupportedExpressionError(
                 f"cable meridian winding {e.q} <= -2 has no verified convention"
             )
         companion = alexander(e.companion)
@@ -332,7 +328,7 @@ def _seifert_genus(e: KnotExpression) -> int:
         return sum(_seifert_genus(s) for s in e.summands)
     if isinstance(e, Cable):
         if e.q <= 0:
-            raise UnsupportedOrientationError(
+            raise UnsupportedExpressionError(
                 "Seifert genus of cables is only supported for q >= 1"
             )
         return e.p * _seifert_genus(e.companion) + (e.p - 1) * (e.q - 1) // 2

@@ -55,10 +55,8 @@ from .errors import (
     ValidationError,
     ZeroPolynomialError,
     check_breadth,
+    check_torus,
 )
-
-# the dense limit keeps its documented name laurent.MAX_DENSE_BREADTH
-from .errors import MAX_DENSE_BREADTH
 from .reporting import Record
 
 
@@ -68,7 +66,7 @@ class LaurentPolynomial:
     Stored dense: the least exponent `_lo` and the coefficient tuple `_c`,
     with `_c[i]` the coefficient of t^(_lo + i) and both ends nonzero; zero
     is (0, ()).  Instances are immutable; every operation returns a new
-    object, and one whose breadth would pass MAX_DENSE_BREADTH is refused
+    object, and one whose breadth would pass errors.MAX_DENSE_BREADTH is refused
     before its coefficients are allocated.
     """
 
@@ -88,10 +86,6 @@ class LaurentPolynomial:
         return _poly, (self._c, self._lo)
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def constant(c: int) -> "LaurentPolynomial":
-        return LaurentPolynomial.monomial(c, 0)
 
     @staticmethod
     def monomial(c: int, e: int) -> "LaurentPolynomial":
@@ -265,7 +259,7 @@ def _terms(coeffs: dict) -> LaurentPolynomial:
 
 
 ZERO = LaurentPolynomial()
-ONE = LaurentPolynomial.constant(1)
+ONE = LaurentPolynomial.monomial(1, 0)
 T = LaurentPolynomial.monomial(1, 1)
 
 
@@ -513,14 +507,6 @@ def _deval(a: list, x: int) -> int:
     return acc
 
 
-def exact_div(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    """Exact quotient f / g in the Laurent ring; raises if g does not divide f."""
-    q = _dexact_div(f._c, g._c)
-    if q is None:
-        raise ValidationError(f"{g} does not divide {f}")
-    return _poly(q, f._lo - g._lo)
-
-
 # ---------------------------------------------------------------------------
 # number theory helpers
 # ---------------------------------------------------------------------------
@@ -761,10 +747,7 @@ def _cyclotomic_at(n: int, x: int) -> int:
 def torus_alexander(p: int, q: int) -> LaurentPolynomial:
     """Alexander polynomial of the (p,q) torus knot, centered symmetric form:
     (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1))."""
-    if p < 2 or q < 2:
-        raise ValidationError("torus knot parameters must be >= 2")
-    if math.gcd(p, q) != 1:
-        raise ValidationError(f"torus knot parameters must be coprime, got ({p},{q})")
+    check_torus(p, q)
     check_breadth(p * q, "torus knot product pq")
     quot = _self_checked(_dbinomials([1], (p * q, 1), (p, q)), "(t^p - 1)(t^q - 1) divides (t^pq - 1)(t - 1)")
     # the breadth (p - 1)(q - 1) is even; centered, the least exponent is minus half of it
@@ -1024,7 +1007,7 @@ def factor(f: LaurentPolynomial) -> Factorization:
     if content > 1:
         F = [x // content for x in F]
         for p, e in _prime_factors(content, CONTENT_TRIAL_BOUND).items():
-            found[LaurentPolynomial.constant(p)] += e
+            found[LaurentPolynomial.monomial(p, 0)] += e
 
     # Phi_1 exactly, by synthetic division by t - 1
     while (q := _ddiv_binomial(F, 1)) is not None:

@@ -32,8 +32,8 @@ from .errors import (
 )
 from .reporting import Certificate, CertificateCheck, Record
 
+# rank of the lex model the property suites draw from
 DEFAULT_RANK = 8
-MAX_RANK = 500
 
 RULE_LEX = "lexicographic model: earlier leading index dominates"
 RULE_A1 = "a-plus rule: strictly larger a1 is dominated"
@@ -208,19 +208,19 @@ def chain_independence(elements: list[LexElement]) -> ChainVerdict:
 _COEFFS = range(-9, 10)
 
 
-def _random_element(rng: random.Random, rank: int) -> LexElement:
+def _random_element(rng: random.Random) -> LexElement:
     """Coordinates uniform in -9..9 (possibly the zero element)."""
-    return LexElement(tuple(rng.choices(_COEFFS, k=rank)))
+    return LexElement(tuple(rng.choices(_COEFFS, k=DEFAULT_RANK)))
 
 
-def _random_led(rng: random.Random, rank: int, lead: int, coeff: int) -> LexElement:
+def _random_led(rng: random.Random, lead: int, coeff: int) -> LexElement:
     """`coeff` at index `lead`, zeros before it, uniform coordinates after it."""
-    return LexElement((0,) * lead + (coeff,) + tuple(rng.choices(_COEFFS, k=rank - lead - 1)))
+    return LexElement((0,) * lead + (coeff,) + tuple(rng.choices(_COEFFS, k=DEFAULT_RANK - lead - 1)))
 
 
-def _random_positive(rng: random.Random, rank: int, last: int) -> LexElement:
+def _random_positive(rng: random.Random, last: int) -> LexElement:
     """Positive element whose leading index is uniform in 0..last."""
-    return _random_led(rng, rank, rng.randint(0, last), rng.randint(1, 9))
+    return _random_led(rng, rng.randint(0, last), rng.randint(1, 9))
 
 
 class SuiteResult(Record):
@@ -241,9 +241,9 @@ class SuiteResult(Record):
         }
 
 
-def run_property_suites(rank: int = DEFAULT_RANK, cases: int = 1000, seed: int = 2025) -> list[SuiteResult]:
+def run_property_suites(cases: int = 1000, seed: int = 2025) -> list[SuiteResult]:
     """Randomized checks of the quotient-order and Property A facts in the
-    rank-`rank` lex model: well-definedness, trichotomy, transitivity,
+    lex model of rank DEFAULT_RANK: well-definedness, trichotomy, transitivity,
     translation invariance, domination descent and Property A descent.
 
     Every draw is one case: each suite builds inputs that already meet its
@@ -252,8 +252,6 @@ def run_property_suites(rank: int = DEFAULT_RANK, cases: int = 1000, seed: int =
     lead(d) <= lead(x), and the suite checks that `quotient_compare` reports
     it; so a domination rule that is off by one index fails on the cases
     whose lead(d) equals lead(x)."""
-    if not 2 <= rank <= MAX_RANK:
-        raise ValidationError(f"rank must be in 2..{MAX_RANK}, got {rank}")
     if cases < 1:
         raise ValidationError(f"cases must be >= 1, got {cases}")
     rng = random.Random(seed)
@@ -265,47 +263,47 @@ def run_property_suites(rank: int = DEFAULT_RANK, cases: int = 1000, seed: int =
 
     def above(x: LexElement, a: LexElement) -> LexElement:
         """An element greater than a in the quotient by the x-dominated subgroup."""
-        return a + _random_positive(rng, rank, x.leading_index)
+        return a + _random_positive(rng, x.leading_index)
 
     @suite
     def well_definedness():
-        x = _random_positive(rng, rank, rank - 2)  # leaves room for a nonzero c
-        a = _random_element(rng, rank)
+        x = _random_positive(rng, DEFAULT_RANK - 2)  # leaves room for a nonzero c
+        a = _random_element(rng)
         b = above(x, a)
-        c = _random_led(rng, rank, x.leading_index, 0)  # zero through lead(x): dominated
+        c = _random_led(rng, x.leading_index, 0)  # zero through lead(x): dominated
         return all(quotient_compare(p, q, x) == "<" for p, q in ((a, b), (a + c, b), (a, b + c)))
 
     @suite
     def trichotomy():
-        x = _random_positive(rng, rank, rank - 1)
-        a = _random_element(rng, rank)
-        b = a + _random_positive(rng, rank, rank - 1).scale(rng.choice((-1, 0, 1)))
+        x = _random_positive(rng, DEFAULT_RANK - 1)
+        a = _random_element(rng)
+        b = a + _random_positive(rng, DEFAULT_RANK - 1).scale(rng.choice((-1, 0, 1)))
         r1, r2 = quotient_compare(a, b, x), quotient_compare(b, a, x)
         return (r1 == r2 == "=") or {r1, r2} == {"<", ">"}
 
     @suite
     def transitivity():
-        x = _random_positive(rng, rank, rank - 1)
-        a = _random_element(rng, rank)
+        x = _random_positive(rng, DEFAULT_RANK - 1)
+        a = _random_element(rng)
         b = above(x, a)
         c = above(x, b)
         return all(quotient_compare(p, q, x) == "<" for p, q in ((a, b), (b, c), (a, c)))
 
     @suite
     def translation_invariance():
-        x = _random_positive(rng, rank, rank - 1)
-        a = _random_element(rng, rank)
+        x = _random_positive(rng, DEFAULT_RANK - 1)
+        a = _random_element(rng)
         b = above(x, a)
-        c = _random_element(rng, rank)
+        c = _random_element(rng)
         return quotient_compare(a, b, x) == quotient_compare(a + c, b + c, x) == "<"
 
     @suite
     def domination_descent():
         # 0 < a << b with b surviving the quotient
-        x = _random_positive(rng, rank, rank - 1)
+        x = _random_positive(rng, DEFAULT_RANK - 1)
         lx = x.leading_index
-        b = _random_positive(rng, rank, min(lx, rank - 2))
-        a = _random_led(rng, rank, rng.randint(b.leading_index + 1, rank - 1), rng.randint(1, 9))
+        b = _random_positive(rng, min(lx, DEFAULT_RANK - 2))
+        a = _random_led(rng, rng.randint(b.leading_index + 1, DEFAULT_RANK - 1), rng.randint(1, 9))
         ta, tb = a.truncate(lx), b.truncate(lx)
         # an image of 0 is fine: 0 <= phi(b) trivially
         return tb.is_positive and (ta.is_zero or (ta.is_positive and archimedean(ta, tb).relation == "much_less"))
@@ -313,9 +311,9 @@ def run_property_suites(rank: int = DEFAULT_RANK, cases: int = 1000, seed: int =
     @suite
     def property_A_descent():
         # unit leading coefficient, and an image of a that stays nonzero
-        la = rng.randrange(rank)
-        a = _random_led(rng, rank, la, rng.choice((-1, 1)))
-        x = _random_led(rng, rank, rng.randint(la, rank - 1), rng.randint(1, 9))
+        la = rng.randrange(DEFAULT_RANK)
+        a = _random_led(rng, la, rng.choice((-1, 1)))
+        x = _random_led(rng, rng.randint(la, DEFAULT_RANK - 1), rng.randint(1, 9))
         ta = a.truncate(x.leading_index)
         return not ta.is_zero and property_A_check(ta).holds
 

@@ -79,12 +79,13 @@ def plain(value):
     """JSON form of a field value: a record as its `as_dict()`, a tuple or list
     as a list, None, bools, ints and strings as they are, and anything else
     (a `Fraction`, a `LaurentPolynomial`) as its `str`."""
+    # scalars first: most fields are one
+    if value is None or isinstance(value, (int, str)):
+        return value
     if isinstance(value, Record):
         return value.as_dict()
     if isinstance(value, (tuple, list)):
         return [plain(v) for v in value]
-    if value is None or isinstance(value, (int, str)):
-        return value
     return str(value)
 
 

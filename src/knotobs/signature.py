@@ -29,10 +29,9 @@ from .errors import (
     UnsupportedExpressionError,
     ValidationError,
     check_breadth,
+    check_torus,
 )
-
-# MAX_JUMPS keeps its documented name signature.MAX_JUMPS
-from .jumps import MAX_JUMPS, RationalJumps
+from .jumps import RationalJumps
 from .laurent import ONE, totient
 from .reporting import Certificate, CertificateCheck, Record
 
@@ -101,10 +100,7 @@ def torus_jumps(p: int, q: int) -> JumpFunction:
     +2 at points of S in (0,1) and -2 at points of S - 1, where
     S = { i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1 }.  Over N = pq the point
     i/p + j/q has numerator i*q + j*p."""
-    if p < 2 or q < 2:
-        raise ValidationError("torus knot parameters must be >= 2")
-    if math.gcd(p, q) != 1:
-        raise ValidationError(f"torus knot parameters must be coprime: ({p},{q})")
+    check_torus(p, q)
     check_breadth(p * q, "torus knot product pq")
     N = p * q
     jumps: dict[int, int] = {}
@@ -145,13 +141,9 @@ def expression_jumps(e: knots.KnotExpression) -> JumpFunction:
                 "cable signatures are only supported over companions with "
                 "trivial Alexander polynomial"
             )
-        if e.q >= 2:
-            return torus_jumps(e.p, e.q)
-        if e.q in (0, 1, -1):
-            return EMPTY_JUMPS
-        raise UnsupportedExpressionError(
-            f"cable meridian winding {e.q} <= -2 has no verified convention"
-        )
+        # alexander refuses a winding q <= -2, which has no verified convention
+        knots.alexander(e)
+        return torus_jumps(e.p, e.q) if e.q >= 2 else EMPTY_JUMPS
     raise UnsupportedExpressionError(f"unsupported expression {e!r}")
 
 
@@ -178,7 +170,7 @@ class SeifertMatrix(Record):
             raise ValidationError("Seifert matrix must be square")
         if n % 2 != 0:
             raise ValidationError("Seifert matrix of a knot has even size")
-        if not _pfaffian_is_unit([[V[i][j] - V[j][i] for j in range(n)] for i in range(n)]):
+        if not _pfaffian_is_unit(V):
             raise ValidationError("V - V^T must be unimodular")
 
     @property
@@ -190,8 +182,9 @@ class SeifertMatrix(Record):
         return self.size // 2
 
 
-def _pfaffian_is_unit(A: list[list[int]]) -> bool:
-    """|Pf A| = 1, that is |det A| = 1, for a skew-symmetric integer A.
+def _pfaffian_is_unit(V) -> bool:
+    """|Pf A| = 1, that is |det A| = 1, for the skew-symmetric A = V - V^T
+    of a square integer matrix V, read from V's entries.
 
     Skew-symmetric elimination with 2x2 pivots (Bunch, "A note on the
     stable decomposition of skew-symmetric matrices", Math. Comp. 38, 1982):
@@ -203,7 +196,11 @@ def _pfaffian_is_unit(A: list[list[int]]) -> bool:
     indices keeps every entry an integer; without one the step divides
     exactly, in Fractions.  A live row of zeros makes A singular.
     """
-    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(A)}
+    # row i of V - V^T is row i of V minus column i of V
+    rows = {
+        i: {j: x for j, (a, b) in enumerate(zip(row, col)) if (x := a - b)}
+        for i, (row, col) in enumerate(zip(V, zip(*V)))
+    }
     pf = 1  # |Pf| of the eliminated block
     while rows:
         a, b = next(((a, b) for a, row in rows.items() for b, x in row.items() if x in (1, -1)), (None, None))
@@ -232,39 +229,6 @@ def _pfaffian_is_unit(A: list[list[int]]) -> bool:
     return pf == 1
 
 
-def _int_det(M: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant.
-
-    A row with a zero below the pivot has no cross term: it is only scaled
-    by pivot / prev, exactly, and left as it is when the two are equal."""
-    M = [row[:] for row in M]
-    n = len(M)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = M[k]
-        piv = pivot_row[k]
-        for i in range(k + 1, n):
-            row = M[i]
-            if c := row[k]:
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * piv - c * pivot_row[j]) // prev
-            elif piv != prev:
-                for j in range(k + 1, n):
-                    row[j] = row[j] * piv // prev
-        prev = piv
-    return sign * M[n - 1][n - 1]
-
-
 def braid_permutation(word: list[int], strands: int) -> list[int]:
     perm = list(range(strands))
     for letter in word:
@@ -287,7 +251,7 @@ def closes_to_knot(word: list[int], strands: int) -> bool:
     return cycles == 1
 
 
-def seifert_from_braid(word: list[int], strands: int | None = None) -> SeifertMatrix:
+def seifert_from_braid(word: list[int]) -> SeifertMatrix:
     """Seifert matrix of the closed braid via Seifert's algorithm.
 
     The surface is the braid-strand disks joined by half-twisted crossing
@@ -304,14 +268,14 @@ def seifert_from_braid(word: list[int], strands: int | None = None) -> SeifertMa
     The convention is gauge-fixed to reproduce the bidiagonal matrices of the
     (2,q) torus knots; the test suite checks det(V - tV^T) against exact
     Alexander polynomials and classical signature values.
+
+    The braid has one strand more than its largest |letter|: a strand that
+    no letter touches would be a split component.
     """
     word = list(word)
-    if strands is None:
-        strands = max((abs(w) for w in word), default=0) + 1
-    if strands < 1:
-        raise ValidationError("a braid needs at least one strand")
-    if any(w == 0 or abs(w) >= strands for w in word):
-        raise ValidationError("braid letters must be nonzero with |letter| < strands")
+    if 0 in word:
+        raise ValidationError("braid letters must be nonzero")
+    strands = max((abs(w) for w in word), default=0) + 1
     if not closes_to_knot(word, strands):
         raise ValidationError("braid closure is a link, not a knot")
 
@@ -403,8 +367,7 @@ def torus_independence_certificate(
         raise ValidationError("filtration level must be >= 1")
     pairs = [tuple(pr) for pr in pairs]
     for p, q in pairs:
-        if p < 2 or q < 2 or math.gcd(p, q) != 1:
-            raise ValidationError(f"({p},{q}) is not a coprime torus-knot pair")
+        check_torus(p, q)
         check_breadth(p * q, "torus knot product pq")
     checks: list[CertificateCheck] = []
 

@@ -59,10 +59,6 @@ class PiecewiseLinearFunction(RationalJumps):
             if not 0 <= n < 2 * den:
                 raise ValidationError(f"slope jump location {Fraction(n, den)} outside [0,2)")
 
-    @staticmethod
-    def zero() -> "PiecewiseLinearFunction":
-        return PiecewiseLinearFunction({})
-
     def value(self, t) -> Fraction:
         t = Fraction(t)
         if not 0 <= t <= 2:
@@ -226,7 +222,7 @@ def upsilon_of_expression(e: knots.KnotExpression) -> PiecewiseLinearFunction:
     def of(e):
         # the parts of a normalized expression are normalized
         if isinstance(e, knots.Unknot):
-            return PiecewiseLinearFunction.zero()
+            return PiecewiseLinearFunction({})
         if isinstance(e, knots.TorusKnot):
             return upsilon_torus(e.p, e.q)
         if isinstance(e, knots.Mirror):
@@ -248,34 +244,24 @@ def upsilon_of_expression(e: knots.KnotExpression) -> PiecewiseLinearFunction:
 
 class JumpGerm(Record):
     """Partial low-t record of a derivative-jump function: zero on
-    (0, first_singularity) when zero_before, with jump sign * jump_value
-    there (sign -1 for the mirror knot).  Nothing beyond first_singularity is
-    certified."""
+    (0, first_singularity), with jump jump_value there.  Nothing beyond
+    first_singularity is certified."""
 
-    __slots__ = ("first_singularity", "jump_value", "zero_before", "source", "sign")
-    _defaults = {"zero_before": True, "source": "user-supplied", "sign": 1}
+    __slots__ = ("first_singularity", "jump_value", "source")
+    _defaults = {"source": "user-supplied"}
 
     def _check(self):
         if not 0 < self.first_singularity < 2:
             raise ValidationError("first singularity must lie in (0,2)")
         if self.jump_value <= 0:
             raise ValidationError("germ jump value must be positive")
-        if self.sign not in (1, -1):
-            raise ValidationError("germ sign must be +1 or -1")
-
-    def negated(self) -> "JumpGerm":
-        return JumpGerm(self.first_singularity, self.jump_value, self.zero_before, self.source, -self.sign)
 
     def delta_prime(self, t0) -> Fraction:
         t0 = Fraction(t0)
         if t0 == self.first_singularity:
-            return self.sign * self.jump_value
+            return self.jump_value
         if t0 < self.first_singularity:
-            if self.zero_before:
-                return Fraction(0)
-            raise InsufficientDataError(
-                f"germ does not certify values below {self.first_singularity}"
-            )
+            return Fraction(0)
         raise InsufficientDataError(
             f"germ certifies nothing beyond t = {self.first_singularity}"
         )
@@ -289,7 +275,6 @@ def jprime_germ(n: int) -> JumpGerm:
     return JumpGerm(
         first_singularity=Fraction(2, 2 * n - 1),
         jump_value=Fraction(2 * n - 1),
-        zero_before=True,
         source=JPRIME_GERM_SOURCE,
     )
 
@@ -322,7 +307,7 @@ def min_genus_from_singularity(p: int, q: int) -> int:
 
 
 class ObstructionVerdict(Record):
-    __slots__ = ("status", "witness", "detail")  # status: obstructed | not_obstructed | inconclusive
+    __slots__ = ("status", "witness", "detail")  # status: obstructed | not_obstructed
     _defaults = {"witness": None, "detail": ""}
 
 
@@ -353,14 +338,9 @@ def obstruct_Gn(source, n: int) -> ObstructionVerdict:
                 witness=t0,
                 detail=f"certified jump {source.delta_prime(t0)} at {t0} < 1/{n}",
             )
-        if source.zero_before:
-            return ObstructionVerdict(
-                "not_obstructed",
-                detail=f"certified zero on (0, {t0}) covers (0, 1/{n})",
-            )
         return ObstructionVerdict(
-            "inconclusive",
-            detail=f"germ certifies nothing on (0, 1/{n})",
+            "not_obstructed",
+            detail=f"certified zero on (0, {t0}) covers (0, 1/{n})",
         )
     raise ValidationError(f"cannot obstruct with {source!r}")
 

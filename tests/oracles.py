@@ -111,6 +111,44 @@ def fraction_det(M: list) -> Fraction:
     return det
 
 
+def int_det(M: list[list[int]]) -> int:
+    """Bareiss fraction-free determinant.
+
+    A row with a zero below the pivot has no cross term: it is only scaled
+    by pivot / prev, exactly, and left as it is when the two are equal."""
+    M = [row[:] for row in M]
+    n = len(M)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for r in range(k + 1, n):
+                if M[r][k] != 0:
+                    M[k], M[r] = M[r], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = M[k]
+        piv = pivot_row[k]
+        for i in range(k + 1, n):
+            row = M[i]
+            if c := row[k]:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * piv - c * pivot_row[j]) // prev
+            elif piv != prev:
+                for j in range(k + 1, n):
+                    row[j] = row[j] * piv // prev
+        prev = piv
+    return sign * M[n - 1][n - 1]
+
+
+def exact_quotient(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
+    """f / g by `dict_exact_div`; ArithmeticError unless g divides f."""
+    return LaurentPolynomial(dict_exact_div(f.coeffs, g.coeffs))
+
+
 def torus_upsilon_lines(p: int, q: int) -> list:
     """Upsilon of T(p,q) from its semigroup S = <p, q>: with g = (p-1)(q-1)/2
     it is the max over m in 0..2g of the lines -2 #(S & [0,m)) - t (g - m),
@@ -261,7 +299,7 @@ def swinnerton_dyer(primes) -> LaurentPolynomial:
 def random_normalized_poly(rng: random.Random, max_breadth: int = 10) -> LaurentPolynomial:
     """Random f with f(1) = +-1, built from the unit-at-one pool, with a
     random unit +-t^k thrown in."""
-    f = LaurentPolynomial.constant(rng.choice([1, -1]))
+    f = LaurentPolynomial.monomial(rng.choice([1, -1]), 0)
     for _ in range(rng.randint(1, 4)):
         p = rng.choice(UNIT_AT_ONE_POOL)
         if f.breadth + p.breadth > max_breadth:
@@ -271,7 +309,7 @@ def random_normalized_poly(rng: random.Random, max_breadth: int = 10) -> Laurent
 
 
 def random_factor_product(rng: random.Random, max_breadth: int = 10) -> LaurentPolynomial:
-    f = LaurentPolynomial.constant(rng.choice([1, -1]))
+    f = LaurentPolynomial.monomial(rng.choice([1, -1]), 0)
     for _ in range(rng.randint(1, 3)):
         p = rng.choice(FACTOR_POOL)
         if f.breadth + p.breadth > max_breadth:
@@ -307,7 +345,7 @@ def random_laurent(rng: random.Random, max_breadth: int = 8) -> LaurentPolynomia
     width = rng.randint(0, max_breadth)
     coeffs = {lo + i: rng.randint(-5, 5) for i in range(width + 1)}
     f = LaurentPolynomial(coeffs)
-    return f if not f.is_zero else LaurentPolynomial.constant(1)
+    return f if not f.is_zero else LaurentPolynomial.monomial(1, 0)
 
 
 def coprime_pairs(max_product: int, min_p: int = 2):

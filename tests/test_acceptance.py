@@ -150,7 +150,7 @@ def test_criterion_7_ordered_property_suite(capsys):
     """1000 randomized quotient-order cases per suite with zero failures, and
     the Property A characterization matches exhaustive search."""
     with capsys.disabled(), Budget(7, "ordered-group property suites", 30):
-        results = ordered.run_property_suites(rank=8, cases=1000, seed=2025)
+        results = ordered.run_property_suites(cases=1000, seed=2025)
         assert {r.name for r in results} == {
             "well_definedness",
             "trichotomy",
@@ -206,4 +206,4 @@ def test_criterion_9_homomorphism_laws(capsys):
             t = Fraction(rng.randint(1, 33), 17)
             assert s.value(t) == a.value(t) + b.value(t)
             assert (-a).value(t) == -a.value(t)
-            assert (a + (-a)) == PiecewiseLinearFunction.zero()
+            assert (a + (-a)) == PiecewiseLinearFunction({})

@@ -12,8 +12,9 @@ import jsonschema
 import pytest
 
 import oracles
-from knotobs import cli, knots, laurent
+from knotobs import cli, knots, laurent, signature
 from knotobs.cli import run
+from knotobs.errors import UnsupportedExpressionError
 
 
 def load_schema(name: str) -> dict:
@@ -385,3 +386,42 @@ class TestRoundTrip:
         for _ in range(500):
             k = oracles.random_expression(rng)
             assert knots.parse_knot(knots.format_knot(k)) == k
+
+
+class TestCableWindings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["genus", "Cable(T(2,3);-2,3)"],
+            ["alexander", "Cable(T(2,3);-5,7)"],
+            ["sig-jumps", "Cable(T(2,3);0,5)"],
+            ["upsilon", "Cable(T(2,3);-2,3)"],
+        ],
+    )
+    def test_longitude_winding_below_one_is_refused(self, capsys, argv):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid: cable longitude winding p must be >= 1\n"
+
+    def test_longitude_winding_one_is_the_companion(self, capsys):
+        assert run(["genus", "Cable(T(2,3);1,5)"]) == 0
+        cabled = capsys.readouterr().out
+        assert run(["genus", "T(2,3)"]) == 0
+        assert capsys.readouterr().out == cabled
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("alexander", "Cable(Wh(T(2,3));2,-3)", "cable meridian winding -3 <= -2 has no verified convention"),
+            ("sig-jumps", "Cable(Wh(T(2,3));2,-3)", "cable meridian winding -3 <= -2 has no verified convention"),
+            ("genus", "Cable(Wh(T(2,3));2,-3)", "Seifert genus of cables is only supported for q >= 1"),
+            ("genus", "Cable(Wh(T(2,3));3,-1)", "Seifert genus of cables is only supported for q >= 1"),
+        ],
+    )
+    def test_meridian_winding_without_a_convention(self, capsys, command, text, message):
+        invariant = {"alexander": knots.alexander, "sig-jumps": signature.expression_jumps, "genus": knots.genus}
+        with pytest.raises(UnsupportedExpressionError, match=message):
+            invariant[command](knots.parse_knot(text))
+        assert run([command, text]) == 1
+        assert capsys.readouterr().err == f"invalid: {message}\n"

@@ -10,7 +10,7 @@ import oracles
 from knotobs import laurent
 from knotobs.errors import (
     ParseError,
-    UnsupportedOrientationError,
+    UnsupportedExpressionError,
     ValidationError,
 )
 from knotobs.knots import (
@@ -63,6 +63,16 @@ class TestAst:
     def test_unit_cable_collapses(self):
         assert cable(torus(2, 3), 1, 1) == torus(2, 3)
         assert parse_knot("Cable(T(2,3);1,5)") == torus(2, 3)
+
+    @pytest.mark.parametrize("p", [0, -1, -2])
+    def test_cable_winding_below_one_refused_on_every_path(self, p):
+        for make in (
+            lambda: Cable(torus(2, 3), p, 3),
+            lambda: cable(torus(2, 3), p, 3),
+            lambda: parse_knot(f"Cable(T(2,3);{p},3)"),
+        ):
+            with pytest.raises(ValidationError, match="cable longitude winding p must be >= 1"):
+                make()
 
     def test_unknot_identity(self):
         assert sum_of(UNKNOT, torus(2, 3), UNKNOT) == torus(2, 3)
@@ -143,7 +153,7 @@ class TestAlexander:
         assert alexander(k) == laurent.torus_alexander(2, 3).substitute_power(3)
 
     def test_negative_cable_rejected(self):
-        with pytest.raises(UnsupportedOrientationError):
+        with pytest.raises(UnsupportedExpressionError):
             alexander(Cable(torus(2, 3), 2, -3))
 
     def test_products_beyond_dense_limit_refused(self):
@@ -207,7 +217,7 @@ class TestGenus:
             assert report.slice_genus_hint is None and report.slice_genus_source is None
 
     def test_cable_needs_positive_q(self):
-        with pytest.raises(UnsupportedOrientationError):
+        with pytest.raises(UnsupportedExpressionError):
             genus(Cable(torus(2, 3), 2, -1))
 
     def test_breadth_bounded_by_twice_genus(self):

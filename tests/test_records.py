@@ -62,8 +62,7 @@ EXAMPLES = [
     (lambda: upsilon.Staircase(((0, 1), (1, 0))), "Staircase(corners=((0, 1), (1, 0)))", None),
     (
         lambda: upsilon.JumpGerm(Fraction(1, 2), Fraction(3)),
-        "JumpGerm(first_singularity=Fraction(1, 2), jump_value=Fraction(3, 1), zero_before=True, "
-        "source='user-supplied', sign=1)",
+        "JumpGerm(first_singularity=Fraction(1, 2), jump_value=Fraction(3, 1), source='user-supplied')",
         None,
     ),
     (
@@ -202,9 +201,9 @@ def test_defaults_and_keywords():
     assert knots.GenusReport(1, 1) == knots.GenusReport(1, 1, None, None)
     assert cli.Result([], {}).status == "ok"
     assert ordered.EpsilonClass("K").source is None
-    germ = upsilon.JumpGerm(Fraction(1, 2), Fraction(3), sign=-1)
-    assert (germ.zero_before, germ.source, germ.sign) == (True, "user-supplied", -1)
-    assert germ.negated() == upsilon.JumpGerm(Fraction(1, 2), Fraction(3))
+    germ = upsilon.JumpGerm(Fraction(1, 2), Fraction(3))
+    assert germ.source == "user-supplied"
+    assert germ == upsilon.JumpGerm(Fraction(1, 2), jump_value=Fraction(3), source="user-supplied")
 
 
 @pytest.mark.parametrize(
@@ -243,7 +242,7 @@ U = knots.UNKNOT
         lambda: upsilon.Staircase(((0, 3), (1, 2), (3, 0))),
         lambda: upsilon.JumpGerm(Fraction(2), Fraction(1)),
         lambda: upsilon.JumpGerm(Fraction(1, 2), Fraction(0)),
-        lambda: upsilon.JumpGerm(Fraction(1, 2), Fraction(1), sign=2),
+        lambda: upsilon.JumpGerm(Fraction(0), Fraction(1)),
         lambda: ordered.EpsilonClass("K", epsilon_sign=2),
         lambda: ordered.EpsilonClass("K", epsilon_sign=-1, a1=1),
         lambda: ordered.EpsilonClass("K", epsilon_sign=1, a2=1),

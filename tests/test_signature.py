@@ -22,9 +22,9 @@ from knotobs.knots import (
     torus,
     wh,
 )
+from knotobs.jumps import MAX_JUMPS
 from knotobs.signature import (
     EMPTY_JUMPS,
-    MAX_JUMPS,
     JumpFunction,
     SeifertMatrix,
     closes_to_knot,
@@ -35,7 +35,6 @@ from knotobs.signature import (
     torus_braid_word,
     torus_independence_certificate,
     torus_jumps,
-    _int_det,
     _pfaffian_is_unit,
 )
 
@@ -114,7 +113,7 @@ class TestTorusJumps:
     def test_jump_support_lies_on_alexander_roots(self):
         # jump points must be arguments of unit-circle roots: k/(pq) reduced
         # fractions whose denominator divides pq but not p or q
-        from knotobs.laurent import cyclotomic, exact_div, torus_alexander
+        from knotobs.laurent import cyclotomic, torus_alexander
 
         for p, q in oracles.coprime_pairs(35):
             delta = torus_alexander(p, q)
@@ -122,7 +121,7 @@ class TestTorusJumps:
                 d = x.denominator
                 # e^{2 pi i x} is a primitive d-th root; it is an Alexander
                 # root iff Phi_d divides Delta
-                exact_div(delta, cyclotomic(d))
+                oracles.exact_quotient(delta, cyclotomic(d))
 
     def test_matches_litherland_oracle(self):
         for p, q in oracles.coprime_pairs(300):
@@ -229,16 +228,20 @@ class TestSeifertMatrix:
         assert numeric_signature(V, Fraction(1, 2)) == -4
 
     def test_unknot_empty_matrix(self):
-        V = seifert_from_braid([], strands=1)
+        V = seifert_from_braid([])
         assert V.size == 0
         assert numeric_signature(V, Fraction(1, 3)) == 0
 
     def test_closure_must_be_knot(self):
         assert not closes_to_knot([1, -1], 2)  # two-component unlink
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="link, not a knot"):
             seifert_from_braid([1, -1])
-        with pytest.raises(ValidationError):
-            seifert_from_braid([1], strands=3)  # generator 2 unused: split link
+        with pytest.raises(ValidationError, match="link, not a knot"):
+            seifert_from_braid([1, 1, 3, 3, 3])  # no letter 2: a split link
+
+    def test_letters_must_be_nonzero(self):
+        with pytest.raises(ValidationError, match="nonzero"):
+            seifert_from_braid([1, 0, 1, 1])
 
     def test_alexander_from_matrix_matches_quotient_formula(self):
         # det(V - tV^T) reproduces the Alexander polynomial up to units
@@ -325,7 +328,7 @@ class TestIntegerDeterminant:
         for M in self.cases(rng):
             before = [row[:] for row in M]
             expected = oracles.fraction_det(M)
-            assert _int_det(M) == expected, M
+            assert oracles.int_det(M) == expected, M
             assert M == before
             zero_pivots += M[0][0] == 0 and any(row[0] for row in M)
             singular += expected == 0
@@ -333,14 +336,22 @@ class TestIntegerDeterminant:
 
 
 class TestPfaffianCheck:
-    """The unimodularity check |Pf(V - V^T)| = 1 against |det| = 1 by Bareiss."""
+    """The unimodularity check |Pf(V - V^T)| = 1, read from V, against
+    |det(V - V^T)| = 1 by Bareiss."""
 
     @staticmethod
-    def skew(n: int, entries: dict) -> list:
-        A = [[0] * n for _ in range(n)]
+    def skew(V: list) -> list:
+        n = len(V)
+        return [[V[i][j] - V[j][i] for j in range(n)] for i in range(n)]
+
+    @staticmethod
+    def upper(n: int, entries: dict) -> list:
+        """The n x n matrix with these entries above the diagonal: V - V^T
+        has them at (i, j) and their negatives at (j, i)."""
+        V = [[0] * n for _ in range(n)]
         for (i, j), x in entries.items():
-            A[i][j], A[j][i] = x, -x
-        return A
+            V[i][j] = x
+        return V
 
     def test_matches_bareiss_on_random_skew_matrices(self):
         rng = random.Random(2525)
@@ -348,37 +359,37 @@ class TestPfaffianCheck:
         for _ in range(3000):
             n = rng.randint(0, 12)
             density = rng.choice([0.15, 0.3, 0.6, 1.0])
-            A = self.skew(n, {(i, j): rng.randint(-3, 3) for i in range(n) for j in range(i + 1, n) if rng.random() < density})
-            before = [row[:] for row in A]
-            unit = _pfaffian_is_unit(A)
-            assert unit == (abs(_int_det(A)) == 1), A
-            assert A == before
+            V = [[rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+            before = [row[:] for row in V]
+            unit = _pfaffian_is_unit(V)
+            assert unit == (abs(oracles.int_det(self.skew(V))) == 1), V
+            assert V == before
             seen[unit] += 1
         assert seen[True] > 300 and seen[False] > 1000
 
     def test_no_unit_entry(self):
         # Pf = a12 a34 - a13 a24 + a14 a23 = 4 - 9 + 6 = 1, with no entry +-1
-        A = self.skew(4, {(0, 1): 2, (0, 2): 3, (0, 3): 2, (1, 2): 3, (1, 3): 3, (2, 3): 2})
-        assert not any(x in (1, -1) for row in A for x in row)
-        assert _int_det(A) == 1 and _pfaffian_is_unit(A)
+        V = self.upper(4, {(0, 1): 2, (0, 2): 3, (0, 3): 2, (1, 2): 3, (1, 3): 3, (2, 3): 2})
+        assert not any(x in (1, -1) for row in self.skew(V) for x in row)
+        assert oracles.int_det(self.skew(V)) == 1 and _pfaffian_is_unit(V)
         # a12 = 4 makes Pf = 8 - 9 + 6 = 5
-        five = self.skew(4, {(0, 1): 4, (0, 2): 3, (0, 3): 2, (1, 2): 3, (1, 3): 3, (2, 3): 2})
-        assert _int_det(five) == 25 and not _pfaffian_is_unit(five)
+        five = self.upper(4, {(0, 1): 4, (0, 2): 3, (0, 3): 2, (1, 2): 3, (1, 3): 3, (2, 3): 2})
+        assert oracles.int_det(self.skew(five)) == 25 and not _pfaffian_is_unit(five)
 
     def test_singular(self):
         # Pf = 1 * 1 - 1 * 1 + 0 = 0 with unit pivots everywhere; a zero row
-        A = self.skew(4, {(0, 1): 1, (2, 3): 1, (0, 2): 1, (1, 3): 1})
-        assert _int_det(A) == 0 and not _pfaffian_is_unit(A)
-        Z = self.skew(4, {(0, 1): 1, (0, 2): -1, (1, 2): 1})
-        assert _int_det(Z) == 0 and not _pfaffian_is_unit(Z)
-        assert _pfaffian_is_unit([]) and not _pfaffian_is_unit([[0]])
+        V = self.upper(4, {(0, 1): 1, (2, 3): 1, (0, 2): 1, (1, 3): 1})
+        assert oracles.int_det(self.skew(V)) == 0 and not _pfaffian_is_unit(V)
+        Z = self.upper(4, {(0, 1): 1, (0, 2): -1, (1, 2): 1})
+        assert oracles.int_det(self.skew(Z)) == 0 and not _pfaffian_is_unit(Z)
+        # a symmetric V has V - V^T = 0
+        assert _pfaffian_is_unit([]) and not _pfaffian_is_unit([[5]])
+        assert not _pfaffian_is_unit([[1, 2], [2, 1]])
 
     def test_torus_9_10_build(self):
-        V = seifert_from_braid(torus_braid_word(9, 10))
-        n = V.size
-        assert n == 72
-        A = [[V.entries[i][j] - V.entries[j][i] for j in range(n)] for i in range(n)]
-        assert abs(_int_det(A)) == 1 and _pfaffian_is_unit(A)
+        V = seifert_from_braid(torus_braid_word(9, 10)).entries
+        assert len(V) == 72
+        assert abs(oracles.int_det(self.skew(V))) == 1 and _pfaffian_is_unit(V)
 
     @pytest.mark.parametrize(
         "entries, message",

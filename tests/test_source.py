@@ -5,7 +5,7 @@ import tokenize
 from pathlib import Path
 
 import knotobs
-from knotobs import cli
+from knotobs import cli, errors
 
 
 def test_no_assert_statements():
@@ -33,6 +33,38 @@ def test_cli_prints_only_through_its_printers():
             ):
                 offenders.append(f"{owner}:{node.lineno}")
     assert offenders == []
+
+
+def _refusals(tree) -> set:
+    """Names raised (`raise X(...)`), caught (`except X`, `except (X, Y)`) or
+    tested (`isinstance(e, X)`, `isinstance(e, (X, Y))`) in a module."""
+    def names(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Tuple):
+            return {n for elt in node.elts for n in names(elt)}
+        return {node.id} if isinstance(node, ast.Name) else set()
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            found |= names(node.exc)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            found |= names(node.type)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            found |= names(node.args[1])
+    return found
+
+
+def test_every_error_type_is_raised_or_caught():
+    """Each exception class in knotobs.errors is raised or caught by name in
+    another package module, so no two types name one refusal."""
+    declared = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, Exception)}
+    used = set()
+    for path in sorted(Path(knotobs.__file__).parent.rglob("*.py")):
+        if path.name != "errors.py":
+            used |= _refusals(ast.parse(path.read_text(), filename=str(path)))
+    assert declared - used == set()
 
 
 # CPython 3.11's parser holds a module's tokens in an array that starts at

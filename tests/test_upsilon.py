@@ -15,7 +15,6 @@ from knotobs.errors import (
 )
 from knotobs.knots import mirror, parse_knot, torus, wh
 from knotobs.upsilon import (
-    JumpGerm,
     PiecewiseLinearFunction,
     Staircase,
     jprime_germ,
@@ -35,7 +34,7 @@ def random_pl_pool(rng, count):
     """Random integer combinations of torus Upsilon functions."""
     out = []
     for _ in range(count):
-        f = PiecewiseLinearFunction.zero()
+        f = PiecewiseLinearFunction({})
         for _ in range(rng.randint(1, 3)):
             g = upsilon_torus(*rng.choice(oracles.SMALL_TORUS))
             f = f + g.scale(rng.randint(-3, 3))
@@ -52,7 +51,7 @@ class TestPiecewiseLinear:
 
     def test_add_negate_cancel(self):
         u = upsilon_torus(2, 3)
-        assert u + (-u) == PiecewiseLinearFunction.zero()
+        assert u + (-u) == PiecewiseLinearFunction({})
 
     def test_scale_example(self):
         doubled = upsilon_torus(2, 3).scale(2)
@@ -214,23 +213,6 @@ class TestGerms:
         with pytest.raises(ValidationError):
             jprime_germ(1)
 
-    def test_mirror_negates(self):
-        g = jprime_germ(3)
-        assert g.negated().delta_prime(g.first_singularity) == -5
-
-    def test_mirror_is_a_signed_germ(self):
-        g = jprime_germ(3)
-        m = g.negated()
-        assert isinstance(m, JumpGerm) and m.sign == -1
-        assert m.negated() == g
-        assert m.delta_prime(F(1, 10)) == 0
-        with pytest.raises(InsufficientDataError):
-            m.delta_prime(F(1, 1))
-
-    def test_sign_validated(self):
-        with pytest.raises(ValidationError):
-            JumpGerm(first_singularity=F(1, 2), jump_value=F(3), sign=0)
-
     def test_query_beyond_range_refused(self):
         with pytest.raises(InsufficientDataError):
             jprime_germ(4).delta_prime(F(1, 1))
@@ -281,11 +263,11 @@ class TestObstruction:
                 assert verdict.status == "obstructed"
                 assert verdict.witness == F(2, 2 * n - 1)
 
-    def test_mirrored_germ_obstructs_with_negative_jump(self):
-        verdict = obstruct_Gn(jprime_germ(4).negated(), 3)
-        assert verdict.status == "obstructed"
-        assert verdict.witness == F(2, 7)
-        assert "certified jump -7 at 2/7" in verdict.detail
+    def test_germ_zero_before_its_singularity_is_not_obstructed(self):
+        # J'_2 is zero on (0, 2/3), which covers (0, 1/n) for n >= 2
+        verdict = obstruct_Gn(jprime_germ(2), 2)
+        assert verdict.status == "not_obstructed" and verdict.witness is None
+        assert verdict.detail == "certified zero on (0, 2/3) covers (0, 1/2)"
 
     def test_trefoil_not_obstructed_at_level_1(self):
         assert obstruct_Gn(upsilon_torus(2, 3), 1).status == "not_obstructed"
@@ -296,12 +278,7 @@ class TestObstruction:
         assert verdict.detail == "derivative jump 3 at 2/3 < 1/1"
 
     def test_zero_function(self):
-        assert obstruct_Gn(PiecewiseLinearFunction.zero(), 5).status == "not_obstructed"
-
-    def test_uncertified_germ_is_inconclusive(self):
-        g = JumpGerm(first_singularity=F(1, 2), jump_value=F(3), zero_before=False)
-        assert obstruct_Gn(g, 3).status == "inconclusive"
-        assert obstruct_Gn(g, 3).status != "not_obstructed"
+        assert obstruct_Gn(PiecewiseLinearFunction({}), 5).status == "not_obstructed"
 
     def test_boundary_is_strict(self):
         # singularity exactly at 1/n does not obstruct membership at level n
