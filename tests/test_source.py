@@ -58,7 +58,8 @@ def _refusals(tree) -> set:
 
 def test_every_error_type_is_raised_or_caught():
     """Each exception class in knotobs.errors is raised or caught by name in
-    another package module, so no two types name one refusal."""
+    another package module, so a type left over when a refusal moves to
+    another type fails here."""
     declared = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, Exception)}
     used = set()
     for path in sorted(Path(knotobs.__file__).parent.rglob("*.py")):
