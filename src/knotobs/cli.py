@@ -322,7 +322,7 @@ def _arg(flag: str, **options) -> tuple[str, dict]:
     return flag, options
 
 
-# name: (help, the knotobs layers its handler imports, arguments); the
+# name: (help, the knotobs layers its handler runs, arguments); the
 # handler of "x-y" is _cmd_x_y, looked up when its parser is built
 COMMANDS = {
     "alexander": ("Alexander polynomial of a knot expression", ("knots", "laurent"), [
@@ -332,7 +332,7 @@ COMMANDS = {
     "genus": ("Seifert genus report of a knot expression", ("knots",), [
         _arg("expression"),
     ]),
-    "gsp-bound": ("splitting concordance genus bounds", ("knots",), [
+    "gsp-bound": ("splitting concordance genus bounds", ("knots", "laurent"), [
         _arg("expression"),
     ]),
     "fox-milnor": ("Fox-Milnor slice condition of a polynomial or knot", ("knots", "laurent"), [

@@ -25,10 +25,6 @@ class NormalizationError(ValidationError):
     """Input is not a normalized Alexander representative (requires f(1) = +-1)."""
 
 
-class NotLSpaceFormError(ValidationError):
-    """Polynomial does not have alternating +-1 coefficients, so it carries no staircase."""
-
-
 class UnsupportedExpressionError(ValidationError):
     """Knot expression lies outside the class supported by the requested invariant."""
 

@@ -16,7 +16,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from . import laurent
 from .errors import (
     ParseError,
     UnsupportedExpressionError,
@@ -279,6 +278,8 @@ def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
     errors.MAX_DENSE_BREADTH before it allocates, so nested cables fail
     fast.
     """
+    from . import laurent
+
     e = normalize(e)
     if isinstance(e, Unknot):
         return laurent.ONE
@@ -291,14 +292,20 @@ def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
     if isinstance(e, Sum):
         return math.prod([alexander(s) for s in e.summands], start=laurent.ONE)
     if isinstance(e, Cable):
-        if e.q <= -2:
-            raise UnsupportedExpressionError(
-                f"cable meridian winding {e.q} <= -2 has no verified convention"
-            )
+        check_winding(e)
         companion = alexander(e.companion)
         pattern = laurent.torus_alexander(e.p, e.q) if e.q >= 2 else laurent.ONE
         return companion.substitute_power(e.p) * pattern
     raise ValidationError(f"not a knot expression: {e!r}")
+
+
+def check_winding(e: Cable) -> None:
+    """Refuse a cable whose meridian winding q is <= -2, which has no
+    verified convention for its Alexander polynomial or signature."""
+    if e.q <= -2:
+        raise UnsupportedExpressionError(
+            f"cable meridian winding {e.q} <= -2 has no verified convention"
+        )
 
 
 class GenusReport(Record):
@@ -392,6 +399,8 @@ def gsp_bound_of_knot(e: KnotExpression) -> tuple[Fraction, Fraction]:
     """(lower, upper) bounds for the splitting concordance genus: lower from
     odd-multiplicity self-reciprocal Alexander factors, upper from the largest
     Seifert genus among the top-level summands."""
+    from . import laurent
+
     lower = laurent.gsp_lower_bound(alexander(e))
     upper = Fraction(genus(e).summand_max_genus)
     return lower, upper

@@ -141,8 +141,7 @@ def expression_jumps(e: knots.KnotExpression) -> JumpFunction:
                 "cable signatures are only supported over companions with "
                 "trivial Alexander polynomial"
             )
-        # alexander refuses a winding q <= -2, which has no verified convention
-        knots.alexander(e)
+        knots.check_winding(e)
         return torus_jumps(e.p, e.q) if e.q >= 2 else EMPTY_JUMPS
     raise UnsupportedExpressionError(f"unsupported expression {e!r}")
 

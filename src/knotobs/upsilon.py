@@ -1,11 +1,11 @@
 """Exact piecewise-linear Upsilon calculus on [0,2], held by derivative jumps.
 
-Upsilon of an L-space-form polynomial is realized through its staircase:
-corners read off the alternating Alexander coefficients, then
-U(t) = -2 min over corners (i,j) of [(1 - t/2) i + (t/2) j], the lower
-envelope of the corner lines built in one stack pass that is linear in the
-number of corners, so every admitted T(p,q) (pq <= 100000) answers.  The
-derivative jump at t0 drives two obstructions: a genus bound from the
+Upsilon of a torus knot follows Euclid's algorithm on its parameters:
+U_{T(a,b)} = U_{T(a,b-a)} + U_{T(a,a+1)} for 1 < a < b (Feller and
+Krcatovich, Math. Ann. 2017), and U_{T(a,a+1)} is known in closed form
+(Ozsvath, Stipsicz and Szabo, Adv. Math. 2017), so every admitted T(p,q)
+(pq <= 100000) is a few integer operations, with no Alexander polynomial.
+The derivative jump at t0 drives two obstructions: a genus bound from the
 denominator of a singularity, and exclusion of nonzero jumps on (0, 1/n) for
 sums of genus-n knots.  The J' family enters only through its published
 derivative-jump germ (zero before 2/(2n-1), jump 2n-1 there); queries beyond
@@ -14,8 +14,8 @@ the certified range are refused rather than defaulted.
 A PL function is held by its integer slope jumps over one common denominator,
 in the form it shares with signature jumps (``jumps.RationalJumps``): a
 sum is one merge, a derivative jump is a lookup, and breakpoints are integer
-prefix sums.  The knot and polynomial layers are imported only where a
-torus knot's Upsilon is computed, so the germ obstruction and the summand
+prefix sums.  No polynomial code is imported, and the knot layer only where
+an expression's Upsilon is computed, so the germ obstruction and the summand
 certificate load neither.
 """
 
@@ -26,9 +26,10 @@ from fractions import Fraction
 
 from .errors import (
     InsufficientDataError,
-    NotLSpaceFormError,
     UnsupportedExpressionError,
     ValidationError,
+    check_breadth,
+    check_torus,
 )
 from .jumps import RationalJumps
 from .reporting import Certificate, CertificateCheck, Record
@@ -115,102 +116,37 @@ class PiecewiseLinearFunction(RationalJumps):
 
 
 # ---------------------------------------------------------------------------
-# staircases of L-space-form polynomials
+# torus knots
 # ---------------------------------------------------------------------------
 
 
-class Staircase(Record):
-    """Even-index corner data of the staircase complex of an L-space-form
-    polynomial: strictly monotone corners from (0,g) to (g,0), symmetric under
-    (i,j) -> (j,i), within the genus band |i - j| <= g."""
-
-    __slots__ = ("corners",)
-
-    def _check(self):
-        cs = self.corners
-        if not cs:
-            raise ValidationError("a staircase needs at least one corner")
-        g = cs[0][1]
-        if cs[0] != (0, g) or cs[-1] != (g, 0):
-            raise ValidationError("staircase must run from (0,g) to (g,0)")
-        for (i1, j1), (i2, j2) in zip(cs, cs[1:]):
-            if not (i1 < i2 and j1 > j2):
-                raise ValidationError("corners must strictly increase in i and decrease in j")
-        if set(cs) != {(j, i) for i, j in cs}:
-            raise ValidationError("corner set must be symmetric under (i,j) -> (j,i)")
-        if any(abs(i - j) > g for i, j in cs):
-            raise ValidationError("corner outside the genus band")
-
-    @property
-    def genus(self) -> int:
-        return self.corners[0][1]
-
-
-def staircase_from_alexander(f: laurent.LaurentPolynomial) -> Staircase:
-    """Corners from an alternating +-1 polynomial: with exponents
-    a_0 > a_1 > ... > a_{2l} the path takes horizontal steps a_{2r} - a_{2r+1}
-    and vertical steps a_{2r+1} - a_{2r+2} from (0, a_0); even-index corners
-    are returned."""
-    if f.is_zero:
-        raise NotLSpaceFormError("zero polynomial")
-    exps = sorted(f.coeffs, reverse=True)
-    coeffs = [f.coeff(e) for e in exps]
-    if len(coeffs) % 2 == 0 or any(
-        c != (1 if i % 2 == 0 else -1) for i, c in enumerate(coeffs)
-    ):
-        raise NotLSpaceFormError(
-            "coefficients must alternate +1, -1 from the top exponent down"
-        )
-    corners = [(0, exps[0])]
-    i = j = 0
-    j = exps[0]
-    for r in range(len(exps) - 1):
-        step = exps[r] - exps[r + 1]
-        if r % 2 == 0:
-            i += step
-        else:
-            j -= step
-        corners.append((i, j))
-    even = tuple(corners[::2])
-    try:
-        return Staircase(even)
-    except ValidationError as exc:
-        raise NotLSpaceFormError(f"exponent pattern has no staircase: {exc}") from exc
-
-
-def upsilon_from_staircase(s: Staircase) -> PiecewiseLinearFunction:
-    """U(t) = -2 min over corners (i,j) of [(1 - t/2) i + (t/2) j], as the
-    exact lower envelope of the corner lines a + b*u with a = i, b = j - i
-    and u = t/2, in one stack pass.
-
-    Along the staircase b strictly decreases, so the envelope visits the
-    surviving lines in corner order.  The first corner (0, g) is the minimum
-    for u <= 0 and the last corner (g, 0) for u >= 1, so every vertex of the
-    envelope lies in (0, 2) and U vanishes at both ends."""
-    hull: list[tuple[int, int]] = []
-    for a3, b3 in ((i, j - i) for i, j in s.corners):
-        # the top line 2 is redundant when the new line 3 meets the line 1
-        # below it no later than line 2 does: x13 <= x12
-        while len(hull) >= 2:
-            (a1, b1), (a2, b2) = hull[-2], hull[-1]
-            if (a3 - a1) * (b1 - b2) > (a2 - a1) * (b1 - b3):
-                break
-            hull.pop()
-        hull.append((a3, b3))
-    # U = -2a - b*t on line (a, b): slope -g from the first corner (0, g),
-    # then a slope jump d = b1 - b2 at t = 2(a2 - a1)/d where line 1 hands
-    # over to line 2
-    steps = [(2 * (a2 - a1), b1 - b2) for (a1, b1), (a2, b2) in zip(hull, hull[1:])]
-    den = math.lcm(*(d for _, d in steps))
-    jumps = {n * (den // d): d for n, d in steps}
-    jumps[0] = -hull[0][1]
-    return PiecewiseLinearFunction._over(den, jumps)
-
-
 def upsilon_torus(p: int, q: int) -> PiecewiseLinearFunction:
-    from . import laurent
+    """Upsilon of T(p,q) by Euclid's algorithm on (p, q).
 
-    return upsilon_from_staircase(staircase_from_alexander(laurent.torus_alexander(p, q)))
+    For 1 < a < b, U_{T(a,b)} = U_{T(a,b-a)} + U_{T(a,a+1)} (Feller and
+    Krcatovich, "On cobordisms between knots, braid index, and the
+    Upsilon-invariant", Math. Ann. 2017), so with b = k*a + r, T(a,b)
+    contributes k copies of U_{T(a,a+1)} and continues as T(r,a), until the
+    smaller index is 1 (the unknot).  U_{T(a,a+1)} has slope -a(a-1)/2 at 0
+    and a slope jump +a at each 2i/a, i = 1..a-1 (Ozsvath, Stipsicz and
+    Szabo, "Concordance homomorphisms from knot Floer homology",
+    Adv. Math. 2017)."""
+    check_torus(p, q)
+    check_breadth(p * q, "torus knot product pq")
+    a, b = min(p, q), max(p, q)
+    steps = []  # (a, k): k copies of U_{T(a,a+1)}
+    while a > 1:
+        k, r = divmod(b, a)
+        steps.append((a, k))
+        a, b = r, a
+    den = math.lcm(*(a for a, _ in steps))
+    jumps = {0: -sum(k * a * (a - 1) // 2 for a, k in steps)}
+    for a, k in steps:
+        # the jump at 2i/a is at numerator i * (2 den / a) over den
+        w = 2 * den // a
+        for n in range(w, 2 * den, w):
+            jumps[n] = jumps.get(n, 0) + k * a
+    return PiecewiseLinearFunction._over(den, jumps)
 
 
 def upsilon_of_expression(e: knots.KnotExpression) -> PiecewiseLinearFunction:

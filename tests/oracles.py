@@ -13,7 +13,10 @@ import random
 import signal
 from fractions import Fraction
 
-from knotobs.laurent import LaurentPolynomial, parse_laurent
+from knotobs.errors import ValidationError
+from knotobs.laurent import LaurentPolynomial, parse_laurent, torus_alexander
+from knotobs.reporting import Record
+from knotobs.upsilon import PiecewiseLinearFunction
 
 
 def convolve(d1: dict, d2: dict) -> dict:
@@ -163,6 +166,93 @@ def torus_upsilon_lines(p: int, q: int) -> list:
         lines.append((-2 * below, m - g))
         below += in_s[m]
     return lines
+
+
+class Staircase(Record):
+    """Even-index corner data of the staircase complex of an L-space-form
+    polynomial: strictly monotone corners from (0,g) to (g,0), symmetric under
+    (i,j) -> (j,i), within the genus band |i - j| <= g."""
+
+    __slots__ = ("corners",)
+
+    def _check(self):
+        cs = self.corners
+        if not cs:
+            raise ValidationError("a staircase needs at least one corner")
+        g = cs[0][1]
+        if cs[0] != (0, g) or cs[-1] != (g, 0):
+            raise ValidationError("staircase must run from (0,g) to (g,0)")
+        for (i1, j1), (i2, j2) in zip(cs, cs[1:]):
+            if not (i1 < i2 and j1 > j2):
+                raise ValidationError("corners must strictly increase in i and decrease in j")
+        if set(cs) != {(j, i) for i, j in cs}:
+            raise ValidationError("corner set must be symmetric under (i,j) -> (j,i)")
+        if any(abs(i - j) > g for i, j in cs):
+            raise ValidationError("corner outside the genus band")
+
+    @property
+    def genus(self) -> int:
+        return self.corners[0][1]
+
+
+def staircase_from_alexander(f: LaurentPolynomial) -> Staircase:
+    """Corners from an alternating +-1 polynomial: with exponents
+    a_0 > a_1 > ... > a_{2l} the path takes horizontal steps a_{2r} - a_{2r+1}
+    and vertical steps a_{2r+1} - a_{2r+2} from (0, a_0); even-index corners
+    are returned.  ValueError when f is not of L-space form."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    exps = sorted(f.coeffs, reverse=True)
+    coeffs = [f.coeff(e) for e in exps]
+    if len(coeffs) % 2 == 0 or any(c != (1 if i % 2 == 0 else -1) for i, c in enumerate(coeffs)):
+        raise ValueError("coefficients must alternate +1, -1 from the top exponent down")
+    corners = [(0, exps[0])]
+    i, j = 0, exps[0]
+    for r in range(len(exps) - 1):
+        step = exps[r] - exps[r + 1]
+        if r % 2 == 0:
+            i += step
+        else:
+            j -= step
+        corners.append((i, j))
+    try:
+        return Staircase(tuple(corners[::2]))
+    except ValidationError as exc:
+        raise ValueError(f"exponent pattern has no staircase: {exc}") from exc
+
+
+def upsilon_from_staircase(s: Staircase) -> PiecewiseLinearFunction:
+    """U(t) = -2 min over corners (i,j) of [(1 - t/2) i + (t/2) j], as the
+    exact lower envelope of the corner lines a + b*u with a = i, b = j - i
+    and u = t/2, in one stack pass.
+
+    Along the staircase b strictly decreases, so the envelope visits the
+    surviving lines in corner order.  The first corner (0, g) is the minimum
+    for u <= 0 and the last corner (g, 0) for u >= 1, so every vertex of the
+    envelope lies in (0, 2) and U vanishes at both ends."""
+    hull: list[tuple[int, int]] = []
+    for a3, b3 in ((i, j - i) for i, j in s.corners):
+        # the top line 2 is redundant when the new line 3 meets the line 1
+        # below it no later than line 2 does: x13 <= x12
+        while len(hull) >= 2:
+            (a1, b1), (a2, b2) = hull[-2], hull[-1]
+            if (a3 - a1) * (b1 - b2) > (a2 - a1) * (b1 - b3):
+                break
+            hull.pop()
+        hull.append((a3, b3))
+    # U = -2a - b*t on line (a, b): slope -g from the first corner (0, g),
+    # then a slope jump d = b1 - b2 at t = 2(a2 - a1)/d where line 1 hands
+    # over to line 2
+    steps = [(2 * (a2 - a1), b1 - b2) for (a1, b1), (a2, b2) in zip(hull, hull[1:])]
+    den = math.lcm(*(d for _, d in steps))
+    jumps = {n * (den // d): d for n, d in steps}
+    jumps[0] = -hull[0][1]
+    return PiecewiseLinearFunction._over(den, jumps)
+
+
+def staircase_upsilon(p: int, q: int) -> PiecewiseLinearFunction:
+    """Upsilon of T(p,q) through its Alexander polynomial's staircase."""
+    return upsilon_from_staircase(staircase_from_alexander(torus_alexander(p, q)))
 
 
 def litherland_jumps(p: int, q: int) -> dict:

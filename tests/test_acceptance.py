@@ -115,7 +115,7 @@ def test_criterion_4_signature_certificate(tmp_path, capsys):
 def test_criterion_5_upsilon_model(capsys):
     """Exact trefoil Upsilon; slope, genus-bound and integrality invariants
     across all coprime pairs with pq <= 63."""
-    with capsys.disabled(), Budget(5, "Upsilon staircase model checks", 10):
+    with capsys.disabled(), Budget(5, "Upsilon torus model checks", 10):
         F = Fraction
         assert upsilon.upsilon_torus(2, 3).breakpoints() == ((0, 0), (1, -1), (2, 0))
         for p, q in oracles.coprime_pairs(63):

@@ -202,7 +202,8 @@ class TestExitCodes:
 
 def test_cli_import_leaves_numpy_out():
     """Importing the CLI loads no numpy and no polynomial code, a cold
-    command loads none of the layers it does not run, and no command loads
+    command loads none of the layers it does not run (the Upsilon and the
+    genus of an expression load no polynomial code), and no command loads
     `dataclasses` or the `inspect` it imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -229,7 +230,11 @@ def test_cli_import_leaves_numpy_out():
         ([["factor", "T(7,13)"]], ["numpy", *never, *lazy]),
         (ordered, [*never, *polynomial]),
         (germs, [*never, *polynomial, "knotobs.signature"]),
-        ([["upsilon", "T(3,4)"]], [*never, "knotobs.signature"]),
+        (
+            [["upsilon", "T(3,4)"], ["upsilon-obstruct", "T(3,4)", "--genus-level", "1"]],
+            [*never, "knotobs.laurent", "knotobs.signature"],
+        ),
+        ([["genus", "Cable(T(2,3);2,5) # -T(3,4)"]], [*never, "knotobs.laurent", *lazy]),
         (one_per_layer, never),
     )
     for commands, absent in cases:

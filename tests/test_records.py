@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from knotobs import cli, knots, laurent, ordered, signature, upsilon
 from knotobs.errors import ValidationError
 from knotobs.reporting import Certificate, CertificateCheck, Record
@@ -59,7 +60,7 @@ EXAMPLES = [
         "filtration_level=4)",
         ["generators", "filtration_level", "valid", "checks", "conclusion"],
     ),
-    (lambda: upsilon.Staircase(((0, 1), (1, 0))), "Staircase(corners=((0, 1), (1, 0)))", None),
+    (lambda: oracles.Staircase(((0, 1), (1, 0))), "Staircase(corners=((0, 1), (1, 0)))", None),
     (
         lambda: upsilon.JumpGerm(Fraction(1, 2), Fraction(3)),
         "JumpGerm(first_singularity=Fraction(1, 2), jump_value=Fraction(3, 1), source='user-supplied')",
@@ -168,7 +169,7 @@ class TestEveryRecord:
         lambda: laurent.cyclotomic(12),
         lambda: signature.torus_jumps(2, 3),
         lambda: signature.EMPTY_JUMPS,
-        lambda: upsilon.upsilon_from_staircase(upsilon.staircase_from_alexander(laurent.torus_alexander(3, 4))),
+        lambda: upsilon.upsilon_torus(3, 4),
     ],
     ids=["linear", "laurent", "zero", "cyclotomic", "jumps", "no-jumps", "upsilon"],
 )
@@ -236,10 +237,10 @@ U = knots.UNKNOT
         lambda: signature.SeifertMatrix(((0, 1),)),
         lambda: signature.SeifertMatrix(((0,),)),
         lambda: signature.SeifertMatrix(((0, 0), (0, 0))),
-        lambda: upsilon.Staircase(()),
-        lambda: upsilon.Staircase(((0, 1), (1, 1))),
-        lambda: upsilon.Staircase(((0, 2), (1, 1), (1, 1), (2, 0))),
-        lambda: upsilon.Staircase(((0, 3), (1, 2), (3, 0))),
+        lambda: oracles.Staircase(()),
+        lambda: oracles.Staircase(((0, 1), (1, 1))),
+        lambda: oracles.Staircase(((0, 2), (1, 1), (1, 1), (2, 0))),
+        lambda: oracles.Staircase(((0, 3), (1, 2), (3, 0))),
         lambda: upsilon.JumpGerm(Fraction(2), Fraction(1)),
         lambda: upsilon.JumpGerm(Fraction(1, 2), Fraction(0)),
         lambda: upsilon.JumpGerm(Fraction(0), Fraction(1)),

@@ -167,6 +167,18 @@ class TestExpressionJumps:
         with pytest.raises(UnsupportedExpressionError):
             expression_jumps(cable(torus(2, 3), 2, 5))
 
+    def test_cable_jumps_build_no_polynomial(self, monkeypatch):
+        from knotobs import laurent
+
+        def refuse(p, q):
+            raise AssertionError(f"built the Alexander polynomial of T({p},{q})")
+
+        monkeypatch.setattr(laurent, "torus_alexander", refuse)
+        jf = expression_jumps(parse_knot("Cable(Wh(T(2,3));313,317)"))
+        assert jf == torus_jumps(313, 317)
+        with pytest.raises(UnsupportedExpressionError, match="winding -3 <= -2"):
+            expression_jumps(parse_knot("Cable(Wh(T(2,3));2,-3)"))
+
     def test_L_family_silent(self):
         for n in range(2, 6):
             assert expression_jumps(family("L", n)) == EMPTY_JUMPS

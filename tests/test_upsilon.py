@@ -1,4 +1,4 @@
-"""Piecewise linear Upsilon calculus: staircases, germs, obstructions."""
+"""Piecewise linear Upsilon calculus: torus knots, germs, obstructions."""
 
 import random
 from fractions import Fraction
@@ -9,19 +9,16 @@ import oracles
 from knotobs import laurent, upsilon
 from knotobs.errors import (
     InsufficientDataError,
-    NotLSpaceFormError,
     UnsupportedExpressionError,
     ValidationError,
 )
 from knotobs.knots import mirror, parse_knot, torus, wh
 from knotobs.upsilon import (
     PiecewiseLinearFunction,
-    Staircase,
     jprime_germ,
     min_genus_from_singularity,
     obstruct_Gn,
     oss_hom,
-    staircase_from_alexander,
     summand_certificate_upsilon,
     upsilon_of_expression,
     upsilon_torus,
@@ -104,27 +101,30 @@ class TestDeltaPrime:
 
 
 class TestStaircase:
+    """The staircase route, kept in the oracles as the reference for
+    upsilon_torus."""
+
     def test_trefoil(self):
-        s = staircase_from_alexander(laurent.torus_alexander(2, 3))
+        s = oracles.staircase_from_alexander(laurent.torus_alexander(2, 3))
         assert s.corners == ((0, 1), (1, 0))
 
     def test_T34(self):
-        s = staircase_from_alexander(laurent.torus_alexander(3, 4))
+        s = oracles.staircase_from_alexander(laurent.torus_alexander(3, 4))
         assert s.corners == ((0, 3), (1, 1), (3, 0))
 
     def test_T27(self):
-        s = staircase_from_alexander(laurent.torus_alexander(2, 7))
+        s = oracles.staircase_from_alexander(laurent.torus_alexander(2, 7))
         assert s.corners == ((0, 3), (1, 2), (2, 1), (3, 0))
 
     def test_rejects_non_alternating(self):
-        with pytest.raises(NotLSpaceFormError):
-            staircase_from_alexander(laurent.parse_laurent("t^-1 - 3 + t"))
-        with pytest.raises(NotLSpaceFormError):
-            staircase_from_alexander(laurent.torus_alexander(2, 3) ** 2)
+        with pytest.raises(ValueError):
+            oracles.staircase_from_alexander(laurent.parse_laurent("t^-1 - 3 + t"))
+        with pytest.raises(ValueError):
+            oracles.staircase_from_alexander(laurent.torus_alexander(2, 3) ** 2)
 
     def test_corner_invariants(self):
         for p, q in oracles.coprime_pairs(63):
-            s = staircase_from_alexander(laurent.torus_alexander(p, q))
+            s = oracles.staircase_from_alexander(laurent.torus_alexander(p, q))
             g = (p - 1) * (q - 1) // 2
             assert s.genus == g
             assert s.corners[0] == (0, g) and s.corners[-1] == (g, 0)
@@ -133,7 +133,7 @@ class TestStaircase:
 
     def test_invalid_corner_data_rejected(self):
         with pytest.raises(ValidationError):
-            Staircase(((0, 2), (1, 0)))  # asymmetric
+            oracles.Staircase(((0, 2), (1, 0)))  # asymmetric
 
 
 class TestUpsilonTorus:
@@ -187,6 +187,22 @@ class TestUpsilonTorus:
                 assert max(values) <= vd, (p, q, t)
                 tight.append({m for m, w in enumerate(values) if w == vd})
             assert all(left & right for left, right in zip(tight, tight[1:])), (p, q)
+
+    def test_matches_staircase_route(self):
+        extra = [(23, 29), (31, 37), (313, 317), (2, 49999)]
+        for p, q in oracles.coprime_pairs(2000) + extra:
+            assert upsilon_torus(p, q) == oracles.staircase_upsilon(p, q), (p, q)
+            assert upsilon_torus(q, p) == upsilon_torus(p, q), (p, q)
+
+    def test_closed_form_of_T_a_a_plus_1(self):
+        # on [2i/a, 2(i+1)/a], U(t) = -i(i+1) - a(a-1-2i) t/2, so the
+        # breakpoints are (2i/a, -i(a-i)) for i = 0..a
+        for a in range(2, 41):
+            u = upsilon_torus(a, a + 1)
+            assert u.breakpoints() == tuple((F(2 * i, a), -i * (a - i)) for i in range(a + 1)), a
+            for i in range(a):
+                t = F(2 * i + 1, a)
+                assert u.value(t) == -i * (i + 1) - F(a * (a - 1 - 2 * i), 2) * t, (a, i)
 
     def test_top_of_dense_range_within_budget(self):
         with oracles.budget(5.0, "upsilon_torus(313, 317)"):
