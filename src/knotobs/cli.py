@@ -168,18 +168,20 @@ def _cmd_sig_jumps(args):
     expr = knots.parse_knot(args.expression)
     jf = signature.expression_jumps(expr)
     shown = knots.format_knot(expr)
+    # each location is formatted once, for the rows, the envelope and the CSV
+    jumps = [(str(x), j) for x, j in jf._located()]
     lines = [("knot", shown)]
-    if jf:
-        lines += [(f"jump at {x}", f"{j:+d}") for x, j in jf.jumps.items()]
+    if jumps:
+        lines += [(f"jump at {x}", f"{j:+d}") for x, j in jumps]
     else:
         lines.append(("jumps", "none (signature identically 0)"))
-    payload = {"expression": shown, "jumps": jf.as_rows()}
+    payload = {"expression": shown, "jumps": [{"x": x, "jump": j} for x, j in jumps]}
     if args.at is not None:
         x = _parse_fraction(args.at)
-        value = jf.step_at(x)
+        value = signature.signature_at(expr, x)
         lines.append((f"signature at {x}", value))
         payload["signature_at"] = {"x": str(x), "value": value}
-    return Result(lines, payload, csv=(("x", "jump"), list(jf.jumps.items())))
+    return Result(lines, payload, csv=(("x", "jump"), jumps))
 
 
 def _cmd_sig_certify(args):

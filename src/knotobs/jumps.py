@@ -20,6 +20,13 @@ from .errors import MAX_DENSE_BREADTH, ValidationError
 MAX_JUMPS = 2 * MAX_DENSE_BREADTH
 
 
+def check_jump_count(total: int) -> None:
+    """Refuse a #-sum whose summands hold `total` jumps: ValidationError
+    above the limit."""
+    if total > MAX_JUMPS:
+        raise ValidationError(f"#-sum jump count exceeds the limit {MAX_JUMPS}")
+
+
 class RationalJumps:
     """Finite set of nonzero integer jumps at rational locations.
 
@@ -28,8 +35,9 @@ class RationalJumps:
     (N = 1 when there are no jumps), so every function has exactly one form
     and its arithmetic is integer arithmetic.  Locations become Fractions
     only where they enter (the constructor) or leave (the readers).
-    Each subclass admits its jumps in ``_check(den, jumps)``, which raises
-    ValidationError for a nonzero jump it does not admit.
+    Each subclass admits its jumps in ``_check(den, jumps)``, which gets
+    the nonzero jumps sorted by numerator and raises ValidationError for one
+    it does not admit.
     """
 
     __slots__ = ("_den", "_jumps")
@@ -48,11 +56,14 @@ class RationalJumps:
 
     def _store(self, den: int, jumps: dict) -> None:
         """Check the jumps n/den and keep them in the canonical form."""
-        jumps = {n: j for n, j in jumps.items() if j != 0}
+        jumps = {n: jumps[n] for n in sorted(jumps) if jumps[n]}
         self._check(den, jumps)
         g = math.gcd(den, *jumps)
-        object.__setattr__(self, "_den", den // g)
-        object.__setattr__(self, "_jumps", {n // g: jumps[n] for n in sorted(jumps)})
+        if g > 1:
+            den //= g
+            jumps = {n // g: j for n, j in jumps.items()}
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_jumps", jumps)
 
     @classmethod
     def _sum(cls, parts):
@@ -61,8 +72,7 @@ class RationalJumps:
         kept, total = [], 0
         for f in parts:
             total += len(f._jumps)
-            if total > MAX_JUMPS:
-                raise ValidationError(f"#-sum jump count exceeds the limit {MAX_JUMPS}")
+            check_jump_count(total)
             kept.append(f)
         den = math.lcm(*(f._den for f in kept))
         out: dict[int, int] = {}

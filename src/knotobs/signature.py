@@ -2,12 +2,14 @@
 
 Two independent routes to the signature function of torus-knot expressions:
 
-* ``torus_jumps`` builds the jump function from the combinatorial rule on the
-  multiset { i/p + j/q }, extended to cables of trivial-Alexander companions,
-  mirrors and sums.  A jump function is a ``jumps.RationalJumps`` (as is
-  ``upsilon.PiecewiseLinearFunction``): integer jumps at numerators over
-  one common denominator (i/p + j/q is (iq + jp)/pq) in one canonical form,
-  and a sum of k summands merged once over the lcm of their denominators.
+* ``expression_jumps`` reads an expression built from torus knots,
+  cables of trivial-Alexander companions, mirrors and sums as signed torus
+  terms and writes the jumps of every term, from the combinatorial rule on
+  the multiset { i/p + j/q }, into one ``JumpFunction``.  A jump function is
+  a ``jumps.RationalJumps`` (as is ``upsilon.PiecewiseLinearFunction``):
+  integer jumps at numerators over one common denominator (i/p + j/q is
+  (iq + jp)/pq) in one canonical form.  ``signature_at`` reads the same
+  terms and counts the points of the rule below x instead of listing them.
 * ``seifert_from_braid`` + ``numeric_signature`` compute signatures from a
   Seifert matrix of the closed braid, by counting eigenvalue signs of
   (1-w)V + (1-conj w)V^T with certified precision.
@@ -31,8 +33,7 @@ from .errors import (
     check_breadth,
     check_torus,
 )
-from .jumps import RationalJumps
-from .laurent import ONE, totient
+from .jumps import RationalJumps, check_jump_count
 from .reporting import Certificate, CertificateCheck, Record
 
 
@@ -52,12 +53,18 @@ class JumpFunction(RationalJumps):
 
     @staticmethod
     def _check(den: int, jumps: dict) -> None:
-        for n, j in jumps.items():
+        # the numerators are sorted, so n and den - n sit at mirrored
+        # places: the k-th smallest pairs with the k-th largest
+        if not jumps:
+            return
+        items = list(jumps.items())
+        for n, _ in (items[0], items[-1]):
             if not 0 < n < den:
                 raise ValidationError(f"jump location {Fraction(n, den)} outside (0,1)")
+        for (n, j), (m, k) in zip(items[: (len(items) + 1) // 2], reversed(items)):
             if j % 2 != 0:
                 raise ValidationError(f"jump {j} at {Fraction(n, den)} is odd")
-            if jumps.get(den - n, 0) != -j:
+            if n + m != den or j + k != 0:
                 raise ValidationError(
                     f"conjugate antisymmetry fails at {Fraction(n, den)}: "
                     f"{j} vs {jumps.get(den - n, 0)}"
@@ -71,28 +78,52 @@ class JumpFunction(RationalJumps):
     def support(self) -> tuple:
         return tuple(x for x, _ in self._located())
 
-    def step_at(self, x: Fraction) -> int:
-        """Sum of jumps strictly below x in (0,1); raises at a jump point with
-        both one-sided limits."""
-        x = Fraction(x)
-        if not 0 < x < 1:
-            raise ValidationError(f"evaluation point {x} outside (0,1)")
-        # n/N < x exactly when n * x.denominator < x.numerator * N
-        d, target = x.denominator, x.numerator * self._den
-        left = 0
-        for n, j in self._jumps.items():
-            if n * d >= target:
-                if n * d == target:
-                    raise JumpEvaluationError(x, left, left + j)
-                break
-            left += j
-        return left
-
     def as_rows(self) -> list[dict]:
         return [{"x": str(x), "jump": j} for x, j in self._located()]
 
 
 EMPTY_JUMPS = JumpFunction({})
+
+
+def _torus_points(p: int, q: int, k: int, jump: int) -> dict:
+    """The jumps of T(p,q) times jump/2, at numerators over k*pq: +jump at
+    each point of S = { i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1 } in (0,1)
+    and -jump at s - 1 for each s in S above 1.
+
+    Row i of S has the numerators iq + jp, j = 1..q-1, over pq: those below
+    pq are points of S in (0,1), and the others, less pq, run from
+    iq mod p up to iq - p."""
+    if p > q:
+        p, q = q, p  # fewer, longer rows
+    kp, kN = k * p, k * p * q
+    up: list[int] = []
+    down: list[int] = []
+    for iq in range(k * q, kN, k * q):
+        up += range(iq + kp, kN, kp)
+        down += range(iq % kp, iq - kp + 1, kp)
+    out = dict.fromkeys(up, jump)
+    out.update(dict.fromkeys(down, -jump))
+    # a repeated numerator would overwrite a jump and fail the count
+    if len(out) != (p - 1) * (q - 1):
+        raise InternalCheckError("self-check failed: T(p,q) has (p-1)(q-1) distinct jumps")
+    return out
+
+
+def _jumps_of(terms: list[tuple[int, int, int]]) -> JumpFunction:
+    """Jump function of the sum of sign * T(p,q) over the (p, q, sign)
+    terms: every term written into one accumulator over the lcm of the
+    products pq, which is validated once."""
+    den = math.lcm(*(p * q for p, q, _ in terms))
+    acc: dict[int, int] = {}
+    for p, q, sign in terms:
+        points = _torus_points(p, q, den // (p * q), 2 * sign)
+        if acc:
+            shared = {n: acc[n] + points[n] for n in acc.keys() & points.keys()}
+            acc.update(points)
+            acc.update(shared)
+        else:
+            acc = points
+    return JumpFunction._over(den, acc)
 
 
 def torus_jumps(p: int, q: int) -> JumpFunction:
@@ -102,53 +133,113 @@ def torus_jumps(p: int, q: int) -> JumpFunction:
     i/p + j/q has numerator i*q + j*p."""
     check_torus(p, q)
     check_breadth(p * q, "torus knot product pq")
-    N = p * q
-    jumps: dict[int, int] = {}
-    # a repeated numerator would overwrite a jump and fail the count below
-    for iq in range(q, N, q):
-        for n in range(iq + p, iq + N, p):
-            if n < N:
-                jumps[n] = 2
-            else:
-                jumps[n - N] = -2
-    out = JumpFunction._over(N, jumps)
-    if len(out._jumps) != (p - 1) * (q - 1):
-        raise InternalCheckError("self-check failed: T(p,q) has (p-1)(q-1) distinct jumps")
-    return out
+    return _jumps_of([(p, q, 1)])
 
 
-def expression_jumps(e: knots.KnotExpression) -> JumpFunction:
-    """Jump function of an expression built from torus knots, trivial-Alexander
-    companions and their cables, mirrors and sums.
+def _torus_term(e: knots.KnotExpression, sign: int):
+    """(p, q, sign) for the torus knot whose signature function is that of
+    the normalized summand e, or None where it vanishes.
 
     A cable contributes only its pattern torus knot because the companion has
     vanishing signature function (Delta = 1 forces sigma = 0, and
     sigma_w(K_{p,q}) = sigma_{w^p}(K) + sigma_w(T(p,q)))."""
-    e = knots.normalize(e)
-    if isinstance(e, knots.Unknot):
-        return EMPTY_JUMPS
-    if isinstance(e, knots.TorusKnot):
-        return torus_jumps(e.p, e.q)
-    if isinstance(e, knots.WhiteheadDouble):
-        return EMPTY_JUMPS
     if isinstance(e, knots.Mirror):
-        return -expression_jumps(e.inner)
-    if isinstance(e, knots.Sum):
-        return JumpFunction._sum(expression_jumps(s) for s in e.summands)
-    if isinstance(e, knots.Cable):
+        return _torus_term(e.inner, -sign)
+    if isinstance(e, (knots.Unknot, knots.WhiteheadDouble)):
+        return None
+    if isinstance(e, knots.TorusKnot):
+        p, q = e.p, e.q
+    elif isinstance(e, knots.Cable):
+        from .laurent import ONE  # only a cable needs the polynomial layer
+
         if knots.alexander(e.companion) != ONE:
             raise UnsupportedExpressionError(
                 "cable signatures are only supported over companions with "
                 "trivial Alexander polynomial"
             )
         knots.check_winding(e)
-        return torus_jumps(e.p, e.q) if e.q >= 2 else EMPTY_JUMPS
-    raise UnsupportedExpressionError(f"unsupported expression {e!r}")
+        if e.q < 2:
+            return None
+        p, q = e.p, e.q
+    else:
+        raise UnsupportedExpressionError(f"unsupported expression {e!r}")
+    check_torus(p, q)
+    check_breadth(p * q, "torus knot product pq")
+    return p, q, sign
+
+
+def _torus_terms(e: knots.KnotExpression) -> list[tuple[int, int, int]]:
+    """The (p, q, sign) terms whose sum of sign * sigma(T(p,q)) is the
+    signature function of e, summand by summand; T(p,q) has (p-1)(q-1)
+    jumps, and their count is refused past `jumps.MAX_JUMPS` as each
+    summand is read."""
+    e = knots.normalize(e)
+    terms, total = [], 0
+    for s in e.summands if isinstance(e, knots.Sum) else (e,):
+        term = _torus_term(s, 1)
+        if term is not None:
+            terms.append(term)
+            total += (term[0] - 1) * (term[1] - 1)
+            check_jump_count(total)
+    return terms
+
+
+def expression_jumps(e: knots.KnotExpression) -> JumpFunction:
+    """Jump function of an expression built from torus knots, trivial-Alexander
+    companions and their cables, mirrors and sums."""
+    return _jumps_of(_torus_terms(e))
+
+
+def _count_below(p: int, q: int, b: int, t: int) -> int:
+    """#{(i, j) : 1 <= i <= p-1, 1 <= j <= q-1, b(iq + jp) < t}, one floor
+    per row: row i holds the j with j * bp <= t - 1 - i * bq, at most q - 1
+    of them, and the rows shrink as i grows."""
+    if p > q:
+        p, q = q, p
+    bp, bq = b * p, b * q
+    count, u = 0, t - 1 - bq
+    for _ in range(p - 1):
+        if u < bp:
+            break
+        count += min(q - 1, u // bp)
+        u -= bq
+    return count
+
+
+def _torus_jump(p: int, q: int, n: int) -> int:
+    """Jump of T(p,q)'s signature at n/pq, 0 < n < pq.  The solution of
+    iq + jp = n mod pq with i mod p and j mod q is unique; when neither is 0
+    it is a point of S, at n (+2) or at n + pq (-2)."""
+    if n % p == 0 or n % q == 0:
+        return 0
+    i = n * pow(q, -1, p) % p
+    j = (n - i * q) // p % q
+    return 2 if i * q + j * p < p * q else -2
 
 
 def signature_at(e: knots.KnotExpression, x) -> int:
-    """Signature sigma_w at w = e^{2 pi i x}, x a non-jump rational in (0,1)."""
-    return expression_jumps(e).step_at(x)
+    """Signature sigma_w at w = e^{2 pi i x}, x a non-jump rational in (0,1);
+    at a jump point of e, JumpEvaluationError carries both one-sided limits.
+
+    Each term T(p,q) gives sigma(x-) = 2 #{s in S : s < x}
+    - 2 #{s in S : 1 < s < 1 + x}, counted in O(min(p, q)) steps, and
+    #{s in S : s < 1} = (p-1)(q-1)/2 since s -> 2 - s maps S onto itself."""
+    terms = _torus_terms(e)
+    x = Fraction(x)
+    if not 0 < x < 1:
+        raise ValidationError(f"evaluation point {x} outside (0,1)")
+    a, b = x.numerator, x.denominator
+    left = jump = 0
+    for p, q, sign in terms:
+        N = p * q
+        below_x = _count_below(p, q, b, a * N)
+        below_1_plus_x = _count_below(p, q, b, (a + b) * N)
+        left += 2 * sign * (below_x - below_1_plus_x + (p - 1) * (q - 1) // 2)
+        if N % b == 0:
+            jump += sign * _torus_jump(p, q, a * (N // b))
+    if jump:
+        raise JumpEvaluationError(x, left, left + jump)
+    return left
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +435,10 @@ def numeric_signature(V: SeifertMatrix, x) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 class IndependenceCertificate(Certificate):
     """Checked hypotheses for linear independence of torus knots modulo the
     genus-k filtration subgroup."""
@@ -383,7 +478,7 @@ def torus_independence_certificate(
         # primality makes deg Delta = (p-1)(q-1) the degree of the relevant
         # cyclotomic; the strict inequality is what blocks divisibility
         degree = (p - 1) * (q - 1)
-        both_prime = totient(p) == p - 1 and totient(q) == q - 1
+        both_prime = _is_prime(p) and _is_prime(q)
         checks.append(
             CertificateCheck(
                 f"degree_bound[{p},{q}]",
@@ -394,15 +489,13 @@ def torus_independence_certificate(
         )
 
     for p, q in pairs:
-        # torus_jumps keeps the denominator pq (p + q is a numerator prime to
-        # pq), so n/pq is a primitive (pq)-th root exactly when gcd(n, pq) = 1
-        jf = torus_jumps(p, q)
-        n = next((n for n in jf._jumps if math.gcd(n, p * q) == 1), None)
+        # 1/pq is a primitive (pq)-th root of unity and a jump point of T(p,q)
+        jump = _torus_jump(p, q, 1)
         checks.append(
             CertificateCheck(
                 f"primitive_jump[{p},{q}]",
-                n is not None,
-                f"jump {jf._jumps[n]:+d} at {Fraction(n, p * q)}" if n is not None else "no primitive jump point",
+                jump != 0,
+                f"jump {jump:+d} at {Fraction(1, p * q)}" if jump else "no primitive jump point",
             )
         )
 

@@ -202,8 +202,9 @@ class TestExitCodes:
 
 def test_cli_import_leaves_numpy_out():
     """Importing the CLI loads no numpy and no polynomial code, a cold
-    command loads none of the layers it does not run (the Upsilon and the
-    genus of an expression load no polynomial code), and no command loads
+    command loads none of the layers it does not run (the Upsilon, the
+    genus of an expression, the signature jumps of a torus knot and the
+    signature certificate load no polynomial code), and no command loads
     `dataclasses` or the `inspect` it imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -235,6 +236,10 @@ def test_cli_import_leaves_numpy_out():
             [*never, "knotobs.laurent", "knotobs.signature"],
         ),
         ([["genus", "Cable(T(2,3);2,5) # -T(3,4)"]], [*never, "knotobs.laurent", *lazy]),
+        (
+            [["sig-jumps", "T(3,4)", "--at", "1/2"], ["sig-certify", "--pair", "5,7", "--k", "2"]],
+            [*never, "knotobs.laurent", "knotobs.ordered", "knotobs.upsilon"],
+        ),
         (one_per_layer, never),
     )
     for commands, absent in cases:

@@ -1,5 +1,6 @@
 """Signature jump functions, the Seifert-matrix oracle, and their agreement."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -43,6 +44,8 @@ class TestJumpFunction:
     def test_validation(self):
         with pytest.raises(ValidationError):
             JumpFunction({Fraction(1, 6): -2})  # missing conjugate partner
+        with pytest.raises(ValidationError, match="antisymmetry fails at 1/6: -2 vs -2"):
+            JumpFunction({Fraction(1, 6): -2, Fraction(5, 6): -2})  # partner of the same sign
         with pytest.raises(ValidationError):
             JumpFunction({Fraction(1, 6): -1, Fraction(5, 6): 1})  # odd jumps
         with pytest.raises(ValidationError):
@@ -68,15 +71,14 @@ class TestJumpFunction:
 
     def test_step_at_outside_unit_interval(self):
         for x in (Fraction(3, 2), 0, 1, Fraction(-1, 6)):
-            with pytest.raises(ValidationError):
-                torus_jumps(2, 3).step_at(x)
+            with pytest.raises(ValidationError, match=f"evaluation point {x} outside"):
+                signature_at(torus(2, 3), x)
 
     def test_step_function_even(self):
-        jf = torus_jumps(3, 5)
-        pts = sorted(jf.support)
+        pts = sorted(torus_jumps(3, 5).support)
         for a, b in zip(pts, pts[1:]):
             mid = (a + b) / 2
-            assert jf.step_at(mid) % 2 == 0
+            assert signature_at(torus(3, 5), mid) % 2 == 0
 
 
 class TestTorusJumps:
@@ -191,7 +193,7 @@ class TestTopOfDenseRange:
         with oracles.budget(5.0, "torus_jumps(313, 317)"):
             jf = torus_jumps(313, 317)
         assert len(jf.support) == 312 * 316
-        assert jf.step_at(Fraction(1, 2)) % 2 == 0
+        assert signature_at(torus(313, 317), Fraction(1, 2)) % 2 == 0
 
     def test_signed_sum_within_budget(self):
         with oracles.budget(5.0, "expression_jumps(T(313,317) # -T(311,317))"):
@@ -224,6 +226,89 @@ class TestSignatureAt:
         with pytest.raises(JumpEvaluationError) as exc:
             signature_at(torus(2, 3), Fraction(1, 6))
         assert exc.value.left == 0 and exc.value.right == -2
+
+    @staticmethod
+    def assert_counts_match(knot, jumps: dict, points=()):
+        """signature_at of knot against the oracle's jumps summed below x:
+        both limits at each jump, the value at each of `points` that is no
+        jump, and the value at each midpoint between consecutive points."""
+        cuts = sorted({Fraction(0), Fraction(1), *jumps, *points})
+        left = 0
+        for a, b in zip(cuts, cuts[1:]):
+            if a:
+                j = jumps.get(a, 0)
+                if j:
+                    with pytest.raises(JumpEvaluationError) as exc:
+                        signature_at(knot, a)
+                    assert (exc.value.point, exc.value.left, exc.value.right) == (a, left, left + j)
+                else:
+                    assert signature_at(knot, a) == left, a
+                left += j
+            assert signature_at(knot, (a + b) / 2) == left, (a + b) / 2
+        assert left == 0
+
+    def test_counting_matches_oracle_on_torus_knots(self):
+        # a cable of Wh(T(2,3)) with p > q has the pattern T(p,q) = T(q,p)
+        core = wh(torus(2, 3))
+        for p in range(2, 14):
+            for q in range(p + 1, 30):
+                if math.gcd(p, q) == 1:
+                    jumps = oracles.litherland_jumps(p, q)
+                    self.assert_counts_match(torus(p, q), jumps)
+                    self.assert_counts_match(cable(core, q, p), jumps)
+
+    def test_counting_matches_oracle_on_signed_sums(self):
+        # summand jumps that cancel in the sum are evaluated as points
+        rng = random.Random(2828)
+        pairs = oracles.coprime_pairs(60)
+        core = wh(torus(2, 3))
+        for _ in range(200):
+            terms, summands = [], []
+            for _ in range(rng.randint(1, 4)):
+                p, q = rng.choice(pairs)
+                sign = rng.choice((1, -1))
+                kind = rng.choice(("torus", "cable", "cable-reversed"))
+                terms.append((p, q, sign))
+                knot = torus(p, q) if kind == "torus" else cable(core, *((p, q) if kind == "cable" else (q, p)))
+                summands.append(knot if sign > 0 else mirror(knot))
+            if rng.random() < 0.3:
+                summands.append(rng.choice((core, cable(core, 3, 1), mirror(core))))
+            points = {x for p, q, _ in terms for x in oracles.litherland_jumps(p, q)}
+            self.assert_counts_match(sum_of(*summands), oracles.signed_litherland_jumps(terms), points)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # the first summand in normalized order that is refused decides
+            ("T(313,317) # T(311,317) # T(307,317) # Cable(T(2,3);2,5)", UnsupportedExpressionError,
+             "cable signatures are only supported over companions with trivial Alexander polynomial"),
+            ("-T(313,317) # -T(311,317) # -T(307,317) # Cable(T(2,3);2,5)", ValidationError,
+             f"#-sum jump count exceeds the limit {MAX_JUMPS}"),
+            ("T(313,317) # T(311,317) # T(307,317) # Cable(Wh(T(2,3));2,-3)", UnsupportedExpressionError,
+             "cable meridian winding -3 <= -2 has no verified convention"),
+            ("-T(313,317) # -T(311,317) # -T(307,317) # Cable(Wh(T(2,3));2,-3)", ValidationError,
+             f"#-sum jump count exceeds the limit {MAX_JUMPS}"),
+            ("T(2,3) # T(317,331)", ValidationError,
+             "torus knot product pq 104927 exceeds the dense polynomial limit 100000"),
+        ],
+    )
+    def test_refusals_keep_their_order_and_messages(self, text, error, message):
+        # the expression is refused before the point is read, as by expression_jumps
+        knot = parse_knot(text)
+        for route in (expression_jumps, lambda k: signature_at(k, 2), lambda k: signature_at(k, "x")):
+            with pytest.raises(error) as exc:
+                route(knot)
+            assert type(exc.value) is error and str(exc.value) == message
+
+    def test_top_of_torus_range_within_budget(self):
+        # counting takes O(min(p, q)) steps a term where listing the 196,552
+        # jumps took O(pq); 1/3 is no jump point of either summand
+        knot = parse_knot("T(313,317) # -T(311,317)")
+        points = [Fraction(1, 3), *(Fraction(k, 97) for k in range(1, 97))]
+        with oracles.budget(1.0, "signature_at(T(313,317) # -T(311,317)) at 97 points"):
+            values = [signature_at(knot, x) for x in points]
+        assert values[0] == signature_at(torus(313, 317), Fraction(1, 3)) - signature_at(torus(311, 317), Fraction(1, 3))
+        assert all(v % 2 == 0 for v in values)
 
 
 class TestSeifertMatrix:
@@ -423,25 +508,23 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("p,q", oracles.coprime_pairs(35))
     def test_jumps_match_seifert_signature(self, p, q):
         rng = random.Random(p * 100 + q)
-        jf = torus_jumps(p, q)
         V = seifert_from_braid(torus_braid_word(p, q))
-        support = set(jf.support)
+        support = set(torus_jumps(p, q).support)
         checked = 0
         while checked < 25:
             x = Fraction(rng.randint(1, 9999), 10000)
             if x in support:
                 continue
-            assert jf.step_at(x) == numeric_signature(V, x)
+            assert signature_at(torus(p, q), x) == numeric_signature(V, x)
             checked += 1
 
     def test_agreement_near_jump_points(self):
         # just left and right of every jump of a 24-crossing example
-        jf = torus_jumps(5, 7)
         V = seifert_from_braid(torus_braid_word(5, 7))
         eps = Fraction(1, 10**6)
-        for x in jf.support:
+        for x in torus_jumps(5, 7).support:
             for probe in (x - eps, x + eps):
-                assert jf.step_at(probe) == numeric_signature(V, probe)
+                assert signature_at(torus(5, 7), probe) == numeric_signature(V, probe)
 
     def test_jump_point_raises(self):
         # the form is singular at the T(3,4) jump 1/12: an eigenvalue is zero,
@@ -473,6 +556,15 @@ class TestIndependenceCertificate:
     def test_non_prime_parameters_fail_degree_check(self):
         cert = torus_independence_certificate([(4, 9)], 1)
         assert not cert.valid
+
+    def test_top_of_torus_range_within_budget(self):
+        # the primitive jump is read at 1/pq by the point rule, not from a
+        # list of each knot's (p-1)(q-1) jumps
+        pairs = [(313, 317), (311, 317), (307, 317)]
+        with oracles.budget(1.0, "20 certificates at the top of the torus range"):
+            certs = [torus_independence_certificate(pairs, 2) for _ in range(20)]
+        witnesses = [c.witness for c in certs[0].checks if c.name.startswith("primitive_jump")]
+        assert certs[0].valid and witnesses == [f"jump -2 at 1/{p * q}" for p, q in pairs]
 
     def test_serialization(self):
         cert = torus_independence_certificate([(5, 7)], 2)
