@@ -94,7 +94,8 @@ def sum_of(*exprs: KnotExpression) -> KnotExpression:
 
 def normalize(e: KnotExpression) -> KnotExpression:
     """Canonical form: sums flattened, sorted and unknot-free; mirrors pushed
-    inside sums and cancelled pairwise; single-summand sums collapsed."""
+    inside sums and cancelled pairwise; single-summand sums collapsed.  An
+    expression already in this form is returned as it is."""
     if isinstance(e, (TorusKnot, Unknot)):
         return e
     if isinstance(e, Cable):
@@ -118,7 +119,7 @@ def normalize(e: KnotExpression) -> KnotExpression:
             return inner.inner
         if isinstance(inner, Sum):
             return normalize(Sum(tuple(Mirror(s) for s in inner.summands)))
-        return Mirror(inner)
+        return e if inner is e.inner else Mirror(inner)
     if isinstance(e, Sum):
         flat: list[KnotExpression] = []
         for s in e.summands:
@@ -133,14 +134,26 @@ def normalize(e: KnotExpression) -> KnotExpression:
             return UNKNOT
         if len(flat) == 1:
             return flat[0]
-        flat.sort(key=format_knot)
-        return Sum(tuple(flat))
+        flat = tuple(sorted(flat, key=format_knot))
+        return e if flat == e.summands else Sum(flat)
     raise ValidationError(f"not a knot expression: {e!r}")
 
 
-def summands(e: KnotExpression) -> tuple[KnotExpression, ...]:
-    e = normalize(e)
-    return e.summands if isinstance(e, Sum) else (e,)
+def signed_summands(e: KnotExpression) -> list[tuple[KnotExpression, int]]:
+    """The #-summands of e, normalized once, as (summand, sign): a mirror
+    becomes the sign -1 and the unknot is dropped, so no summand is a Sum,
+    a Mirror or the unknot."""
+    return _signed(normalize(e))
+
+
+def _signed(e: KnotExpression) -> list[tuple[KnotExpression, int]]:
+    """signed_summands of an e that is already normalized, such as the
+    companion of a normalized cable."""
+    if isinstance(e, Sum):
+        return [(s.inner, -1) if isinstance(s, Mirror) else (s, 1) for s in e.summands]
+    if isinstance(e, Mirror):
+        return [(e.inner, -1)]
+    return [] if isinstance(e, Unknot) else [(e, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +171,9 @@ def format_knot(e: KnotExpression) -> str:
     if isinstance(e, Cable):
         return f"Cable({format_knot(e.companion)};{e.p},{e.q})"
     if isinstance(e, Mirror):
-        return f"-{format_knot(e.inner)}"
+        # "-A # B" reads as (-A) # B, so a mirrored sum keeps its parentheses
+        inner = format_knot(e.inner)
+        return f"-({inner})" if isinstance(e.inner, Sum) else f"-{inner}"
     if isinstance(e, Sum):
         return " # ".join(format_knot(s) for s in e.summands)
     raise ValidationError(f"not a knot expression: {e!r}")
@@ -280,23 +295,21 @@ def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
     """
     from . import laurent
 
-    e = normalize(e)
-    if isinstance(e, Unknot):
-        return laurent.ONE
-    if isinstance(e, TorusKnot):
-        return laurent.torus_alexander(e.p, e.q)
-    if isinstance(e, WhiteheadDouble):
-        return laurent.ONE
-    if isinstance(e, Mirror):
-        return alexander(e.inner)
-    if isinstance(e, Sum):
-        return math.prod([alexander(s) for s in e.summands], start=laurent.ONE)
-    if isinstance(e, Cable):
-        check_winding(e)
-        companion = alexander(e.companion)
-        pattern = laurent.torus_alexander(e.p, e.q) if e.q >= 2 else laurent.ONE
-        return companion.substitute_power(e.p) * pattern
-    raise ValidationError(f"not a knot expression: {e!r}")
+    def product(parts):
+        # a mirror has the polynomial of the knot it mirrors
+        return math.prod([of(s) for s, _ in parts], start=laurent.ONE)
+
+    def of(s):
+        if isinstance(s, TorusKnot):
+            return laurent.torus_alexander(s.p, s.q)
+        if isinstance(s, WhiteheadDouble):
+            return laurent.ONE
+        check_winding(s)
+        companion = product(_signed(s.companion))
+        pattern = laurent.torus_alexander(s.p, s.q) if s.q >= 2 else laurent.ONE
+        return companion.substitute_power(s.p) * pattern
+
+    return product(signed_summands(e))
 
 
 def check_winding(e: Cable) -> None:
@@ -322,48 +335,40 @@ class GenusReport(Record):
                 raise ValidationError("slice genus hints must carry a provenance tag")
 
 
-def _seifert_genus(e: KnotExpression) -> int:
-    if isinstance(e, Unknot):
-        return 0
-    if isinstance(e, TorusKnot):
-        return (e.p - 1) * (e.q - 1) // 2
-    if isinstance(e, WhiteheadDouble):
+def _seifert_genus(s: KnotExpression) -> int:
+    """Seifert genus of a summand from signed_summands."""
+    if isinstance(s, TorusKnot):
+        return (s.p - 1) * (s.q - 1) // 2
+    if isinstance(s, WhiteheadDouble):
         return 1
-    if isinstance(e, Mirror):
-        return _seifert_genus(e.inner)
-    if isinstance(e, Sum):
-        return sum(_seifert_genus(s) for s in e.summands)
-    if isinstance(e, Cable):
-        if e.q <= 0:
-            raise UnsupportedExpressionError(
-                "Seifert genus of cables is only supported for q >= 1"
-            )
-        return e.p * _seifert_genus(e.companion) + (e.p - 1) * (e.q - 1) // 2
-    raise ValidationError(f"not a knot expression: {e!r}")
+    if s.q <= 0:
+        raise UnsupportedExpressionError(
+            "Seifert genus of cables is only supported for q >= 1"
+        )
+    companion = sum(_seifert_genus(c) for c, _ in _signed(s.companion))
+    return s.p * companion + (s.p - 1) * (s.q - 1) // 2
 
 
 def genus(e: KnotExpression) -> GenusReport:
     """Seifert genus from the standard constructions: g(T(p,q)) = (p-1)(q-1)/2,
     g(Wh K) = 1, g(K_{p,q}) = p g(K) + (p-1)(q-1)/2 for q >= 1, additive under
     connected sum.  Members of the L family carry the published slice genus
-    1 as a hint."""
-    e = normalize(e)
-    total = _seifert_genus(e)
-    per_summand = max(_seifert_genus(s) for s in summands(e))
-    l_member = _is_L_member(e)
+    1 as a hint, which e carries when it equals L_n for n the p of one of
+    its unmirrored cable summands."""
+    parts = signed_summands(e)
+    total = per_summand = 0
+    l_member = False
+    for s, sign in parts:
+        g = _seifert_genus(s)
+        total += g
+        per_summand = max(per_summand, g)
+        if sign > 0 and isinstance(s, Cable) and not l_member:
+            l_member = parts == _signed(family("L", s.p))
     return GenusReport(
         seifert_genus=total,
         summand_max_genus=per_summand,
         slice_genus_hint=1 if l_member else None,
         slice_genus_source=SLICE_GENUS_SOURCE_L if l_member else None,
-    )
-
-
-def _is_L_member(e: KnotExpression) -> bool:
-    """True when the normalized e is L_n, n being the p of its Cable
-    summand; such knots have published slice genus 1."""
-    return any(
-        isinstance(s, Cable) and e == family("L", s.p) for s in summands(e)
     )
 
 

@@ -3,9 +3,10 @@
 Two independent routes to the signature function of torus-knot expressions:
 
 * ``expression_jumps`` reads an expression built from torus knots,
-  cables of trivial-Alexander companions, mirrors and sums as signed torus
-  terms and writes the jumps of every term, from the combinatorial rule on
-  the multiset { i/p + j/q }, into one ``JumpFunction``.  A jump function is
+  cables of trivial-Alexander companions, mirrors and sums through
+  ``knots.signed_summands`` as signed torus terms and writes the jumps of
+  every term, from the combinatorial rule on the multiset { i/p + j/q },
+  into one ``JumpFunction``.  A jump function is
   a ``jumps.RationalJumps`` (as is ``upsilon.PiecewiseLinearFunction``):
   integer jumps at numerators over one common denominator (i/p + j/q is
   (iq + jp)/pq) in one canonical form.  ``signature_at`` reads the same
@@ -138,18 +139,14 @@ def torus_jumps(p: int, q: int) -> JumpFunction:
 
 def _torus_term(e: knots.KnotExpression, sign: int):
     """(p, q, sign) for the torus knot whose signature function is that of
-    the normalized summand e, or None where it vanishes.
+    the summand e from `knots.signed_summands`, or None where it vanishes.
 
     A cable contributes only its pattern torus knot because the companion has
     vanishing signature function (Delta = 1 forces sigma = 0, and
     sigma_w(K_{p,q}) = sigma_{w^p}(K) + sigma_w(T(p,q)))."""
-    if isinstance(e, knots.Mirror):
-        return _torus_term(e.inner, -sign)
-    if isinstance(e, (knots.Unknot, knots.WhiteheadDouble)):
+    if isinstance(e, knots.WhiteheadDouble):
         return None
-    if isinstance(e, knots.TorusKnot):
-        p, q = e.p, e.q
-    elif isinstance(e, knots.Cable):
+    if isinstance(e, knots.Cable):
         from .laurent import ONE  # only a cable needs the polynomial layer
 
         if knots.alexander(e.companion) != ONE:
@@ -160,12 +157,9 @@ def _torus_term(e: knots.KnotExpression, sign: int):
         knots.check_winding(e)
         if e.q < 2:
             return None
-        p, q = e.p, e.q
-    else:
-        raise UnsupportedExpressionError(f"unsupported expression {e!r}")
-    check_torus(p, q)
-    check_breadth(p * q, "torus knot product pq")
-    return p, q, sign
+    check_torus(e.p, e.q)
+    check_breadth(e.p * e.q, "torus knot product pq")
+    return e.p, e.q, sign
 
 
 def _torus_terms(e: knots.KnotExpression) -> list[tuple[int, int, int]]:
@@ -173,10 +167,9 @@ def _torus_terms(e: knots.KnotExpression) -> list[tuple[int, int, int]]:
     signature function of e, summand by summand; T(p,q) has (p-1)(q-1)
     jumps, and their count is refused past `jumps.MAX_JUMPS` as each
     summand is read."""
-    e = knots.normalize(e)
     terms, total = [], 0
-    for s in e.summands if isinstance(e, knots.Sum) else (e,):
-        term = _torus_term(s, 1)
+    for s, sign in knots.signed_summands(e):
+        term = _torus_term(s, sign)
         if term is not None:
             terms.append(term)
             total += (term[0] - 1) * (term[1] - 1)

@@ -14,8 +14,10 @@ the certified range are refused rather than defaulted.
 A PL function is held by its integer slope jumps over one common denominator,
 in the form it shares with signature jumps (``jumps.RationalJumps``): a
 sum is one merge, a derivative jump is a lookup, and breakpoints are integer
-prefix sums.  No polynomial code is imported, and the knot layer only where
-an expression's Upsilon is computed, so the germ obstruction and the summand
+prefix sums.  An expression is read through ``knots.signed_summands`` as
+signed torus-knot summands, since Upsilon adds over # and changes sign under
+mirroring.  No polynomial code is imported, and the knot layer only where an
+expression's Upsilon is computed, so the germ obstruction and the summand
 certificate load neither.
 """
 
@@ -155,22 +157,20 @@ def upsilon_of_expression(e: knots.KnotExpression) -> PiecewiseLinearFunction:
     class."""
     from . import knots
 
-    def of(e):
-        # the parts of a normalized expression are normalized
-        if isinstance(e, knots.Unknot):
-            return PiecewiseLinearFunction({})
-        if isinstance(e, knots.TorusKnot):
-            return upsilon_torus(e.p, e.q)
-        if isinstance(e, knots.Mirror):
-            return -of(e.inner)
-        if isinstance(e, knots.Sum):
-            return PiecewiseLinearFunction._sum(of(s) for s in e.summands)
-        raise UnsupportedExpressionError(
-            "Upsilon is only computed for sums and mirrors of torus knots; "
-            "cabled and doubled summands enter through published germ data"
-        )
+    def of(s, sign):
+        if not isinstance(s, knots.TorusKnot):
+            raise UnsupportedExpressionError(
+                "Upsilon is only computed for sums and mirrors of torus knots; "
+                "cabled and doubled summands enter through published germ data"
+            )
+        u = upsilon_torus(s.p, s.q)
+        return u if sign > 0 else -u
 
-    return of(knots.normalize(e))
+    parts = knots.signed_summands(e)
+    if len(parts) == 1:
+        return of(*parts[0])
+    # the sum counts each part's jumps as it arrives, before the next is read
+    return PiecewiseLinearFunction._sum(of(*part) for part in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,39 @@ def random_expression(rng: random.Random, depth: int = 3, signature_safe: bool =
     return knots.normalize(build(depth))
 
 
+def random_tree(rng: random.Random, depth: int = 3):
+    """Random expression tree as a caller may build it, not normalized:
+    nested sums (one summand or more), double mirrors, mirrored sums, unknot
+    summands, cables with q <= -2, and (1, q) cables, q <= -2 among them,
+    over small torus knots and their Whitehead doubles."""
+    from knotobs import knots
+
+    def leaf():
+        r = rng.random()
+        if r < 0.6:
+            return knots.TorusKnot(*rng.choice(SMALL_TORUS))
+        if r < 0.8:
+            return knots.WhiteheadDouble(knots.TorusKnot(2, 3))
+        return knots.UNKNOT
+
+    def build(d):
+        r = rng.random()
+        if d <= 0 or r < 0.15:
+            return leaf()
+        if r < 0.45:
+            return knots.Sum(tuple(build(d - 1) for _ in range(rng.randint(1, 3))))
+        if r < 0.6:
+            return knots.Mirror(build(d - 1))
+        if r < 0.7:
+            return knots.Mirror(knots.Mirror(build(d - 1)))
+        if r < 0.85:
+            return knots.Cable(build(d - 1), 1, rng.choice([-5, -2, 0, 1, 3]))
+        p = rng.randint(2, 3)
+        return knots.Cable(build(d - 1), p, rng.choice([1, p + 1, -(p + 1), 1 - 2 * p]))
+
+    return build(depth)
+
+
 @contextlib.contextmanager
 def budget(seconds: float, what: str):
     """Raise TimeoutError in the block once it has run for `seconds`."""

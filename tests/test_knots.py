@@ -9,6 +9,7 @@ import pytest
 import oracles
 from knotobs import laurent
 from knotobs.errors import (
+    KnotObsError,
     ParseError,
     UnsupportedExpressionError,
     ValidationError,
@@ -20,6 +21,7 @@ from knotobs.knots import (
     Mirror,
     Sum,
     TorusKnot,
+    Unknot,
     alexander,
     cable,
     family,
@@ -27,11 +29,15 @@ from knotobs.knots import (
     genus,
     gsp_bound_of_knot,
     mirror,
+    normalize,
     parse_knot,
+    signed_summands,
     sum_of,
     torus,
     wh,
 )
+from knotobs.signature import expression_jumps, signature_at
+from knotobs.upsilon import upsilon_of_expression
 
 
 class TestAst:
@@ -93,6 +99,12 @@ class TestGrammar:
         for _ in range(500):
             k = oracles.random_expression(rng)
             assert parse_knot(format_knot(k)) == k
+        # a tree as built, with mirrored sums among its parts: parse_knot
+        # normalizes what it reads
+        assert format_knot(Mirror(Sum((torus(2, 3), torus(2, 5))))) == "-(T(2,3) # T(2,5))"
+        for _ in range(500):
+            tree = oracles.random_tree(rng)
+            assert parse_knot(format_knot(tree)) == normalize(tree)
 
     def test_rejects_garbage(self):
         for bad in ("", "T(2;3)", "K(2,3)", "T(2,3) #", "Wh()", "T(2,3", "--"):
@@ -272,3 +284,38 @@ class TestGspBounds:
         for p, q in oracles.prime_pairs(35):
             lower, upper = gsp_bound_of_knot(torus(p, q))
             assert lower == upper == Fraction((p - 1) * (q - 1), 2)
+
+
+def test_unnormalized_trees_answer_as_their_normal_form():
+    """Every invariant reads an expression through signed_summands, which
+    normalizes it once, so a tree as built answers or refuses as its normal
+    form does; normalize returns a normal expression as it is."""
+    # 1/6, 5/12 and 7/10 are jump points of some small torus knots
+    points = [Fraction(1, 6), Fraction(5, 12), Fraction(1, 2), Fraction(7, 10)]
+    invariants = {
+        "alexander": alexander,
+        "genus": genus,
+        "gsp_bound_of_knot": gsp_bound_of_knot,
+        "upsilon_of_expression": upsilon_of_expression,
+        "expression_jumps": expression_jumps,
+        **{f"signature_at {x}": lambda k, x=x: signature_at(k, x) for x in points},
+    }
+
+    def outcome(f, k):
+        try:
+            return f(k)
+        except KnotObsError as exc:
+            return type(exc), str(exc)
+
+    rng = random.Random(3131)
+    for _ in range(150):
+        tree = oracles.random_tree(rng)
+        normal = normalize(tree)
+        parts = signed_summands(tree)
+        assert all(sign in (1, -1) and not isinstance(s, (Sum, Mirror, Unknot)) for s, sign in parts)
+        assert sum_of(*(s if sign > 0 else mirror(s) for s, sign in parts)) == normal
+        for name, f in invariants.items():
+            assert outcome(f, tree) == outcome(f, normal), (name, tree)
+    for _ in range(500):
+        k = oracles.random_expression(rng)
+        assert normalize(k) is k

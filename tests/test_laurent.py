@@ -617,13 +617,15 @@ class TestSelfChecks:
         assert (factors, sign) != (fac.factors, fac.sign)
         assert laurent.Factorization(sign, fac.exponent, factors).expand() != self.MIXED
 
-        # factor's own check, handed the mutated answer
-        class Mutated(laurent.Factorization):
-            def __init__(self, sign, exponent, factors):
-                factors, sign = mutate(factors, sign)
-                super().__init__(sign, exponent, factors)
+        # factor's own check, handed the mutated answer; a function, not a
+        # subclass, so no test-made record type outlives the test
+        real = laurent.Factorization
 
-        monkeypatch.setattr(laurent, "Factorization", Mutated)
+        def mutated(sign, exponent, factors):
+            factors, sign = mutate(factors, sign)
+            return real(sign, exponent, factors)
+
+        monkeypatch.setattr(laurent, "Factorization", mutated)
         with pytest.raises(InternalCheckError, match="must reproduce the input"):
             factor(self.MIXED)
 
