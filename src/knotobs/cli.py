@@ -111,12 +111,14 @@ def _cmd_alexander(args):
     from . import knots, laurent
 
     expr = knots.parse_knot(args.expression)
-    delta = knots.alexander(expr)
+    # with --fox-milnor, Delta is the expansion of its checked factorization
+    fac = knots.alexander_factorization(expr) if args.fox_milnor else None
+    delta = fac.expand() if fac else knots.alexander(expr)
     shown, poly = knots.format_knot(expr), laurent.format_laurent(delta)
     lines = [("knot", shown), ("alexander", poly), ("breadth", delta.breadth)]
     payload = {"expression": shown, "alexander": poly, "breadth": delta.breadth}
     if args.fox_milnor:
-        fm = laurent.fox_milnor(delta)
+        fm = laurent.fox_milnor_of_factorization(delta, fac)
         lines += _fox_milnor_lines(fm)
         payload["fox_milnor"] = fm.as_dict()
     return Result(lines, payload)
@@ -144,10 +146,18 @@ def _cmd_gsp_bound(args):
 
 
 def _cmd_fox_milnor(args):
-    from . import laurent
+    from . import knots, laurent
 
-    poly, shown = _poly_or_alexander(args.input)
-    fm = laurent.fox_milnor(poly)
+    try:
+        expr = knots.parse_knot(args.input)
+    except ParseError:
+        poly, shown = laurent.parse_laurent(args.input), args.input
+        fm = laurent.fox_milnor(poly)
+    else:
+        # a knot's Delta factors by its cyclotomic indices, with no screen
+        fac = knots.alexander_factorization(expr)
+        poly, shown = fac.expand(), f"alexander({knots.format_knot(expr)})"
+        fm = laurent.fox_milnor_of_factorization(poly, fac)
     lines = [("input", shown), ("polynomial", laurent.format_laurent(poly)), *_fox_milnor_lines(fm)]
     return Result(lines, {"input": shown, **fm.as_dict()})
 

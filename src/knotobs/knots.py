@@ -3,8 +3,9 @@
 The expression language covers exactly what the concordance obstructions
 need: torus knots, cables, untwisted Whitehead doubles, mirrors, connected
 sums and the unknot.  Alexander polynomials and Seifert genus are computed
-structurally; the three knot families J_n, J'_n and L_n are provided as
-constructors.
+structurally, and the factorization of an Alexander polynomial, a product
+of cyclotomic polynomials, from integer indices; the three knot families
+J_n, J'_n and L_n are provided as constructors.
 
 Whitehead doubles are fixed as untwisted with positive clasp and enter every
 computation only through Delta = 1 and g = 1.
@@ -13,6 +14,7 @@ computation only through Delta = 1 and g = 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Union
 
@@ -103,6 +105,12 @@ def normalize(e: KnotExpression) -> KnotExpression:
         if e.p == 1:
             # the (1,q) pattern is the core curve, so the cable is the companion
             return inner
+        if isinstance(inner, Unknot):
+            # the (p,q) pattern in an unknotted solid torus is T(p,q), the
+            # unknot when |q| = 1 and the mirror of T(p,|q|) when q <= -2
+            if abs(e.q) == 1:
+                return UNKNOT
+            return torus(e.p, e.q) if e.q > 0 else Mirror(torus(e.p, -e.q))
         if inner is not e.companion:
             return Cable(inner, e.p, e.q)
         return e
@@ -312,6 +320,51 @@ def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
     return product(signed_summands(e))
 
 
+def alexander_factorization(e: KnotExpression) -> laurent.Factorization:
+    """The irreducible factorization of alexander(e), read from integer
+    index arithmetic alone (`_alexander_indices`): every factor is a
+    `laurent.Cyclotomic`.  alexander(e) runs first, so every refusal is its
+    own, and the answer is accepted only when its `expand()` equals that
+    polynomial."""
+    from . import laurent
+
+    delta = alexander(e)
+    found = {laurent._cyclotomic(d): m for d, m in _alexander_indices(signed_summands(e)).items()}
+    return laurent._self_checked(laurent._checked(delta, 1, found), "the cyclotomic indices must reproduce Delta")
+
+
+def _alexander_indices(parts) -> Counter:
+    """{d: m} with prod Phi_d^m the Alexander polynomial of the #-sum of
+    parts, (summand, sign) pairs as signed_summands gives them.
+
+    Delta_{T(p,q)} is the product of Phi_d over d | pq with d dividing
+    neither p nor q.  A cable K_{p,q} has the indices of Delta_K(t^p) and,
+    for q >= 2, those of its pattern T(p,q).  Phi_d(t^l) for a prime l is
+    Phi_{dl} when l | d and Phi_{dl} Phi_d otherwise; taken one prime of p
+    at a time, Phi_d(t^p) is the product of Phi_{d p1 e} over e | p2, where
+    p1 is the part of p whose primes divide d and p2 = p / p1.  Wh(K) has
+    no index; a mirror keeps its indices and a #-sum adds them.
+    """
+    out = Counter()
+    for s, _ in parts:
+        if isinstance(s, Cable):
+            for d, m in _alexander_indices(_signed(s.companion)).items():
+                p2 = s.p
+                while (g := math.gcd(p2, d)) > 1:
+                    p2 //= g
+                out.update({d * s.p // p2 * e: m for e in _divisors(p2)})
+        # a torus knot, or the pattern T(p,q) of a cable
+        if not isinstance(s, WhiteheadDouble) and s.q >= 2:
+            out.update(a * b for a in _divisors(s.p)[1:] for b in _divisors(s.q)[1:])
+    return out
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, in increasing order."""
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
+
+
 def check_winding(e: Cable) -> None:
     """Refuse a cable whose meridian winding q is <= -2, which has no
     verified convention for its Alexander polynomial or signature."""
@@ -406,6 +459,6 @@ def gsp_bound_of_knot(e: KnotExpression) -> tuple[Fraction, Fraction]:
     Seifert genus among the top-level summands."""
     from . import laurent
 
-    lower = laurent.gsp_lower_bound(alexander(e))
+    lower = laurent.gsp_lower_bound_of_factorization(alexander_factorization(e))
     upper = Fraction(genus(e).summand_max_genus)
     return lower, upper

@@ -12,8 +12,9 @@ odd-multiplicity self-reciprocal factors.
 Factorization has three stages: strip the integer content into prime
 constants, strip cyclotomic factors (Phi_1 by exact division by t - 1, then
 screen every other index d with phi(d) at most the degree by integer
-divisibility of evaluations, then divide once by the product of the
-candidates, falling back to one index at a time when a candidate was
+divisibility of evaluations; candidates that take the whole degree are the
+answer when it passes the final check, otherwise divide once by their
+product, falling back to one index at a time when a candidate was
 false), then split the remaining square-free part by Zassenhaus: factor it
 modulo a small prime, Hensel-lift past the Mignotte bound, and recombine
 subsets of the lifted factors.
@@ -980,13 +981,16 @@ def factor(f: LaurentPolynomial) -> Factorization:
     2. Cyclotomic factors Phi_d with phi(d) at most the degree.  Phi_1 is
        divided out by t - 1 as often as it divides.  For d >= 2, one screen
        of the integers F(2) and F(3) (`_cyclotomic_screen`) yields
-       candidates (d, m), and F is divided once by their product through
-       the net Moebius binomials (`_ddiv_cyclotomics`).  When that division
-       is exact the candidates are the whole cyclotomic part, since only a
-       false candidate could take another factor's share of the values or
-       the degree; otherwise each candidate is divided out alone, at most m
-       times, and the screen runs again on what is left, dividing as it
-       goes.  Phi_d is built only once it divides.
+       candidates (d, m).  When their m phi(d) sum to the degree of F, the
+       answer built from them is returned if it passes the final check
+       below, so a false candidate is never returned.  Otherwise F is
+       divided once by their product through the net Moebius binomials
+       (`_ddiv_cyclotomics`).  When that division is exact the candidates
+       are the whole cyclotomic part, since only a false candidate could
+       take another factor's share of the values or the degree; otherwise
+       each candidate is divided out alone, at most m times, and the screen
+       runs again on what is left, dividing as it goes.  Knot expressions
+       skip the screen: `knots.alexander_factorization` reads their indices.
     3. The square-free part of the rest splits into irreducibles by
        Zassenhaus (`_irreducibles`), and each is divided out as often as it
        divides.
@@ -1014,6 +1018,11 @@ def factor(f: LaurentPolynomial) -> Factorization:
         F = q
         found[_cyclotomic(1)] += 1
     _, cands = _cyclotomic_screen(F, divide=False)
+    if sum(m * totient(d) for d, m in cands) == _deg(F):
+        # the candidates claim all of F: the final check alone decides them
+        result = _checked(f, sign, found + Counter({_cyclotomic(d): m for d, m in cands}))
+        if result is not None:
+            return result
     if (q := _ddiv_cyclotomics(F, cands)) is None:
         # a false candidate: the true ones shrink F before it is screened again
         for d, m in cands:
@@ -1042,11 +1051,14 @@ def factor(f: LaurentPolynomial) -> Factorization:
         if not (_deg(F) < 1 and F and F[0] == 1):
             raise InternalCheckError("self-check failed: factor residue must be the unit 1")
 
-    ordered = tuple(sorted(found.items(), key=lambda kv: _factor_key(kv[0])))
-    result = Factorization(sign, f._lo, ordered)
-    if result.expand() != f:
-        raise InternalCheckError("self-check failed: factorization must reproduce the input")
-    return result
+    return _self_checked(_checked(f, sign, found), "factorization must reproduce the input")
+
+
+def _checked(f: LaurentPolynomial, sign: int, found: dict):
+    """The Factorization of f with the factors found ({factor: multiplicity}),
+    in `_factor_key` order, or None when its `expand()` is not f."""
+    result = Factorization(sign, f._lo, tuple(sorted(found.items(), key=lambda kv: _factor_key(kv[0]))))
+    return result if result.expand() == f else None
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +1082,19 @@ class FoxMilnorResult(Record):
 
 def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
     """Decide whether f factors as +-t^n w(t) w(1/t); on a pass return the
-    witness w.
+    witness w.  f must be nonzero with f(1) = +-1; the verdict is
+    `fox_milnor_of_factorization` of `factor(f)`."""
+    if f.is_zero:
+        raise ZeroPolynomialError("Fox-Milnor is undefined for the zero polynomial")
+    if not is_alexander_normalized(f):
+        raise NormalizationError(
+            f"normalization required: f(1) = {f.evaluate(1)}, expected +-1"
+        )
+    return fox_milnor_of_factorization(f, factor(f))
+
+
+def fox_milnor_of_factorization(f: LaurentPolynomial, fac: Factorization) -> FoxMilnorResult:
+    """The Fox-Milnor verdict on f from fac, its complete factorization.
 
     Every self-reciprocal irreducible factor must occur with even
     multiplicity, and every other factor with the same multiplicity as its
@@ -1078,13 +1102,6 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
     for each self-reciprocal p, one partner of each pair to its full
     multiplicity), checked by w(t) w(1/t) = +-t^k f.
     """
-    if f.is_zero:
-        raise ZeroPolynomialError("Fox-Milnor is undefined for the zero polynomial")
-    if not is_alexander_normalized(f):
-        raise NormalizationError(
-            f"normalization required: f(1) = {f.evaluate(1)}, expected +-1"
-        )
-    fac = factor(f)
     mult = dict(fac.factors)
     violations = []
     half = []
@@ -1121,14 +1138,19 @@ def fox_milnor(f: LaurentPolynomial) -> FoxMilnorResult:
 
 
 def gsp_lower_bound(f: LaurentPolynomial) -> Fraction:
+    """The splitting-genus lower bound of f:
+    `gsp_lower_bound_of_factorization` of `factor(f)`."""
+    return gsp_lower_bound_of_factorization(factor(f))
+
+
+def gsp_lower_bound_of_factorization(fac: Factorization) -> Fraction:
     """Largest breadth/2 over self-reciprocal irreducible factors of odd
-    multiplicity; 0 when every such factor has even multiplicity.
+    multiplicity in fac; 0 when every such factor has even multiplicity.
 
     Reciprocal pairs of distinct factors never obstruct: they can always be
     split between a witness and its reflection, so only self-reciprocal
     factors enter the bound.
     """
-    fac = factor(f)
     best = Fraction(0)
     for p, m in fac.factors:
         if m % 2 == 1 and p.breadth > 0 and reciprocal_partner(p) == p:

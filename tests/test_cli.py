@@ -414,6 +414,14 @@ class TestCableWindings:
         assert captured.out == ""
         assert captured.err == "invalid: cable longitude winding p must be >= 1\n"
 
+    @pytest.mark.parametrize("command", ["upsilon", "genus", "sig-jumps", "gsp-bound"])
+    def test_cable_of_the_unknot_answers_as_its_torus_knot(self, capsys, command):
+        for cabled, plain in [("Cable(U;2,3)", "T(2,3)"), ("Cable(U;2,-3)", "-T(2,3)"), ("Cable(U;3,-1)", "U")]:
+            assert run([command, plain]) == 0
+            expected = capsys.readouterr().out
+            assert run([command, cabled]) == 0, cabled
+            assert capsys.readouterr().out == expected
+
     def test_longitude_winding_one_is_the_companion(self, capsys):
         assert run(["genus", "Cable(T(2,3);1,5)"]) == 0
         cabled = capsys.readouterr().out

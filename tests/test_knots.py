@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from knotobs import laurent
+from knotobs import cli, knots, laurent
 from knotobs.errors import (
+    InternalCheckError,
     KnotObsError,
     ParseError,
     UnsupportedExpressionError,
@@ -23,6 +24,7 @@ from knotobs.knots import (
     TorusKnot,
     Unknot,
     alexander,
+    alexander_factorization,
     cable,
     family,
     format_knot,
@@ -69,6 +71,13 @@ class TestAst:
     def test_unit_cable_collapses(self):
         assert cable(torus(2, 3), 1, 1) == torus(2, 3)
         assert parse_knot("Cable(T(2,3);1,5)") == torus(2, 3)
+
+    def test_cable_of_the_unknot_is_a_torus_knot(self):
+        assert parse_knot("Cable(U;2,3)") == parse_knot("Cable(U;3,2)") == torus(2, 3)
+        assert parse_knot("Cable(U;2,-3)") == mirror(torus(2, 3))
+        assert parse_knot("Cable(U;5,1)") == parse_knot("Cable(U;5,-1)") == UNKNOT
+        assert parse_knot("Cable(Cable(U;2,3);2,5)") == cable(torus(2, 3), 2, 5)
+        assert parse_knot("Cable(Cable(U;3,1);2,-1) # Cable(U;2,-3)") == mirror(torus(2, 3))
 
     @pytest.mark.parametrize("p", [0, -1, -2])
     def test_cable_winding_below_one_refused_on_every_path(self, p):
@@ -190,6 +199,77 @@ class TestAlexander:
             d = alexander(oracles.random_expression(rng, depth=2))
             assert d.is_palindromic()
             assert d.evaluate(1) in (1, -1)
+
+
+class TestAlexanderFactorization:
+    def test_indices_match_factor_on_random_expressions(self):
+        # torus knots, Whitehead doubles, cables over cables and over
+        # doubles, mirrors, sums and the unknot
+        rng = random.Random(8181)
+        kinds = set()
+        for _ in range(300):
+            k = oracles.random_expression(rng, depth=2)
+            kinds.update(type(s).__name__ for s, _ in signed_summands(k))
+            fac = alexander_factorization(k)
+            assert all(isinstance(p, laurent.Cyclotomic) for p, _ in fac.factors)
+            assert fac == laurent.factor(alexander(k)), format_knot(k)
+        assert kinds == {"TorusKnot", "Cable", "WhiteheadDouble"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "T(2,3)",
+            "Cable(Cable(T(2,3);2,5);3,7) # -Wh(T(2,5))",
+            # p = 6 and 12 share the prime 2 with the index 10 of T(2,5), not 3
+            "Cable(T(3,4);6,1)",
+            "Cable(Cable(T(2,5);6,1);9,2)",
+            "Cable(T(2,5);12,5) # -Cable(Wh(T(2,3));4,3)",
+        ],
+    )
+    def test_indices_match_factor(self, text):
+        k = parse_knot(text)
+        assert alexander_factorization(k) == laurent.factor(alexander(k))
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            Cable(wh(torus(2, 3)), 2, -3),
+            Cable(torus(2, 3), 3, -5),
+            parse_knot("Cable(" * 30 + "T(2,3)" + ";2,3)" * 30),
+            sum_of(torus(300, 331), mirror(torus(300, 331))),
+        ],
+        ids=["meridian-winding", "negative-pattern", "nested-cables", "beyond-dense-limit"],
+    )
+    def test_refusals_are_alexanders(self, k):
+        def outcome(f):
+            try:
+                return f(k)
+            except KnotObsError as exc:
+                return type(exc), str(exc)
+
+        refusal = outcome(alexander)
+        assert isinstance(refusal, tuple) and outcome(alexander_factorization) == refusal
+
+    def test_wrong_indices_fail_the_check(self, monkeypatch):
+        # a divisor dropped from a torus knot's pattern: its multiset no
+        # longer expands to Delta, so the answer is refused
+        divisors = knots._divisors
+        monkeypatch.setattr(knots, "_divisors", lambda n: divisors(n)[:-1] if n == 7 else divisors(n))
+        for text in ("T(5,7)", "T(2,3) # Cable(Wh(T(2,3));2,7)"):
+            with pytest.raises(InternalCheckError, match="the cyclotomic indices must reproduce Delta"):
+                alexander_factorization(parse_knot(text))
+
+    def test_three_torus_sum_within_budget(self, capsys):
+        # breadth 54,750: through the full screen over every index these two
+        # commands took 46.3 s and 38.7 s cold on a shared 2-core host
+        text = "T(150,151) # T(149,151) # -T(101,103)"
+        with oracles.budget(1.0, "gsp-bound of the three-torus sum"):
+            assert cli.run(["gsp-bound", text]) == 0
+        assert "gsp lower bound        11100\n" in capsys.readouterr().out
+        with oracles.budget(1.0, "fox-milnor of the three-torus sum"):
+            assert cli.run(["fox-milnor", text]) == 0
+        out = capsys.readouterr().out
+        assert "fox-milnor             fails\n" in out and "violation" in out
 
 
 class TestGenus:

@@ -391,10 +391,10 @@ class TestBinomialKernels:
 
     def test_repeated_division_is_screened_first(self, monkeypatch):
         # J_8's polynomial is the square of six cyclotomics: the screen on
-        # F(2) and F(3) finds all six twice, and one division through the
-        # net binomials (t^72 - 1)^2 (t - 1)^2 / ((t^8 - 1)^2 (t^9 - 1)^2)
-        # proves them, so no single Phi_d is divided out; the only other
-        # product of cyclotomics is the self-check multiplying them back in
+        # F(2) and F(3) finds all six twice, which takes the whole degree,
+        # so the only product of cyclotomics is the self-check, the unit 1
+        # times the net binomials (t^72 - 1)^2 (t - 1)^2 / ((t^8 - 1)^2
+        # (t^9 - 1)^2); it reproduces the input, and nothing is divided out
         delta = knots.alexander(knots.family("J", 8))
         calls = []
         divide = laurent._ddiv_cyclotomics
@@ -402,7 +402,7 @@ class TestBinomialKernels:
         fac = factor(delta)
         indices = (6, 12, 18, 24, 36, 72)
         assert fac.factors == tuple((cyclotomic(d), 2) for d in indices)
-        assert calls == [[(d, 2) for d in indices], [(d, -2) for d in indices]]
+        assert calls == [[(d, -2) for d in indices]]
 
     def test_phi_1_is_divided_out_exactly(self):
         # 2^6 divides 3^2000 - 1, which a screen of Phi_1(3) = 2 would read
@@ -418,36 +418,43 @@ class TestBinomialKernels:
                     assert factor(f).multiplicity(cyclotomic(1)) == k
 
     @pytest.mark.parametrize(
-        "parts, expected",
+        "parts, expected, claims_degree",
         [
             # F(2) = 135 and F(3) = 256 pass Phi_2(2) = 3 and Phi_2(3) = 4
             # three times, which takes the degree
-            ([("t + 13", 1), ("1 + t", 2)], [("t + 13", 1), ("1 + t", 2)]),
+            ([("t + 13", 1), ("1 + t", 2)], [("t + 13", 1), ("1 + t", 2)], True),
             # F(2) = 0, and Phi_2(3) = 4 divides F(3) = -4
-            ([("t - 2", 1), ("t - 7", 1)], [("t - 2", 1), ("t - 7", 1)]),
-            # F(2) = F(3) = 0: every index but the exact Phi_1 passes the screen
-            ([("t - 2", 1), ("t - 3", 1), ("t^2 + 1", 1)], [("t - 2", 1), ("t - 3", 1), ("t^2 + 1", 1)]),
+            ([("t - 2", 1), ("t - 7", 1)], [("t - 2", 1), ("t - 7", 1)], False),
+            # F(2) = F(3) = 0: every index but the exact Phi_1 passes the
+            # screen, and Phi_2 four times takes the degree
+            ([("t - 2", 1), ("t - 3", 1), ("t^2 + 1", 1)], [("t - 2", 1), ("t - 3", 1), ("t^2 + 1", 1)], True),
             # 2^5 divides 3^1000 - 1: after Phi_1 and Phi_2, Phi_4(3) = 10 takes 2^2
-            ([("t^1000 - 1", 1)], [(d, 1) for d in range(1, 1001) if 1000 % d == 0]),
+            ([("t^1000 - 1", 1)], [(d, 1) for d in range(1, 1001) if 1000 % d == 0], False),
         ],
     )
-    def test_false_screen_candidates_fall_back_to_single_divisions(self, monkeypatch, parts, expected):
+    def test_false_screen_candidates_fall_back_to_single_divisions(self, monkeypatch, parts, expected, claims_degree):
         f = ONE
         for text, m in parts:
             f = f * parse_laurent(text) ** m
-        calls = []  # (pairs, quotient) of each product of cyclotomics
+        calls = []  # (pairs, quotient) of each product of cyclotomics, ("check", result) of each check
         divide = laurent._ddiv_cyclotomics
+        checked = laurent._checked
 
         def recording(a, pairs):
             calls.append((list(pairs), divide(a, pairs)))
             return calls[-1][1]
 
         monkeypatch.setattr(laurent, "_ddiv_cyclotomics", recording)
+        monkeypatch.setattr(laurent, "_checked", lambda *args: calls.append(("check", checked(*args))) or calls[-1][1])
         fac = factor(f)
-        # the first product divides by every candidate at once; it fails,
-        # and divisions by a single Phi_d follow
-        assert calls[0][1] is None, "the net product divided exactly"
-        assert any(len(pairs) == 1 and pairs[0][1] == 1 for pairs, _ in calls[1:])
+        # a screen that claims the whole degree is checked first, and the
+        # check fails; then one product divides by every candidate at once,
+        # it fails, and divisions by a single Phi_d follow
+        divisions = [i for i, (pairs, _) in enumerate(calls) if pairs != "check" and pairs and pairs[0][1] > 0]
+        first = divisions[0]
+        assert [r for pairs, r in calls[:first] if pairs == "check"] == ([None] if claims_degree else [])
+        assert calls[first][1] is None, "the net product divided exactly"
+        assert any(len(calls[i][0]) == 1 and calls[i][0][0][1] == 1 for i in divisions[1:])
         assert dict(fac.factors) == {
             cyclotomic(p) if isinstance(p, int) else parse_laurent(p): m for p, m in expected
         }
@@ -543,32 +550,36 @@ class TestDenseProduct:
             assert f * c == c * f == expected
 
     def test_failed_witness_check_is_2(self, capsys, monkeypatch):
-        # T(2,3) # T(2,3) has Delta = Phi_6^2 and witness w = Phi_6.  Once
-        # factor has checked its answer, one product of the witness route is
-        # corrupted: w itself, from the binomials of Phi_6, or w * w-bar, the
-        # one Kronecker product of two parts
-        real_factor, divide, product = laurent.factor, laurent._ddiv_cyclotomics, laurent._dproduct
+        # T(2,3) # T(2,3) has Delta = Phi_6^2 and witness w = Phi_6; the
+        # expression factors by its indices, the same polynomial as text by
+        # factor.  Once either has checked its answer, one product of the
+        # witness route is corrupted: w itself, from the binomials of Phi_6,
+        # or w * w-bar, the one Kronecker product of two parts
+        divide, product = laurent._ddiv_cyclotomics, laurent._dproduct
         bumped = lambda out: [out[0] + 1] + out[1:]
         corruptions = {
             "_ddiv_cyclotomics": lambda a, pairs: bumped(divide(a, pairs)) if pairs == [(6, -1)] else divide(a, pairs),
             "_dproduct": lambda parts: bumped(product(parts)) if len(parts) == 2 else product(parts),
         }
-        assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 0
-        for name, corrupt in corruptions.items():
-            armed = []
+        routes = [("T(2,3) # T(2,3)", knots, "alexander_factorization"), ("t^-2 - 2t^-1 + 3 - 2t + t^2", laurent, "factor")]
+        for text, module, factorizer in routes:
+            assert run(["fox-milnor", text]) == 0
+            real_factor = getattr(module, factorizer)
+            for name, corrupt in corruptions.items():
+                armed = []
 
-            def factor_then_arm(f):
-                out = real_factor(f)
-                armed.append(True)
-                return out
+                def factor_then_arm(f):
+                    out = real_factor(f)
+                    armed.append(True)
+                    return out
 
-            real = getattr(laurent, name)
-            with monkeypatch.context() as patch:
-                patch.setattr(laurent, "factor", factor_then_arm)
-                patch.setattr(laurent, name, lambda *args: (corrupt if armed else real)(*args))
-                capsys.readouterr()
-                assert run(["fox-milnor", "T(2,3) # T(2,3)"]) == 2, name
-            assert "self-check failed: the Fox-Milnor witness" in capsys.readouterr().err
+                real = getattr(laurent, name)
+                with monkeypatch.context() as patch:
+                    patch.setattr(module, factorizer, factor_then_arm)
+                    patch.setattr(laurent, name, lambda *args: (corrupt if armed else real)(*args))
+                    capsys.readouterr()
+                    assert run(["fox-milnor", text]) == 2, (text, name)
+                assert "self-check failed: the Fox-Milnor witness" in capsys.readouterr().err
 
 
 class TestSelfChecks:
@@ -628,6 +639,50 @@ class TestSelfChecks:
         monkeypatch.setattr(laurent, "Factorization", mutated)
         with pytest.raises(InternalCheckError, match="must reproduce the input"):
             factor(self.MIXED)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda sign, fs: (sign, fs[:-1]),
+            lambda sign, fs: (sign, fs[:-1] + ((fs[-1][0], fs[-1][1] + 1),)),
+            lambda sign, fs: (-sign, fs),
+        ],
+        ids=["drop", "mult", "sign"],
+    )
+    def test_mutated_cyclotomic_answer_fails_the_check(self, monkeypatch, mutate):
+        # Delta of T(5,7) is Phi_35 alone: the screen's candidates claim the
+        # whole degree, so the check of their answer runs first; mutated, it
+        # fails there and again after the divisions, where it raises
+        f = torus_alexander(5, 7)
+        assert factor(f).factors == ((cyclotomic(35), 1),)
+        real = laurent.Factorization
+
+        def mutated(sign, exponent, factors):
+            sign, factors = mutate(sign, factors)
+            return real(sign, exponent, factors)
+
+        monkeypatch.setattr(laurent, "Factorization", mutated)
+        with pytest.raises(InternalCheckError, match="must reproduce the input"):
+            factor(f)
+
+    @pytest.mark.parametrize(
+        "f, wrong",
+        [
+            (torus_alexander(5, 7), [(7, 4)]),
+            (torus_alexander(5, 7) * torus_alexander(2, 3), [(6, 1), (7, 4)]),
+            (torus_alexander(5, 7) * torus_alexander(2, 3), [(2, 2), (35, 1)]),
+        ],
+        ids=["phi7", "phi6-phi7", "phi2-phi35"],
+    )
+    def test_wrong_candidates_claiming_the_degree_are_not_returned(self, monkeypatch, f, wrong):
+        # a screen that names the wrong indices with the whole degree between
+        # them: the check refuses that answer, and the divisions find the
+        # right one
+        expected = factor(f)
+        assert sum(m * laurent.totient(d) for d, m in wrong) == f.breadth
+        screen = laurent._cyclotomic_screen
+        monkeypatch.setattr(laurent, "_cyclotomic_screen", lambda F, divide: screen(F, divide) if divide else (F, wrong))
+        assert factor(f) == expected
 
     def test_check_is_the_same_through_either_route(self):
         # the same factors as plain polynomials all go through the Kronecker
