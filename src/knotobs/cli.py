@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a clean result, 1 for invalid inputs / invalid certificates /
 inconclusive verdicts, 2 for usage errors and unexpected failures.  Artifacts
-are written on request via --json / --csv / --svg.
+are written on request via --json / --csv / --svg.  A knot expression's
+Delta and factors come from `knots.alexander` and
+`knots.alexander_factorization`; only polynomial text reaches `laurent.factor`.
 """
 
 from __future__ import annotations
@@ -41,16 +43,16 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise ValidationError(f"expected a pair like 5,7, got {text!r}") from exc
 
 
-def _poly_or_alexander(text: str) -> tuple[laurent.LaurentPolynomial, str]:
-    """Inputs that look like knot expressions are resolved through their
-    Alexander polynomial; anything else must parse as polynomial text."""
+def _knot_or_text(text: str) -> tuple[str, knots.KnotExpression | None, laurent.LaurentPolynomial | None]:
+    """(shown, expression, polynomial) of a `factor` or `fox-milnor` input:
+    a knot expression and None, or None and parsed polynomial text."""
     from . import knots, laurent
 
     try:
         expr = knots.parse_knot(text)
-        return knots.alexander(expr), f"alexander({knots.format_knot(expr)})"
     except ParseError:
-        return laurent.parse_laurent(text), text
+        return text, None, laurent.parse_laurent(text)
+    return f"alexander({knots.format_knot(expr)})", expr, None
 
 
 class Result(Record):
@@ -111,14 +113,12 @@ def _cmd_alexander(args):
     from . import knots, laurent
 
     expr = knots.parse_knot(args.expression)
-    # with --fox-milnor, Delta is the expansion of its checked factorization
-    fac = knots.alexander_factorization(expr) if args.fox_milnor else None
-    delta = fac.expand() if fac else knots.alexander(expr)
+    delta = knots.alexander(expr)
     shown, poly = knots.format_knot(expr), laurent.format_laurent(delta)
     lines = [("knot", shown), ("alexander", poly), ("breadth", delta.breadth)]
     payload = {"expression": shown, "alexander": poly, "breadth": delta.breadth}
     if args.fox_milnor:
-        fm = laurent.fox_milnor_of_factorization(delta, fac)
+        fm = laurent.fox_milnor_of_factorization(delta, knots.alexander_factorization(expr))
         lines += _fox_milnor_lines(fm)
         payload["fox_milnor"] = fm.as_dict()
     return Result(lines, payload)
@@ -148,25 +148,19 @@ def _cmd_gsp_bound(args):
 def _cmd_fox_milnor(args):
     from . import knots, laurent
 
-    try:
-        expr = knots.parse_knot(args.input)
-    except ParseError:
-        poly, shown = laurent.parse_laurent(args.input), args.input
-        fm = laurent.fox_milnor(poly)
-    else:
-        # a knot's Delta factors by its cyclotomic indices, with no screen
-        fac = knots.alexander_factorization(expr)
-        poly, shown = fac.expand(), f"alexander({knots.format_knot(expr)})"
-        fm = laurent.fox_milnor_of_factorization(poly, fac)
+    shown, expr, poly = _knot_or_text(args.input)
+    if expr is not None:
+        poly, fac = knots.alexander(expr), knots.alexander_factorization(expr)
+    fm = laurent.fox_milnor(poly) if expr is None else laurent.fox_milnor_of_factorization(poly, fac)
     lines = [("input", shown), ("polynomial", laurent.format_laurent(poly)), *_fox_milnor_lines(fm)]
     return Result(lines, {"input": shown, **fm.as_dict()})
 
 
 def _cmd_factor(args):
-    from . import laurent
+    from . import knots, laurent
 
-    poly, shown = _poly_or_alexander(args.input)
-    fac = laurent.factor(poly)
+    shown, expr, poly = _knot_or_text(args.input)
+    fac = laurent.factor(poly) if expr is None else knots.alexander_factorization(expr)
     lines = [("input", shown), ("unit", laurent.format_laurent(fac.unit))]
     lines += [("factor", f"({laurent.format_laurent(p)})^{m}") for p, m in fac.factors]
     return Result(lines, {"input": shown, **fac.as_dict()})

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the dense polynomial limit
-that `laurent`, `signature` and `jumps` enforce, and the torus knot
-parameter rule."""
+that `laurent`, `knots`, `signature` and `jumps` enforce, and the torus
+knot parameter rule."""
 
 import math
 

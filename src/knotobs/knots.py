@@ -2,10 +2,10 @@
 
 The expression language covers exactly what the concordance obstructions
 need: torus knots, cables, untwisted Whitehead doubles, mirrors, connected
-sums and the unknot.  Alexander polynomials and Seifert genus are computed
-structurally, and the factorization of an Alexander polynomial, a product
-of cyclotomic polynomials, from integer indices; the three knot families
-J_n, J'_n and L_n are provided as constructors.
+sums and the unknot.  Alexander polynomials (as binomials t^e - 1) and
+Seifert genus are computed structurally, and the factorization of an
+Alexander polynomial, a product of cyclotomic polynomials, from integer
+indices; the three knot families J_n, J'_n and L_n are constructors.
 
 Whitehead doubles are fixed as untwisted with positive clasp and enter every
 computation only through Delta = 1 and g = 1.
@@ -19,9 +19,11 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import (
+    InternalCheckError,
     ParseError,
     UnsupportedExpressionError,
     ValidationError,
+    check_breadth,
     check_torus,
 )
 from .reporting import Record
@@ -290,47 +292,73 @@ def parse_knot(text: str) -> KnotExpression:
 # ---------------------------------------------------------------------------
 
 
+def alexander_exponents(e: KnotExpression) -> dict[int, int]:
+    """{e: m}, m nonzero, with prod (t^e - 1)^m the Alexander polynomial of
+    e up to a unit.  T(p,q) gives (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)),
+    and Delta_{K_{p,q}}(t) = Delta_K(t^p) Delta_{T(p,q)}(t) (the pattern
+    only for q >= 2); Wh(K) gives 1, a mirror the same, a #-sum adds.  The
+    breadth, the sum of e m, is checked against errors.MAX_DENSE_BREADTH at
+    each cable and sum, so nested cables are refused before any list is built."""
+    exponents, _ = _binomials(signed_summands(e))
+    return {k: m for k, m in exponents.items() if m}
+
+
+def _binomials(parts) -> tuple[Counter, int]:
+    """(exponents, breadth) of the #-sum of parts from signed_summands: each
+    summand is read, then the breadths add up, each partial sum checked."""
+    summands = [_summand_binomials(s) for s, _ in parts]
+    out, breadth = Counter(), 0
+    for exponents, b in summands:
+        out.update(exponents)
+        breadth += b
+        check_breadth(breadth, "breadth")
+    return out, breadth
+
+
+def _summand_binomials(s: KnotExpression) -> tuple[Counter, int]:
+    out, b, pattern = Counter(), 0, 0
+    if isinstance(s, WhiteheadDouble):
+        return out, b
+    if isinstance(s, Cable):
+        check_winding(s)
+        companion, b = _binomials(_signed(s.companion))
+        out.update({e * s.p: m for e, m in companion.items()})
+    if s.q >= 2:  # a torus knot, or the pattern T(p,q) of a cable
+        check_breadth(s.p * s.q, "torus knot product pq")
+        out.update({s.p * s.q: 1, 1: 1, s.p: -1, s.q: -1})
+        pattern = (s.p - 1) * (s.q - 1)
+    # Delta_K(t^p), then its product with the pattern's polynomial
+    check_breadth(b * s.p, "breadth")
+    check_breadth(b * s.p + pattern, "breadth")
+    return out, b * s.p + pattern
+
+
 def alexander(e: KnotExpression) -> laurent.LaurentPolynomial:
-    """Alexander polynomial, centered symmetric normalization.
-
-    Cables use Delta_{K_{p,q}}(t) = Delta_K(t^p) * Delta_{T(p,q)}(t); for
-    q in {0, +-1} the pattern torus factor is trivial.  Untwisted Whitehead
-    doubles have trivial Alexander polynomial.
-
-    Each product and substitution checks its breadth against
-    errors.MAX_DENSE_BREADTH before it allocates, so nested cables fail
-    fast.
-    """
+    """Alexander polynomial, centered symmetric normalization: the binomials
+    of `alexander_exponents`, expanded one linear pass each."""
     from . import laurent
 
-    def product(parts):
-        # a mirror has the polynomial of the knot it mirrors
-        return math.prod([of(s) for s, _ in parts], start=laurent.ONE)
-
-    def of(s):
-        if isinstance(s, TorusKnot):
-            return laurent.torus_alexander(s.p, s.q)
-        if isinstance(s, WhiteheadDouble):
-            return laurent.ONE
-        check_winding(s)
-        companion = product(_signed(s.companion))
-        pattern = laurent.torus_alexander(s.p, s.q) if s.q >= 2 else laurent.ONE
-        return companion.substitute_power(s.p) * pattern
-
-    return product(signed_summands(e))
+    return laurent._binomial_product(alexander_exponents(e))
 
 
 def alexander_factorization(e: KnotExpression) -> laurent.Factorization:
     """The irreducible factorization of alexander(e), read from integer
-    index arithmetic alone (`_alexander_indices`): every factor is a
-    `laurent.Cyclotomic`.  alexander(e) runs first, so every refusal is its
-    own, and the answer is accepted only when its `expand()` equals that
-    polynomial."""
+    index arithmetic alone (`_alexander_indices`), with no Delta built.  The
+    exponents are read first, so every refusal is alexander's, and the
+    answer is accepted only when its sign is +1, its exponent minus half the
+    breadth, and the Moebius binomials of its factors are those exponents:
+    a product of binomials t^e - 1 fixes its exponents, each a new Phi_e."""
     from . import laurent
 
-    delta = alexander(e)
-    found = {laurent._cyclotomic(d): m for d, m in _alexander_indices(signed_summands(e)).items()}
-    return laurent._self_checked(laurent._checked(delta, 1, found), "the cyclotomic indices must reproduce Delta")
+    parts = signed_summands(e)
+    exponents, breadth = _binomials(parts)
+    found = {laurent._cyclotomic(d): m for d, m in _alexander_indices(parts).items()}
+    fac = laurent._factorization(1, -breadth // 2, found)
+    binomials = Counter(laurent._moebius_binomials((p.d, m) for p, m in fac.factors))
+    # Counters compare with their zero counts left out
+    if (fac.sign, fac.exponent, binomials) != (1, -breadth // 2, exponents):
+        raise InternalCheckError("self-check failed: the cyclotomic indices must reproduce Delta")
+    return fac
 
 
 def _alexander_indices(parts) -> Counter:

@@ -22,7 +22,8 @@ subsets of the lifted factors.
 The dense polynomial core works in plain integers throughout: cyclotomic
 polynomials are built, divided out and multiplied back in through their
 Moebius factors t^e - 1, one linear pass per binomial (for a product of
-cyclotomics, per binomial left after the exponents of its factors cancel);
+cyclotomics, per binomial left after the exponents of its factors cancel),
+and so is an Alexander polynomial given by its binomials (`_binomial_product`);
 other exact division is long division with an early exit (reducing mod p^k
 in the splitter), and gcd a primitive pseudo-remainder sequence.  Phi_d is
 a `Cyclotomic`, which carries d, so `Factorization.expand` takes the
@@ -185,13 +186,6 @@ class LaurentPolynomial:
     def reciprocal(self) -> "LaurentPolynomial":
         """Substitute t -> t^-1."""
         return _poly(self._c[::-1], 1 - self._lo - len(self._c))
-
-    def substitute_power(self, p: int) -> "LaurentPolynomial":
-        """Substitute t -> t^p (p >= 1)."""
-        if p < 1:
-            raise ValidationError("substitution power must be >= 1")
-        check_breadth((len(self._c) - 1) * p, "breadth")
-        return _poly(_dstretch(self._c, p), self._lo * p)
 
     def evaluate(self, x):
         """Exact evaluation at a nonzero int or Fraction: Horner's rule on the
@@ -588,13 +582,6 @@ def _cyclotomic_indices(n: int) -> tuple[array, array]:
     return _index_table[1:]
 
 
-def _dstretch(a: list, k: int) -> list:
-    """Coefficients of a(t^k)."""
-    out = [0] * ((len(a) - 1) * k + 1)
-    out[::k] = a
-    return out
-
-
 def _dtimes_binomial(a: list, e: int) -> list:
     """Coefficients of a * (t^e - 1)."""
     pad = [0] * e
@@ -654,36 +641,37 @@ def _moebius_exponents(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return numer, denom
 
 
-def _dbinomials(a: list, times, over):
-    """a * prod (t^e - 1) over the e in times, divided exactly by each
-    t^e - 1 for the e in over, in that order, of a trimmed list; None when a
-    division leaves a remainder.  Every step is linear in the length, and
-    exact division by monic polynomials stays in Z[t], so a None proves that
-    the whole quotient is not a polynomial."""
-    for e in times:
+def _dbinomials(a: list, net: dict):
+    """a * prod (t^e - 1)^n over the {e: n} in net, of a trimmed list: times
+    each binomial with n > 0, smallest first, then divided exactly by each
+    with n < 0, largest first, to keep the lists short; None when a division
+    leaves a remainder, which proves the quotient is not a polynomial, since
+    exact division by monic polynomials stays in Z[t].  Each step is linear."""
+    for e in sorted(e for e, n in net.items() for _ in range(n)):
         a = _dtimes_binomial(a, e)
-    for e in over:
+    for e in sorted((e for e, n in net.items() for _ in range(-n)), reverse=True):
         if (a := _ddiv_binomial(a, e)) is None:
             return None
     return a
+
+
+def _moebius_binomials(pairs) -> dict[int, int]:
+    """{e: n} with prod Phi_d^m over the (d, m) in pairs equal to
+    prod (t^e - 1)^n: n is the sum of m mu(d/e), and may be 0."""
+    net: dict[int, int] = {}
+    for d, m in pairs:
+        for exponents, n in zip(_moebius_exponents(d), (m, -m)):
+            for e in exponents:
+                net[e] = net.get(e, 0) + n
+    return net
 
 
 def _ddiv_cyclotomics(a: list, pairs):
     """Exact quotient a / prod Phi_d^m over the (d, m) in pairs, of a trimmed
     list, or None when that product does not divide a, building no Phi_d.
     A negative m multiplies: with every m negated the result is the product
-    a * prod Phi_d^m, never None.  The product is prod (t^e - 1)^n_e over
-    the net Moebius exponents n_e, the sums of m mu(d/e): `_dbinomials`
-    multiplies a by each binomial with n_e < 0, then divides by each with
-    n_e > 0, largest first."""
-    net: dict[int, int] = {}
-    for d, m in pairs:
-        for exponents, n in zip(_moebius_exponents(d), (m, -m)):
-            for e in exponents:
-                net[e] = net.get(e, 0) + n
-    times = [e for e, n in net.items() for _ in range(-n)]
-    over = sorted((e for e, n in net.items() for _ in range(n)), reverse=True)
-    return _dbinomials(a, times, over)
+    a * prod Phi_d^m, never None."""
+    return _dbinomials(a, {e: -n for e, n in _moebius_binomials(pairs).items()})
 
 
 class Cyclotomic(LaurentPolynomial):
@@ -711,8 +699,8 @@ def _cyclotomic(n: int) -> Cyclotomic:
     divides its input, whose index may pass the dense limit.
 
     Phi_r for r = rad n is [1] times its Moebius binomials t^e - 1
-    (`_ddiv_cyclotomics` with m = -1): each numerator binomial multiplies,
-    then each denominator binomial divides exactly.  Phi_n(t) =
+    (`_dbinomials` of `_moebius_binomials`): each numerator binomial
+    multiplies, then each denominator binomial divides exactly.  Phi_n(t) =
     Phi_r(t^{n / r}) finishes it.  The longest intermediate list is the
     numerator product, with 1 + (sigma(r) + phi(r)) / 2 entries: 2 for
     n = 1, at most 1.71 n below the dense limit (51,265 entries at
@@ -720,8 +708,10 @@ def _cyclotomic(n: int) -> Cyclotomic:
     within it.
     """
     rad = math.prod(_prime_factors(n))
-    poly = _self_checked(_ddiv_cyclotomics([1], [(rad, -1)]), f"the binomials of Phi_{rad} divide")
-    phi = _poly(_dstretch(poly, n // rad), 0, Cyclotomic)
+    poly = _self_checked(_dbinomials([1], _moebius_binomials([(rad, 1)])), f"the binomials of Phi_{rad} divide")
+    stretched = [0] * ((len(poly) - 1) * (n // rad) + 1)
+    stretched[:: n // rad] = poly
+    phi = _poly(stretched, 0, Cyclotomic)
     object.__setattr__(phi, "d", n)
     return phi
 
@@ -750,8 +740,13 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
     (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1))."""
     check_torus(p, q)
     check_breadth(p * q, "torus knot product pq")
-    quot = _self_checked(_dbinomials([1], (p * q, 1), (p, q)), "(t^p - 1)(t^q - 1) divides (t^pq - 1)(t - 1)")
-    # the breadth (p - 1)(q - 1) is even; centered, the least exponent is minus half of it
+    return _binomial_product({p * q: 1, 1: 1, p: -1, q: -1})
+
+
+def _binomial_product(net: dict) -> LaurentPolynomial:
+    """The centered prod (t^e - 1)^n over the {e: n} in net, an Alexander
+    polynomial whose breadth, the sum of e n, the caller has checked."""
+    quot = _self_checked(_dbinomials([1], net), "the binomials with n < 0 divide the others")
     return _poly(quot, (1 - len(quot)) // 2)
 
 
@@ -989,8 +984,8 @@ def factor(f: LaurentPolynomial) -> Factorization:
        are the whole cyclotomic part, since only a false candidate could
        take another factor's share of the values or the degree; otherwise
        each candidate is divided out alone, at most m times, and the screen
-       runs again on what is left, dividing as it goes.  Knot expressions
-       skip the screen: `knots.alexander_factorization` reads their indices.
+       runs again on what is left, dividing as it goes.  A knot's Delta
+       skips all this: `knots.alexander_factorization` reads its indices.
     3. The square-free part of the rest splits into irreducibles by
        Zassenhaus (`_irreducibles`), and each is divided out as often as it
        divides.
@@ -1054,10 +1049,15 @@ def factor(f: LaurentPolynomial) -> Factorization:
     return _self_checked(_checked(f, sign, found), "factorization must reproduce the input")
 
 
+def _factorization(sign: int, exponent: int, found: dict) -> Factorization:
+    """The factors found ({factor: multiplicity}) in `_factor_key` order."""
+    return Factorization(sign, exponent, tuple(sorted(found.items(), key=lambda kv: _factor_key(kv[0]))))
+
+
 def _checked(f: LaurentPolynomial, sign: int, found: dict):
-    """The Factorization of f with the factors found ({factor: multiplicity}),
-    in `_factor_key` order, or None when its `expand()` is not f."""
-    result = Factorization(sign, f._lo, tuple(sorted(found.items(), key=lambda kv: _factor_key(kv[0]))))
+    """The `_factorization` of f with the factors found, or None when its
+    `expand()` is not f."""
+    result = _factorization(sign, f._lo, found)
     return result if result.expand() == f else None
 
 

@@ -127,16 +127,6 @@ def _jumps_of(terms: list[tuple[int, int, int]]) -> JumpFunction:
     return JumpFunction._over(den, acc)
 
 
-def torus_jumps(p: int, q: int) -> JumpFunction:
-    """Signature jumps of the (p,q) torus knot at x in (0,1), w = e^{2 pi i x}:
-    +2 at points of S in (0,1) and -2 at points of S - 1, where
-    S = { i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1 }.  Over N = pq the point
-    i/p + j/q has numerator i*q + j*p."""
-    check_torus(p, q)
-    check_breadth(p * q, "torus knot product pq")
-    return _jumps_of([(p, q, 1)])
-
-
 def _torus_term(e: knots.KnotExpression, sign: int):
     """(p, q, sign) for the torus knot whose signature function is that of
     the summand e from `knots.signed_summands`, or None where it vanishes.
@@ -147,9 +137,7 @@ def _torus_term(e: knots.KnotExpression, sign: int):
     if isinstance(e, knots.WhiteheadDouble):
         return None
     if isinstance(e, knots.Cable):
-        from .laurent import ONE  # only a cable needs the polynomial layer
-
-        if knots.alexander(e.companion) != ONE:
+        if knots.alexander_exponents(e.companion):
             raise UnsupportedExpressionError(
                 "cable signatures are only supported over companions with "
                 "trivial Alexander polynomial"

@@ -5,11 +5,10 @@ U_{T(a,b)} = U_{T(a,b-a)} + U_{T(a,a+1)} for 1 < a < b (Feller and
 Krcatovich, Math. Ann. 2017), and U_{T(a,a+1)} is known in closed form
 (Ozsvath, Stipsicz and Szabo, Adv. Math. 2017), so every admitted T(p,q)
 (pq <= 100000) is a few integer operations, with no Alexander polynomial.
-The derivative jump at t0 drives two obstructions: a genus bound from the
-denominator of a singularity, and exclusion of nonzero jumps on (0, 1/n) for
-sums of genus-n knots.  The J' family enters only through its published
-derivative-jump germ (zero before 2/(2n-1), jump 2n-1 there); queries beyond
-the certified range are refused rather than defaulted.
+The derivative jump at t0 drives the obstruction: a nonzero jump on
+(0, 1/n) excludes sums of genus-n knots.  The J' family enters only through
+its published derivative-jump germ (zero before 2/(2n-1), jump 2n-1 there);
+queries beyond the certified range are refused rather than defaulted.
 
 A PL function is held by its integer slope jumps over one common denominator,
 in the form it shares with signature jumps (``jumps.RationalJumps``): a
@@ -230,16 +229,6 @@ def oss_hom(source, p: int, q: int) -> Fraction:
         raise ValidationError(f"evaluation point {t0} outside (0,2)")
     dj = source.delta_prime(t0)
     return Fraction(dj, q if p % 2 == 0 else 2 * q)
-
-
-def min_genus_from_singularity(p: int, q: int) -> int:
-    """Least genus compatible with a derivative jump at reduced p/q: q for odd
-    p (q <= g), ceil(q/2) for even p (q <= 2g)."""
-    if q < 1 or math.gcd(p, q) != 1:
-        raise ValidationError(f"{p}/{q} must be a reduced fraction")
-    if not 0 < Fraction(p, q) < 2:
-        raise ValidationError(f"{p}/{q} outside (0,2)")
-    return q if p % 2 == 1 else (q + 1) // 2
 
 
 class ObstructionVerdict(Record):

@@ -152,6 +152,53 @@ def exact_quotient(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynom
     return LaurentPolynomial(dict_exact_div(f.coeffs, g.coeffs))
 
 
+def substitute_power(f: LaurentPolynomial, p: int) -> LaurentPolynomial:
+    """f(t^p), exponent by exponent."""
+    return LaurentPolynomial({p * e: c for e, c in f.coeffs.items()})
+
+
+def torus_alexander_by_division(p: int, q: int) -> LaurentPolynomial:
+    """Delta of T(p,q), centered: (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1))
+    by `dict_exact_div`."""
+    numer = convolve({p * q: 1, 0: -1}, {1: 1, 0: -1})
+    quot = dict_exact_div(numer, convolve({p: 1, 0: -1}, {q: 1, 0: -1}))
+    return LaurentPolynomial({e - (p - 1) * (q - 1) // 2: c for e, c in quot.items()})
+
+
+def product_alexander(e) -> LaurentPolynomial:
+    """Reference Alexander polynomial of a knot expression by the product
+    route: torus polynomials by `torus_alexander_by_division`,
+    Delta_{K_{p,q}}(t) = Delta_K(t^p) Delta_{T(p,q)}(t) (the pattern only for
+    q >= 2), Wh(K) gives 1, and products are LaurentPolynomial's Kronecker
+    products.  A cable with q <= -2 is refused as knots refuses it."""
+    from knotobs import knots
+
+    def product(parts):
+        # a mirror has the polynomial of the knot it mirrors
+        return math.prod([of(s) for s, _ in parts], start=LaurentPolynomial({0: 1}))
+
+    def of(s):
+        if isinstance(s, knots.TorusKnot):
+            return torus_alexander_by_division(s.p, s.q)
+        if isinstance(s, knots.WhiteheadDouble):
+            return LaurentPolynomial({0: 1})
+        knots.check_winding(s)
+        pattern = torus_alexander_by_division(s.p, s.q) if s.q >= 2 else 1
+        return substitute_power(product(knots.signed_summands(s.companion)), s.p) * pattern
+
+    return product(knots.signed_summands(e))
+
+
+def min_genus_from_singularity(p: int, q: int) -> int:
+    """Least genus compatible with an Upsilon derivative jump at reduced p/q:
+    q for odd p (q <= g), ceil(q/2) for even p (q <= 2g)."""
+    if q < 1 or math.gcd(p, q) != 1:
+        raise ValidationError(f"{p}/{q} must be a reduced fraction")
+    if not 0 < Fraction(p, q) < 2:
+        raise ValidationError(f"{p}/{q} outside (0,2)")
+    return q if p % 2 == 1 else (q + 1) // 2
+
+
 def torus_upsilon_lines(p: int, q: int) -> list:
     """Upsilon of T(p,q) from its semigroup S = <p, q>: with g = (p-1)(q-1)/2
     it is the max over m in 0..2g of the lines -2 #(S & [0,m)) - t (g - m),

@@ -80,7 +80,7 @@ def test_criterion_3_signature_oracle_equivalence(capsys):
         rng = random.Random(35353)
         for p, q in oracles.coprime_pairs(35):
             V = signature.seifert_from_braid(signature.torus_braid_word(p, q))
-            support = set(signature.torus_jumps(p, q).support)
+            support = set(signature.expression_jumps(torus(p, q)).support)
             checked = 0
             while checked < 100:
                 x = Fraction(rng.randint(1, 99999), 100000)
@@ -123,7 +123,7 @@ def test_criterion_5_upsilon_model(capsys):
             g = (p - 1) * (q - 1) // 2
             assert u.slope_right(0) == -F(g), (p, q)
             for t in u.singularities():
-                assert upsilon.min_genus_from_singularity(t.numerator, t.denominator) <= g
+                assert oracles.min_genus_from_singularity(t.numerator, t.denominator) <= g
                 assert upsilon.oss_hom(u, t.numerator, t.denominator).denominator == 1
 
 

@@ -203,8 +203,9 @@ class TestExitCodes:
 def test_cli_import_leaves_numpy_out():
     """Importing the CLI loads no numpy and no polynomial code, a cold
     command loads none of the layers it does not run (the Upsilon, the
-    genus of an expression, the signature jumps of a torus knot and the
-    signature certificate load no polynomial code), and no command loads
+    genus of an expression, the signature jumps of a torus knot, of J_5 and
+    of L_4, whose cables have Delta = 1 companions, and the signature
+    certificate load no polynomial code), and no command loads
     `dataclasses` or the `inspect` it imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -240,6 +241,11 @@ def test_cli_import_leaves_numpy_out():
             [["sig-jumps", "T(3,4)", "--at", "1/2"], ["sig-certify", "--pair", "5,7", "--k", "2"]],
             [*never, "knotobs.laurent", "knotobs.ordered", "knotobs.upsilon"],
         ),
+        (
+            [["sig-jumps", knots.format_knot(knots.family("J", 5))],
+             ["sig-jumps", knots.format_knot(knots.family("L", 4)), "--at", "1/3"]],
+            [*never, "knotobs.laurent", "knotobs.ordered", "knotobs.upsilon"],
+        ),
         (one_per_layer, never),
     )
     for commands, absent in cases:
@@ -250,6 +256,21 @@ def test_cli_import_leaves_numpy_out():
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.splitlines()[-1] == "[]", run_cli
+
+
+def test_console_script_text_reaches_the_4_byte_kronecker_path(capsys, monkeypatch):
+    """(2t - 1)^5 (t - 2)^5 as text, which the console-script step of CI
+    runs: the check of its factorization and the witness product w * w-bar
+    each bound their coefficients by 3^10 = 59049, so the Kronecker product
+    packs its digits through 4-byte machine-integer arrays."""
+    text = "32 - 400t + 2160t^2 - 6600t^3 + 12570t^4 - 15525t^5 + 12570t^6 - 6600t^7 + 2160t^8 - 400t^9 + 32t^10"
+    assert laurent.parse_laurent(text) == laurent.parse_laurent("2t^2 - 5t + 2") ** 5
+    widths = []
+    pack = laurent._kpack
+    monkeypatch.setattr(laurent, "_kpack", lambda a, w: widths.append(w) or pack(a, w))
+    assert run(["fox-milnor", text]) == 0
+    assert "fox-milnor             passes\n" in capsys.readouterr().out
+    assert max(widths) == 4
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -166,12 +167,12 @@ class TestAlexander:
 
     def test_cable_formula(self):
         k = cable(torus(2, 3), 2, 5)
-        expected = laurent.torus_alexander(2, 3).substitute_power(2) * laurent.torus_alexander(2, 5)
+        expected = oracles.substitute_power(laurent.torus_alexander(2, 3), 2) * laurent.torus_alexander(2, 5)
         assert alexander(k) == expected
 
     def test_unit_pattern_cables(self):
         k = cable(torus(2, 3), 3, 1)
-        assert alexander(k) == laurent.torus_alexander(2, 3).substitute_power(3)
+        assert alexander(k) == oracles.substitute_power(laurent.torus_alexander(2, 3), 3)
 
     def test_negative_cable_rejected(self):
         with pytest.raises(UnsupportedExpressionError):
@@ -184,6 +185,77 @@ class TestAlexander:
         with pytest.raises(ValidationError, match="dense polynomial limit"):
             alexander(sum_of(torus(300, 331), mirror(torus(300, 331))))
         assert time.monotonic() - start < 5.0
+
+    def test_matches_the_product_route(self):
+        # the reference multiplies the summands' polynomials by Kronecker
+        # products, stretches Delta_K to Delta_K(t^p) and divides for T(p,q)
+        rng = random.Random(4343)
+        exprs = [oracles.random_expression(rng, depth=3) for _ in range(200)]
+        exprs += [family(name, n) for name in ("J", "Jprime", "L") for n in (2, 5, 9, 12)]
+        exprs += [parse_knot(text) for text in (
+            "T(2,3) # T(3,4) # -T(2,5) # T(7,11)",
+            "T(40,41) # T(39,41) # -T(21,23)",
+            "Cable(Cable(Cable(T(2,3);2,5);3,7);2,3)",
+            "Cable(Cable(T(2,5);6,1);9,2) # -Cable(Wh(T(2,3));4,3)",
+        )]
+        for k in exprs:
+            assert alexander(k) == oracles.product_alexander(k), format_knot(k)
+
+    def test_exponents(self):
+        n = 9
+        assert knots.alexander_exponents(torus(2, 3)) == {6: 1, 1: 1, 2: -1, 3: -1}
+        # Delta_J = Delta_{T(n,n+1)}^2: Wh(T(2,3)) adds nothing to the cable
+        assert knots.alexander_exponents(family("J", n)) == {n * (n + 1): 2, 1: 2, n: -2, n + 1: -2}
+        assert knots.alexander_exponents(family("L", n)) == {}
+        # the companion's t^6 - 1 becomes t^12 - 1; t^2 - 1 cancels against the pattern's
+        assert knots.alexander_exponents(cable(torus(2, 3), 2, 5)) == {12: 1, 4: -1, 6: -1, 10: 1, 1: 1, 5: -1}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("T(300,331) # -T(300,331)", "breadth 197340 exceeds the dense polynomial limit 100000"),
+            ("T(317,331)", "torus knot product pq 104927 exceeds the dense polynomial limit 100000"),
+            ("Cable(T(2,3);2,-3)", "cable meridian winding -3 <= -2 has no verified convention"),
+            ("Cable(" * 30 + "T(2,3)" + ";2,3)" * 30, "breadth 131068 exceeds the dense polynomial limit 100000"),
+            # every summand is read before the breadths of the sum add up
+            ("T(300,331) # T(300,331) # T(317,331)",
+             "torus knot product pq 104927 exceeds the dense polynomial limit 100000"),
+            ("-Cable(T(2,3);3,-5) # T(300,331) # T(300,331)",
+             "cable meridian winding -5 <= -2 has no verified convention"),
+            ("T(200,201) # T(250,251) # T(2,3)", "breadth 102052 exceeds the dense polynomial limit 100000"),
+            # a cable: its winding, its companion, its pattern, then Delta_K(t^p)
+            ("Cable(Cable(T(2,3);2,-3);3,4) # T(317,331)",
+             "cable meridian winding -3 <= -2 has no verified convention"),
+            ("Cable(T(300,331);2,50001)", "torus knot product pq 100002 exceeds the dense polynomial limit 100000"),
+            ("Cable(T(300,331);2,3)", "breadth 197340 exceeds the dense polynomial limit 100000"),
+        ],
+        ids=["sum-breadth", "pq", "winding", "nested-cables", "summands-first", "winding-first",
+             "left-to-right", "companion-winding", "pattern-before-stretch", "stretch"],
+    )
+    def test_refusals_keep_type_message_and_order(self, text, message):
+        # frozen from the product route that `alexander` replaced
+        error = UnsupportedExpressionError if "winding" in message else ValidationError
+        k = parse_knot(text)
+        for f in (alexander, knots.alexander_exponents, alexander_factorization, gsp_bound_of_knot):
+            with pytest.raises(KnotObsError) as info:
+                f(k)
+            assert (type(info.value), str(info.value)) == (error, message), f.__name__
+
+    def test_nested_cables_refused_before_allocating(self):
+        # the product route built Delta of the 14 inner cables first, lists
+        # of up to 65,535 entries (2.4 MB at its peak)
+        k = parse_knot("Cable(" * 30 + "T(2,3)" + ";2,3)" * 30)
+        tracemalloc.start()
+        try:
+            alexander(k)
+        except ValidationError as exc:
+            assert "breadth 131068 exceeds the dense polynomial limit" in str(exc)
+        else:
+            raise AssertionError("nested cables past the dense limit were not refused")
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_mirror_and_sum_laws_random(self):
         rng = random.Random(77)
@@ -258,6 +330,57 @@ class TestAlexanderFactorization:
         for text in ("T(5,7)", "T(2,3) # Cable(Wh(T(2,3));2,7)"):
             with pytest.raises(InternalCheckError, match="the cyclotomic indices must reproduce Delta"):
                 alexander_factorization(parse_knot(text))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda sign, exponent, fs: (sign, exponent, fs[:-1]),
+            lambda sign, exponent, fs: (sign, exponent, fs[:-1] + ((fs[-1][0], fs[-1][1] + 1),)),
+            lambda sign, exponent, fs: (-sign, exponent, fs),
+            lambda sign, exponent, fs: (sign, exponent - 1, fs),
+        ],
+        ids=["drop", "mult", "sign", "shift"],
+    )
+    @pytest.mark.parametrize("text", ["T(5,7)", "Cable(T(2,3);2,5) # -T(2,3)", "Cable(Wh(T(2,3));8,9) # -T(8,9)"])
+    def test_mutated_answer_fails_the_check(self, monkeypatch, mutate, text):
+        # the answer as built, mutated: its binomials, sign or exponent no
+        # longer match the exponents of Delta
+        k = parse_knot(text)
+        real = laurent.Factorization
+        fac = alexander_factorization(k)
+        assert real(*mutate(fac.sign, fac.exponent, fac.factors)) != fac
+        monkeypatch.setattr(laurent, "Factorization", lambda *fields: real(*mutate(*fields)))
+        with pytest.raises(InternalCheckError, match="the cyclotomic indices must reproduce Delta"):
+            alexander_factorization(k)
+
+    def test_knot_commands_take_the_index_route(self, monkeypatch, capsys):
+        # Delta from its binomials and the factors from their indices: no
+        # screen and no Kronecker product
+        def refuse(*args):
+            raise AssertionError("a knot expression took the dense factoring route")
+
+        monkeypatch.setattr(laurent, "factor", refuse)
+        monkeypatch.setattr(laurent, "_dproduct", refuse)
+        texts = [
+            "T(150,151) # T(149,151) # -T(101,103)",
+            "T(2,3) # T(3,4) # -T(2,5) # T(7,11)",
+            "Cable(Cable(Cable(T(2,3);2,5);3,7);2,3)",
+            "Cable(Cable(T(2,5);6,1);9,2) # -Cable(Wh(T(2,3));4,3)",
+            *(format_knot(family(name, n)) for name in ("J", "Jprime", "L") for n in (2, 5, 9)),
+        ]
+        for text in texts:
+            for command in ("alexander", "gsp-bound", "factor"):
+                assert cli.run([command, text]) == 0, (command, text)
+        capsys.readouterr()
+
+    def test_factor_of_a_large_torus_knot_within_budget(self, capsys):
+        # Delta of T(97,101) is Phi_9797, of degree 9600: typed as text, the
+        # cyclotomic screen builds Phi_d(2) for 18,613 indices (4.67 s
+        # in-process on a shared 2-core host)
+        with oracles.budget(1.0, "factor of T(97,101)"):
+            assert cli.run(["factor", "T(97,101)"]) == 0
+        out = capsys.readouterr().out
+        assert "unit                   1*t^-4800\n" in out and out.count("\nfactor ") == 1
 
     def test_three_torus_sum_within_budget(self, capsys):
         # breadth 54,750: through the full screen over every index these two

@@ -167,7 +167,7 @@ class TestEveryRecord:
         lambda: laurent.parse_laurent("3t^-4 - t^7"),
         lambda: laurent.ZERO,
         lambda: laurent.cyclotomic(12),
-        lambda: signature.torus_jumps(2, 3),
+        lambda: signature.expression_jumps(knots.torus(2, 3)),
         lambda: signature.EMPTY_JUMPS,
         lambda: upsilon.upsilon_torus(3, 4),
     ],

